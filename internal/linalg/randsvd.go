@@ -66,7 +66,7 @@ func QR(a *Matrix) (q, r *Matrix, err error) {
 // future work).
 //
 // The seed makes the factorisation deterministic, which the compression
-// pipeline requires for reproducible archives.
+// pipeline requires for reproducible archives. a is not modified.
 func RandSVD(a *Matrix, k, oversample, powerIters int, seed int64) (*SVDResult, error) {
 	if a.Rows == 0 || a.Cols == 0 {
 		return nil, errors.New("linalg: RandSVD of empty matrix")

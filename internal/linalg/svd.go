@@ -15,47 +15,80 @@ type SVDResult struct {
 	V *Matrix
 }
 
+// jacobiBatch is how many pairs (p, q), (p, q+1), ... share one pass over
+// column p in SVD. Their dot products are independent accumulators, so the
+// pass costs about as much as a single dot; the batch is cut short at the
+// first pair that rotates, because that rotation changes column p.
+const jacobiBatch = 4
+
 // SVD computes a thin singular value decomposition of a using the one-sided
 // Jacobi method (Hestenes): columns of a working copy of A are repeatedly
 // orthogonalised by plane rotations; at convergence the column norms are the
 // singular values, the normalised columns are U, and the accumulated
-// rotations give V.
+// rotations give V. a is not modified.
 //
-// For m < n the decomposition of Aᵀ is computed and the factors swapped.
+// The sweep runs on the tall matrix M (m×n, m ≥ n): A itself, or Aᵀ when A
+// is wide, in which case the factors are swapped on return. M and V are
+// held column-major, so every dot product and rotation walks two
+// contiguous columns. Each column's squared norm is cached and refreshed
+// by the pass that rotates the column; the off-diagonal dots of up to
+// jacobiBatch successive pairs share one pass over column p, and a
+// rotation's pass also yields the next pair's dot. Every sum
+// still accumulates over ascending rows from +0 and every rotated element
+// is still c·x − s·y or s·x + c·y, so the factors are bitwise those of the
+// textbook row-major sweep that recomputes all three dots per pair.
 func SVD(a *Matrix) (*SVDResult, error) {
 	if a.Rows == 0 || a.Cols == 0 {
 		return nil, errors.New("linalg: SVD of empty matrix")
 	}
-	if a.Rows < a.Cols {
-		r, err := SVD(a.T())
-		if err != nil {
-			return nil, err
-		}
-		return &SVDResult{U: r.V, S: r.S, V: r.U}, nil
-	}
-
+	wide := a.Rows < a.Cols
 	m, n := a.Rows, a.Cols
-	w := a.Clone()
-	v := Identity(n)
-
-	// Column-major access helpers over the row-major store.
-	colDot := func(p, q int) float64 {
-		s := 0.0
-		for i := 0; i < m; i++ {
-			s += w.Data[i*n+p] * w.Data[i*n+q]
-		}
-		return s
+	if wide {
+		m, n = n, m
 	}
 
-	scale := a.FrobeniusNorm()
+	// Column j of M lives at w[j*m:(j+1)*m]; for a wide A those columns are
+	// A's rows, already contiguous. scale sums M in row-major order.
+	w := make([]float64, m*n)
+	scale := 0.0
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var x float64
+			if wide {
+				x = a.Data[j*m+i]
+			} else {
+				x = a.Data[i*n+j]
+			}
+			w[j*m+i] = x
+			scale += x * x
+		}
+	}
+	scale = math.Sqrt(scale)
+
+	v := make([]float64, n*n) // column-major, starts as the identity
+	for j := 0; j < n; j++ {
+		v[j*n+j] = 1
+	}
+	norm := make([]float64, n) // norm[j] = Σ_i w[j*m+i]², ascending i
+	for j := range norm {
+		col := w[j*m : (j+1)*m]
+		jacobiDots(col, col, norm[j:j+1])
+	}
+
+	var g [jacobiBatch]float64
 	const maxSweeps = 60
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		rotated := false
 		for p := 0; p < n-1; p++ {
+			wp := w[p*m : (p+1)*m]
+			k, nb := 0, 0 // g[k:nb] are the current dots of pairs (p, q), (p, q+1), ...
 			for q := p + 1; q < n; q++ {
-				alpha := colDot(p, p)
-				beta := colDot(q, q)
-				gamma := colDot(p, q)
+				if k == nb {
+					k, nb = 0, min(jacobiBatch, n-q)
+					jacobiDots(wp, w[q*m:(q+nb)*m], g[:nb])
+				}
+				alpha, beta, gamma := norm[p], norm[q], g[k]
+				k++
 				if math.Abs(gamma) <= 1e-15*math.Sqrt(alpha*beta)+1e-300 {
 					continue
 				}
@@ -69,18 +102,16 @@ func SVD(a *Matrix) (*SVDResult, error) {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := t * c
-				for i := 0; i < m; i++ {
-					wp := w.Data[i*n+p]
-					wq := w.Data[i*n+q]
-					w.Data[i*n+p] = c*wp - s*wq
-					w.Data[i*n+q] = s*wp + c*wq
+				wq := w[q*m : (q+1)*m]
+				if q+1 < n {
+					// Rotating changes column p, so the rest of the batch is
+					// stale; the same pass dots the new column p with q+1.
+					norm[p], norm[q], g[0] = jacobiRotateDot(wp, wq, w[(q+1)*m:(q+2)*m], c, s)
+					k, nb = 0, 1
+				} else {
+					norm[p], norm[q] = jacobiRotate(wp, wq, c, s)
 				}
-				for i := 0; i < n; i++ {
-					vp := v.Data[i*n+p]
-					vq := v.Data[i*n+q]
-					v.Data[i*n+p] = c*vp - s*vq
-					v.Data[i*n+q] = s*vp + c*vq
-				}
+				jacobiRotate(v[p*n:(p+1)*n], v[q*n:(q+1)*n], c, s)
 			}
 		}
 		if !rotated {
@@ -88,10 +119,10 @@ func SVD(a *Matrix) (*SVDResult, error) {
 		}
 	}
 
-	// Extract singular values and left vectors.
-	sv := make([]float64, n)
-	for j := 0; j < n; j++ {
-		sv[j] = math.Sqrt(colDot(j, j))
+	// Singular values are the cached column norms, which are current.
+	sv := norm
+	for j := range sv {
+		sv[j] = math.Sqrt(sv[j])
 	}
 
 	order := make([]int, n)
@@ -107,15 +138,79 @@ func SVD(a *Matrix) (*SVDResult, error) {
 		sOut[newJ] = sv[oldJ]
 		if sv[oldJ] > 1e-300*(scale+1) && sv[oldJ] > 0 {
 			inv := 1 / sv[oldJ]
-			for i := 0; i < m; i++ {
-				u.Data[i*n+newJ] = w.Data[i*n+oldJ] * inv
+			for i, x := range w[oldJ*m : (oldJ+1)*m] {
+				u.Data[i*n+newJ] = x * inv
 			}
 		}
-		for i := 0; i < n; i++ {
-			vOut.Data[i*n+newJ] = v.Data[i*n+oldJ]
+		for i, x := range v[oldJ*n : (oldJ+1)*n] {
+			vOut.Data[i*n+newJ] = x
 		}
 	}
+	if wide {
+		return &SVDResult{U: vOut, S: sOut, V: u}, nil
+	}
 	return &SVDResult{U: u, S: sOut, V: vOut}, nil
+}
+
+// jacobiDots sets g[k] = Σ_i x[i]·ys[k*len(x)+i] for the len(g) columns
+// packed back to back in ys. Each sum runs over ascending i from +0; the
+// four-column case keeps four independent accumulators in one pass.
+func jacobiDots(x, ys, g []float64) {
+	m := len(x)
+	if len(g) == 4 {
+		y0, y1, y2, y3 := ys[:m], ys[m:][:m], ys[2*m:][:m], ys[3*m:][:m]
+		var s0, s1, s2, s3 float64
+		for i, xi := range x {
+			s0 += xi * y0[i]
+			s1 += xi * y1[i]
+			s2 += xi * y2[i]
+			s3 += xi * y3[i]
+		}
+		g[0], g[1], g[2], g[3] = s0, s1, s2, s3
+		return
+	}
+	for k := range g {
+		y := ys[k*m : (k+1)*m]
+		s := 0.0
+		for i, xi := range x {
+			s += xi * y[i]
+		}
+		g[k] = s
+	}
+}
+
+// jacobiRotate applies the plane rotation (x, y) ← (c·x − s·y, s·x + c·y)
+// element-wise and returns the squared norms of the rotated columns,
+// accumulated over ascending i from +0.
+func jacobiRotate(x, y []float64, c, s float64) (nx, ny float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		a := c*xi - s*yi
+		b := s*xi + c*yi
+		x[i] = a
+		y[i] = b
+		nx += a * a
+		ny += b * b
+	}
+	return nx, ny
+}
+
+// jacobiRotateDot is jacobiRotate that also returns Σ_i x′[i]·z[i], the
+// dot of the rotated x with z, accumulated over ascending i from +0.
+func jacobiRotateDot(x, y, z []float64, c, s float64) (nx, ny, g float64) {
+	y, z = y[:len(x)], z[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		a := c*xi - s*yi
+		b := s*xi + c*yi
+		x[i] = a
+		y[i] = b
+		nx += a * a
+		ny += b * b
+		g += a * z[i]
+	}
+	return nx, ny, g
 }
 
 // Truncate returns the rank-k factors (U m×k, S k, V n×k) of r.
@@ -127,19 +222,16 @@ func (r *SVDResult) Truncate(k int) (*Matrix, []float64, *Matrix) {
 	if k < 1 {
 		k = 1
 	}
-	uk := NewMatrix(r.U.Rows, k)
-	vk := NewMatrix(r.V.Rows, k)
-	for i := 0; i < r.U.Rows; i++ {
-		for j := 0; j < k; j++ {
-			uk.Set(i, j, r.U.At(i, j))
-		}
+	return leadingCols(r.U, k), append([]float64(nil), r.S[:k]...), leadingCols(r.V, k)
+}
+
+// leadingCols returns a copy of the first k columns of a.
+func leadingCols(a *Matrix, k int) *Matrix {
+	out := NewMatrix(a.Rows, k)
+	for i := 0; i < a.Rows; i++ {
+		copy(out.Data[i*k:(i+1)*k], a.Data[i*a.Cols:i*a.Cols+k])
 	}
-	for i := 0; i < r.V.Rows; i++ {
-		for j := 0; j < k; j++ {
-			vk.Set(i, j, r.V.At(i, j))
-		}
-	}
-	return uk, append([]float64(nil), r.S[:k]...), vk
+	return out
 }
 
 // Reconstruct returns U·diag(S)·Vᵀ from possibly truncated factors.

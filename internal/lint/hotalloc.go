@@ -27,8 +27,9 @@ var AnalyzerHotAlloc = &Analyzer{
 }
 
 // hotPathFuncs is the canonical hot-kernel list: every function here is on
-// the per-block or per-symbol path of a codec and must stay allocation
-// free in steady state. Methods are listed by bare name.
+// the per-block or per-symbol path of a codec, or the per-pair path of the
+// Jacobi SVD, and must stay allocation free in steady state. Methods are
+// listed by bare name.
 var hotPathFuncs = map[string]map[string]bool{
 	"lrm/internal/compress/zfp": {
 		"encodePlane": true, "decodePlane": true,
@@ -46,6 +47,9 @@ var hotPathFuncs = map[string]map[string]bool{
 	},
 	"lrm/internal/huffman": {
 		"pack": true, "decodeOneSlow": true,
+	},
+	"lrm/internal/linalg": {
+		"jacobiDots": true, "jacobiRotate": true, "jacobiRotateDot": true,
 	},
 }
 

@@ -101,6 +101,12 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 				name == "testdata" || name == "vendor") {
 				return filepath.SkipDir
 			}
+			// Like the go command's "./...", stop at nested modules.
+			if path != base {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
 			dirSet[filepath.Clean(path)] = true
 			return nil
 		})

@@ -57,7 +57,9 @@ func (s SVD) Reduce(f *grid.Field) (*Rep, error) {
 		return nil, err
 	}
 	m, n := matShape(f)
-	mat, err := linalg.MatrixFromData(append([]float64(nil), f.Data...), m, n)
+	// Both factorisations read mat without modifying it, so it can alias
+	// the field.
+	mat, err := linalg.MatrixFromData(f.Data, m, n)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +156,7 @@ func reconstructSVD(rep *Rep) (*grid.Field, error) {
 // of f (Fig. 8). At most maxValues entries are returned.
 func SVDSpectrum(f *grid.Field, maxValues int) ([]float64, error) {
 	m, n := matShape(f)
-	mat, err := linalg.MatrixFromData(append([]float64(nil), f.Data...), m, n)
+	mat, err := linalg.MatrixFromData(f.Data, m, n)
 	if err != nil {
 		return nil, err
 	}
