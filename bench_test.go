@@ -12,6 +12,7 @@
 package lrm
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -24,6 +25,7 @@ import (
 	"lrm/internal/experiments"
 	"lrm/internal/grid"
 	"lrm/internal/huffman"
+	"lrm/internal/parallel"
 	"lrm/internal/reduce"
 	"lrm/internal/sim/heat3d"
 )
@@ -77,12 +79,12 @@ func benchCodec(b *testing.B, c compress.Codec) {
 		b.SetBytes(int64(8 * f.Len()))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Compress(f); err != nil {
+			if _, err := c.Compress(context.Background(), f, parallel.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func benchCodec(b *testing.B, c compress.Codec) {
 		b.SetBytes(int64(8 * f.Len()))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Decompress(enc); err != nil {
+			if _, err := c.Decompress(context.Background(), enc, parallel.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -239,7 +241,7 @@ func BenchmarkAblationZFPPrecision(b *testing.B) {
 			b.SetBytes(int64(8 * f.Len()))
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				enc, err := c.Compress(f)
+				enc, err := c.Compress(context.Background(), f, parallel.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -275,7 +277,7 @@ func BenchmarkAblationZFPAccuracy(b *testing.B) {
 			b.SetBytes(int64(8 * f.Len()))
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				enc, err := c.Compress(f)
+				enc, err := c.Compress(context.Background(), f, parallel.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -304,7 +306,7 @@ func BenchmarkAblationSZCurveFit(b *testing.B) {
 			b.SetBytes(int64(8 * f.Len()))
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				enc, err := c.Compress(f)
+				enc, err := c.Compress(context.Background(), f, parallel.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -394,7 +396,7 @@ func BenchmarkAblationZFPRate(b *testing.B) {
 			c := zfp.MustNewRate(rate)
 			b.SetBytes(int64(8 * f.Len()))
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Compress(f); err != nil {
+				if _, err := c.Compress(context.Background(), f, parallel.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -412,13 +414,14 @@ func BenchmarkAblationZFPRate(b *testing.B) {
 
 func TestSZCompressAllocBudget(t *testing.T) {
 	f := benchField()
-	c := sz.MustNew(sz.Abs, 1e-5).WithWorkers(1)
+	c := sz.MustNew(sz.Abs, 1e-5)
+	serial := parallel.Config{Workers: 1}
 	// Warm the arenas and the pooled flate writer.
-	if _, err := c.Compress(f); err != nil {
+	if _, err := c.Compress(context.Background(), f, serial); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := c.Compress(f); err != nil {
+		if _, err := c.Compress(context.Background(), f, serial); err != nil {
 			t.Fatal(err)
 		}
 	})

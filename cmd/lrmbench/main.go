@@ -86,15 +86,6 @@ func fatal(ctx context.Context, msg string, args ...any) {
 	os.Exit(1)
 }
 
-// parallelizable is declared structurally (rather than using
-// compress.Parallelizable) so this command also compiles against trees
-// whose codecs predate the worker knob: such codecs simply skip the
-// workers>1 variants.
-type parallelizable interface {
-	compress.Codec
-	WithWorkers(workers int) compress.Codec
-}
-
 // StageStat is one pipeline stage's accumulated contribution to a cell,
 // distilled from the internal/obs stage metric bundle (-stats only).
 type StageStat struct {
@@ -328,28 +319,24 @@ func run(iters int, baseline *Report, stats, profTop bool) *Report {
 	if iters < 1 {
 		iters = 1
 	}
+	// fpc's kernel is serial, so it has no workers=4 cells.
 	codecs := []struct {
-		family string
-		codec  compress.Codec
+		family  string
+		codec   compress.Codec
+		workers []int
 	}{
-		{"zfp", zfp.MustNew(16)},
-		{"sz", sz.MustNew(sz.Abs, 1e-5)},
-		{"fpc", fpc.MustNew(12)},
+		{"zfp", zfp.MustNew(16), []int{1, 4}},
+		{"sz", sz.MustNew(sz.Abs, 1e-5), []int{1, 4}},
+		{"fpc", fpc.MustNew(12), []int{1}},
 	}
+	ctx := context.Background()
 	rep := &Report{Schema: schemaID, GoMaxProcs: runtime.GOMAXPROCS(0), Iters: iters}
 	for _, size := range []string{"small", "medium"} {
 		f := benchField(size)
 		for _, c := range codecs {
-			workerCounts := []int{1}
-			if _, ok := c.codec.(parallelizable); ok {
-				workerCounts = append(workerCounts, 4)
-			}
-			for _, w := range workerCounts {
-				codec := c.codec
-				if w != 1 {
-					codec = codec.(parallelizable).WithWorkers(w)
-				}
-				enc, err := codec.Compress(f)
+			for _, w := range c.workers {
+				cfg := parallel.Config{Workers: w}
+				enc, err := c.codec.Compress(ctx, f, cfg)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "lrmbench: %s/%s: %v\n", c.family, size, err)
 					os.Exit(1)
@@ -358,11 +345,11 @@ func run(iters int, baseline *Report, stats, profTop bool) *Report {
 				suffix := fmt.Sprintf("workers=%d", w)
 				rep.Benchmarks = append(rep.Benchmarks,
 					measure(fmt.Sprintf("%s/compress/%s", prefix, suffix), iters, 8*f.Len(), w, stats, profTop, func() error {
-						_, err := codec.Compress(f)
+						_, err := c.codec.Compress(ctx, f, cfg)
 						return err
 					}),
 					measure(fmt.Sprintf("%s/decompress/%s", prefix, suffix), iters, 8*f.Len(), w, stats, profTop, func() error {
-						_, err := codec.Decompress(enc)
+						_, err := c.codec.Decompress(ctx, enc, cfg)
 						return err
 					}),
 				)

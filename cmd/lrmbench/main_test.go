@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -45,20 +47,29 @@ func TestRunProducesFullMatrix(t *testing.T) {
 			t.Errorf("%s: gomaxprocs %d not recorded", b.Name, b.GoMaxProcs)
 		}
 	}
+	// The cell set is exactly BENCH_7's 28 cells: every codec accepts a
+	// parallel config, so only zfp, sz and chunked get workers=4 cells.
+	want := make(map[string]bool)
 	for _, size := range []string{"small", "medium"} {
 		for _, dir := range []string{"compress", "decompress"} {
-			for _, want := range []string{
-				"zfp/" + size + "/" + dir + "/workers=1",
-				"zfp/" + size + "/" + dir + "/workers=4",
-				"sz/" + size + "/" + dir + "/workers=1",
-				"sz/" + size + "/" + dir + "/workers=4",
-				"fpc/" + size + "/" + dir + "/workers=1",
-				"chunked/" + size + "/" + dir + "/workers=1",
-				"chunked/" + size + "/" + dir + "/workers=4",
-			} {
-				if !names[want] {
-					t.Errorf("missing benchmark %q", want)
-				}
+			for _, cell := range []string{"zfp/%s/workers=1", "zfp/%s/workers=4", "sz/%s/workers=1", "sz/%s/workers=4",
+				"fpc/%s/workers=1", "chunked/%s/workers=1", "chunked/%s/workers=4"} {
+				want[fmt.Sprintf(cell, size+"/"+dir)] = true
+			}
+		}
+	}
+	if len(want) != 28 {
+		t.Fatalf("expected cell list has %d names, want 28", len(want))
+	}
+	if !maps.Equal(names, want) {
+		for name := range want {
+			if !names[name] {
+				t.Errorf("missing benchmark %q", name)
+			}
+		}
+		for name := range names {
+			if !want[name] {
+				t.Errorf("unexpected benchmark %q", name)
 			}
 		}
 	}

@@ -2,10 +2,13 @@
 // fixed-accuracy, SZ in all three bound modes, SZ with curve fitting, FPC,
 // flate) directly over the nine Table I datasets and print ratio plus
 // error. A compact tour of the compressor substrate on its own, without
-// preconditioning.
+// preconditioning. Every codec satisfies the one compress.Codec interface:
+// Compress and Decompress take a context (for tracing) and a
+// parallel.Config (the worker budget), and the bytes never depend on either.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +17,7 @@ import (
 	"lrm/internal/compress/sz"
 	"lrm/internal/compress/zfp"
 	"lrm/internal/dataset"
+	"lrm/internal/parallel"
 	"lrm/internal/stats"
 )
 
@@ -29,6 +33,8 @@ func main() {
 		compress.NewFlate(6),
 	}
 
+	ctx := context.Background()
+	var cfg parallel.Config // default worker pool
 	fmt.Printf("%-14s %-18s %8s %12s %9s\n", "dataset", "codec", "ratio", "max err", "lossless")
 	for _, name := range dataset.Names() {
 		pair, err := dataset.Generate(name, dataset.Small)
@@ -37,11 +43,11 @@ func main() {
 		}
 		f := pair.Full
 		for _, c := range codecs {
-			enc, err := c.Compress(f)
+			enc, err := c.Compress(ctx, f, cfg)
 			if err != nil {
 				log.Fatalf("%s/%s: %v", name, c.Name(), err)
 			}
-			dec, err := c.Decompress(enc)
+			dec, err := c.Decompress(ctx, enc, cfg)
 			if err != nil {
 				log.Fatalf("%s/%s: %v", name, c.Name(), err)
 			}

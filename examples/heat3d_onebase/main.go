@@ -6,12 +6,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"lrm/internal/compress/zfp"
 	"lrm/internal/grid"
 	"lrm/internal/mpi"
+	"lrm/internal/parallel"
 	"lrm/internal/sim/heat3d"
 )
 
@@ -76,20 +78,24 @@ func main() {
 		}
 	})
 
-	// Compare compressing the raw field vs base + delta.
+	// Compare compressing the raw field vs base + delta. A codec value holds
+	// only the format (here the precision); the worker budget is an argument
+	// of each call, and the zero parallel.Config selects the default pool.
 	codec := zfp.MustNew(16)
 	deltaCodec := zfp.MustNew(8)
+	ctx := context.Background()
+	var pcfg parallel.Config
 
-	rawStream, err := codec.Compress(field)
+	rawStream, err := codec.Compress(ctx, field, pcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	basePlane := field.Plane(midOwnerPlane)
-	baseStream, err := codec.Compress(basePlane)
+	baseStream, err := codec.Compress(ctx, basePlane, pcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	deltaStream, err := deltaCodec.Compress(deltas)
+	deltaStream, err := deltaCodec.Compress(ctx, deltas, pcfg)
 	if err != nil {
 		log.Fatal(err)
 	}

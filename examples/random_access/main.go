@@ -2,16 +2,20 @@
 // 4^d block at an identical bit cost, so any sample can be decoded by
 // touching exactly one block — no full decompression. This example
 // compresses a 3-D field at several rates and compares probing a handful
-// of points via DecodeAt against decompressing everything.
+// of points via DecodeAt against decompressing everything. The full decode
+// goes through the common compress.Codec interface, whose calls take a
+// context and a parallel.Config; DecodeAt is zfp's own serial entry point.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"time"
 
 	"lrm/internal/compress/zfp"
+	"lrm/internal/parallel"
 	"lrm/internal/sim/heat3d"
 	"lrm/internal/stats"
 )
@@ -23,14 +27,16 @@ func main() {
 	raw := 8 * field.Len()
 	fmt.Printf("field: %v (%d bytes raw)\n\n", field.Dims, raw)
 
+	ctx := context.Background()
+	var pcfg parallel.Config // default worker pool
 	fmt.Printf("%6s %12s %10s %14s %16s\n", "rate", "stream", "ratio", "RMSE", "probe 64 pts")
 	for _, rate := range []int{4, 8, 16, 32} {
 		codec := zfp.MustNewRate(rate)
-		enc, err := codec.Compress(field)
+		enc, err := codec.Compress(ctx, field, pcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		full, err := codec.Decompress(enc)
+		full, err := codec.Decompress(ctx, enc, pcfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@ package compress
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -14,15 +15,38 @@ import (
 	"lrm/internal/parallel"
 )
 
-// Codec compresses and decompresses whole fields. A codec's stream is
+// Codec compresses and decompresses whole fields. A codec value holds only
+// the stream format (mode, bound, precision); how a call executes is an
+// argument of that call:
+//
+//   - ctx carries observability: spans the codec opens parent onto the span
+//     in ctx, and pool workers inherit the caller's pprof labels.
+//   - cfg is the execution budget: the worker-pool size plus the size-aware
+//     shard cutover (parallel.Config.MinShardBytes). The zero value selects
+//     the defaults; Workers == 1 forces serial execution.
+//
+// Implementations MUST produce byte-identical streams, and identical
+// decoded fields, at every cfg and for every ctx: both trade latency and
+// visibility, never format. Callers may therefore resize freely (e.g. the
+// chunked container dividing a pool among chunks). A codec's stream is
 // self-describing: Decompress needs no side information.
 type Codec interface {
 	// Name identifies the codec and its configuration, e.g. "zfp(p=16)".
 	Name() string
 	// Lossless reports whether Decompress(Compress(f)) is bit-exact.
 	Lossless() bool
-	Compress(f *grid.Field) ([]byte, error)
-	Decompress(b []byte) (*grid.Field, error)
+	Compress(ctx context.Context, f *grid.Field, cfg parallel.Config) ([]byte, error)
+	Decompress(ctx context.Context, b []byte, cfg parallel.Config) (*grid.Field, error)
+}
+
+// CompressCtx compresses f with c on the default parallel config.
+func CompressCtx(ctx context.Context, c Codec, f *grid.Field) ([]byte, error) {
+	return c.Compress(ctx, f, parallel.Config{})
+}
+
+// DecompressCtx decompresses b with c on the default parallel config.
+func DecompressCtx(ctx context.Context, c Codec, b []byte) (*grid.Field, error) {
+	return c.Decompress(ctx, b, parallel.Config{})
 }
 
 // ErrorBounded is the optional interface of codecs that guarantee a
@@ -36,28 +60,6 @@ type Codec interface {
 // the paper's end-to-end guarantee at pipeline stage boundaries.
 type ErrorBounded interface {
 	AbsErrorBound(f *grid.Field) (bound float64, ok bool)
-}
-
-// Parallelizable is the optional interface of codecs whose kernels run on
-// a bounded worker pool. WithWorkers returns a codec bound to the given
-// pool size — 1 forces serial execution, 0 restores the default
-// (GOMAXPROCS) — without mutating the receiver. Implementations MUST
-// produce byte-identical streams at every worker count: the knob trades
-// only latency, never format, so callers may resize freely (e.g. the
-// chunked container dividing a pool among chunks).
-type Parallelizable interface {
-	Codec
-	WithWorkers(workers int) Codec
-}
-
-// ParallelTunable is the optional interface of codecs that accept a full
-// parallel.Config — the worker budget plus the size-aware cutover
-// threshold (Config.MinShardBytes) — instead of only a pool size. The same
-// byte-identity contract as Parallelizable applies: the config trades
-// latency, never format.
-type ParallelTunable interface {
-	Codec
-	WithParallel(cfg parallel.Config) Codec
 }
 
 // Ratio returns the compression ratio of a field against its encoding
@@ -173,8 +175,9 @@ func (c *Flate) level() int {
 	return c.Level
 }
 
-// Compress implements Codec.
-func (c *Flate) Compress(f *grid.Field) ([]byte, error) {
+// Compress implements Codec. Flate is serial and opens no spans, so ctx
+// and cfg are unused.
+func (c *Flate) Compress(_ context.Context, f *grid.Field, _ parallel.Config) ([]byte, error) {
 	hdr := EncodeDimsHeader(f.Dims)
 	body, err := FlateBytes(f.Bytes(), c.level())
 	if err != nil {
@@ -184,7 +187,7 @@ func (c *Flate) Compress(f *grid.Field) ([]byte, error) {
 }
 
 // Decompress implements Codec.
-func (c *Flate) Decompress(b []byte) (*grid.Field, error) {
+func (c *Flate) Decompress(_ context.Context, b []byte, _ parallel.Config) (*grid.Field, error) {
 	dims, rest, err := DecodeDimsHeader(b)
 	if err != nil {
 		return nil, err

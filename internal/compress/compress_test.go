@@ -1,12 +1,14 @@
 package compress
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 func TestDimsHeaderRoundTrip(t *testing.T) {
@@ -56,11 +58,11 @@ func TestFlateCodecRoundTrip(t *testing.T) {
 	if !c.Lossless() {
 		t.Fatal("flate must be lossless")
 	}
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestFlateCompressesRepetitiveData(t *testing.T) {
 		f.Data[i] = float64(i % 4)
 	}
 	c := NewFlate(9)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestFlateCompressesRepetitiveData(t *testing.T) {
 func TestFlateDecompressGarbage(t *testing.T) {
 	c := NewFlate(0)
 	for i, b := range [][]byte{nil, {}, {1, 4, 0xff, 0xff, 0xff}} {
-		if _, err := c.Decompress(b); err == nil {
+		if _, err := c.Decompress(context.Background(), b, parallel.Config{}); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
@@ -140,35 +142,4 @@ func TestFlateBytesQuick(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRegistry(t *testing.T) {
-	fams := Families()
-	// flate registers in this package; codec families register when their
-	// packages are imported (not from this test's import graph).
-	found := false
-	for _, f := range fams {
-		if f == "flate" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("flate missing from %v", fams)
-	}
-	if _, err := DecoderFor("flate"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecoderFor("martian"); err == nil {
-		t.Fatal("expected unknown-family error")
-	}
-	if CodecFamily("zfp(p=16)") != "zfp" || CodecFamily("flate") != "flate" {
-		t.Fatal("CodecFamily broken")
-	}
-	// Duplicate registration must panic (silent shadowing is a bug).
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected duplicate-registration panic")
-		}
-	}()
-	RegisterDecoder("flate", nil)
 }

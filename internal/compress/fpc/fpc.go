@@ -21,6 +21,7 @@ import (
 	"lrm/internal/invariant"
 	"lrm/internal/obs"
 	"lrm/internal/obs/trace"
+	"lrm/internal/parallel"
 )
 
 // Hoisted predictor-selection counters: the encode loop accumulates plain
@@ -129,16 +130,11 @@ func codeToLzb(c uint8) int {
 	return int(c)
 }
 
-// Compress implements compress.Codec.
-func (c *Codec) Compress(f *grid.Field) ([]byte, error) {
-	return c.CompressCtx(context.Background(), f)
-}
-
-// CompressCtx implements compress.CtxCodec: identical stream to Compress,
-// with the span parented onto the span carried by ctx. FPC's value loop is
-// inherently serial (the predictor tables evolve value by value), so the
-// codec contributes a single span rather than shard children.
-func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) {
+// Compress implements compress.Codec, with the span parented onto the span
+// carried by ctx. FPC's value loop is inherently serial (the predictor
+// tables evolve value by value), so cfg is unused and the codec contributes
+// a single span rather than shard children.
+func (c *Codec) Compress(ctx context.Context, f *grid.Field, _ parallel.Config) ([]byte, error) {
 	_, sp := trace.Start(ctx, "fpc.compress")
 	defer sp.End()
 	n := f.Len()
@@ -208,14 +204,9 @@ func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) 
 	return out, nil
 }
 
-// Decompress implements compress.Codec. Failures wrap the
-// compress.ErrTruncated / compress.ErrCorrupt taxonomy.
-func (c *Codec) Decompress(data []byte) (*grid.Field, error) {
-	return c.DecompressCtx(context.Background(), data)
-}
-
-// DecompressCtx implements compress.CtxCodec.
-func (c *Codec) DecompressCtx(ctx context.Context, data []byte) (*grid.Field, error) {
+// Decompress implements compress.Codec; like Compress it is serial. Failures
+// wrap the compress.ErrTruncated / compress.ErrCorrupt taxonomy.
+func (c *Codec) Decompress(ctx context.Context, data []byte, _ parallel.Config) (*grid.Field, error) {
 	_, sp := trace.Start(ctx, "fpc.decompress")
 	defer sp.End()
 	f, err := c.decompress(data)
@@ -304,13 +295,6 @@ func (c *Codec) decompress(data []byte) (*grid.Field, error) {
 	return f, nil
 }
 
-// The codec is fully context-aware: plain Compress/Decompress delegate to
-// the Ctx variants with a background context.
-var _ compress.CtxCodec = (*Codec)(nil)
-
 func init() {
-	compress.RegisterDecoder("fpc", MustNew(16).Decompress)
-	compress.RegisterCtxDecoder("fpc", func(ctx context.Context, b []byte, _ int) (*grid.Field, error) {
-		return MustNew(16).DecompressCtx(ctx, b)
-	})
+	compress.Register("fpc", MustNew(16).Decompress)
 }

@@ -1,6 +1,7 @@
 package fpc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,15 +9,16 @@ import (
 
 	"lrm/internal/compress"
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 func roundTrip(t *testing.T, c *Codec, f *grid.Field) []byte {
 	t.Helper()
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +167,11 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			return false
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			return false
 		}
@@ -196,7 +198,7 @@ func TestDecompressGarbage(t *testing.T) {
 		{1, 4, 8, 255, 0, 0, 0, 1, 2}, // absurd residual length
 	}
 	for i, b := range cases {
-		if _, err := c.Decompress(b); err == nil {
+		if _, err := c.Decompress(context.Background(), b, parallel.Config{}); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
@@ -204,11 +206,11 @@ func TestDecompressGarbage(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float64(i)
 	}
-	enc, _ := c.Compress(f)
-	if _, err := c.Decompress(enc[:len(enc)-1]); err == nil {
+	enc, _ := c.Compress(context.Background(), f, parallel.Config{})
+	if _, err := c.Decompress(context.Background(), enc[:len(enc)-1], parallel.Config{}); err == nil {
 		t.Fatal("expected truncation error")
 	}
-	if _, err := c.Decompress(append(enc, 0)); err == nil {
+	if _, err := c.Decompress(context.Background(), append(enc, 0), parallel.Config{}); err == nil {
 		t.Fatal("expected trailing-bytes error")
 	}
 }
@@ -218,11 +220,11 @@ func TestDecodeUsesStreamLevelNotCodecLevel(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = math.Sqrt(float64(i))
 	}
-	enc, err := MustNew(20).Compress(f)
+	enc, err := MustNew(20).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := MustNew(4).Decompress(enc)
+	dec, err := MustNew(4).Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package fpc
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"lrm/internal/compress"
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 // TestDecompressEveryPrefix asserts the decode contract on truncation: every
@@ -20,12 +22,12 @@ func TestDecompressEveryPrefix(t *testing.T) {
 		}
 	}
 	c := MustNew(10)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(enc); n++ {
-		_, err := c.Decompress(enc[:n])
+		_, err := c.Decompress(context.Background(), enc[:n], parallel.Config{})
 		if err == nil {
 			t.Fatalf("prefix %d/%d decoded without error", n, len(enc))
 		}

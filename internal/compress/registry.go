@@ -1,35 +1,32 @@
 package compress
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
-// Decoder decompresses one self-describing stream of a codec family.
+// DecodeFunc decompresses one self-describing stream of a codec family.
 // Streams carry their own configuration, so a single decoder per family
-// suffices regardless of how the encoder was configured.
-type Decoder func([]byte) (*grid.Field, error)
-
-// WorkersDecoder is a Decoder with an explicit decode-side worker budget.
-// workers <= 0 selects the codec's default pool size. Implementations must
-// return identical fields at every worker count (the same contract as
-// Parallelizable on the compress side).
-type WorkersDecoder func(b []byte, workers int) (*grid.Field, error)
+// suffices regardless of how the encoder was configured; ctx and cfg carry
+// observability and the execution budget exactly as in Codec.Decompress.
+type DecodeFunc func(ctx context.Context, b []byte, cfg parallel.Config) (*grid.Field, error)
 
 var (
-	registryMu      sync.RWMutex
-	decoders        = map[string]Decoder{}
-	workersDecoders = map[string]WorkersDecoder{}
+	registryMu sync.RWMutex
+	decoders   = map[string]DecodeFunc{}
 )
 
-// RegisterDecoder installs the decoder for a codec family (the part of a
-// codec name before any '('). Codec packages call this from init, so
-// importing a codec package is what makes its streams decodable.
-// Registering a family twice panics: it would silently shadow a codec.
-func RegisterDecoder(family string, d Decoder) {
+// Register installs the decoder for a codec family (the part of a codec
+// name before any '('). Codec packages call this from init with a method
+// value, e.g. Register("zfp", MustNew(16).Decompress), so importing a codec
+// package is what makes its streams decodable. Registering a family twice
+// panics: it would silently shadow a codec.
+func Register(family string, d DecodeFunc) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := decoders[family]; dup {
@@ -38,19 +35,9 @@ func RegisterDecoder(family string, d Decoder) {
 	decoders[family] = d
 }
 
-// RegisterWorkersDecoder installs a worker-aware decoder for a family whose
-// decode path runs on a bounded pool, and derives the family's plain
-// Decoder from it (default budget). Codec packages with parallel decoders
-// call this INSTEAD of RegisterDecoder.
-func RegisterWorkersDecoder(family string, d WorkersDecoder) {
-	RegisterDecoder(family, func(b []byte) (*grid.Field, error) { return d(b, 0) })
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	workersDecoders[family] = d
-}
-
-// DecoderFor returns the decoder registered for a codec family.
-func DecoderFor(family string) (Decoder, error) {
+// DecoderFor returns the decoder registered for a codec family. An unknown
+// family wraps ErrCorrupt: the name came from an archive.
+func DecoderFor(family string) (DecodeFunc, error) {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
 	d, ok := decoders[family]
@@ -59,19 +46,6 @@ func DecoderFor(family string) (Decoder, error) {
 			family, familiesLocked(), ErrCorrupt)
 	}
 	return d, nil
-}
-
-// DecoderForWorkers returns a decoder bound to the given worker budget.
-// Families without a registered worker-aware decoder (serial decode paths)
-// fall back to their plain decoder, which trivially honours any budget.
-func DecoderForWorkers(family string, workers int) (Decoder, error) {
-	registryMu.RLock()
-	wd, ok := workersDecoders[family]
-	registryMu.RUnlock()
-	if ok {
-		return func(b []byte) (*grid.Field, error) { return wd(b, workers) }, nil
-	}
-	return DecoderFor(family)
 }
 
 // Families lists the registered codec families, sorted.
@@ -103,5 +77,5 @@ func CodecFamily(name string) string {
 }
 
 func init() {
-	RegisterDecoder("flate", NewFlate(6).Decompress)
+	Register("flate", NewFlate(6).Decompress)
 }

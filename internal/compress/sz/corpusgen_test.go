@@ -1,12 +1,14 @@
 package sz
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 func TestGenerateCorpus(t *testing.T) {
@@ -24,7 +26,7 @@ func TestGenerateCorpus(t *testing.T) {
 		"pwrel":    MustNew(PointwiseRel, 1e-3),
 		"curvefit": MustNewCurveFit(Abs, 1e-3),
 	} {
-		enc, err := c.Compress(field)
+		enc, err := c.Compress(context.Background(), field, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 package sz
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 // quadratic returns a piecewise-polynomial 1-D signal: the case the
@@ -38,11 +40,11 @@ func TestCurveFitBoundHonoured(t *testing.T) {
 	f := quadratic(4000)
 	for _, eb := range []float64{1e-2, 1e-5} {
 		c := MustNewCurveFit(Abs, eb)
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +61,11 @@ func TestCurveFitBeatsLorenzoOnPolynomialData(t *testing.T) {
 	// far better than the order-1 preceding-neighbour rule.
 	f := quadratic(8000)
 	eb := 1e-6
-	plain, err := MustNew(Abs, eb).Compress(f)
+	plain, err := MustNew(Abs, eb).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := MustNewCurveFit(Abs, eb).Compress(f)
+	cf, err := MustNewCurveFit(Abs, eb).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +78,11 @@ func TestCurveFitSelfDescribingStream(t *testing.T) {
 	// A plain-configured codec must decode a curve-fit stream correctly
 	// (the flag travels in the stream).
 	f := quadratic(500)
-	enc, err := MustNewCurveFit(Abs, 1e-4).Compress(f)
+	enc, err := MustNewCurveFit(Abs, 1e-4).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := MustNew(PointwiseRel, 1).Decompress(enc)
+	dec, err := MustNew(PointwiseRel, 1).Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +97,11 @@ func TestCurveFitMultiDimFallsBackToLorenzo(t *testing.T) {
 	// 2-D data must produce identical streams with and without the flag's
 	// predictor (modulo the flag byte itself).
 	f := smooth2D(24)
-	plain, err := MustNew(Abs, 1e-4).Compress(f)
+	plain, err := MustNew(Abs, 1e-4).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := MustNewCurveFit(Abs, 1e-4).Compress(f)
+	cf, err := MustNewCurveFit(Abs, 1e-4).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestCurveFitMultiDimFallsBackToLorenzo(t *testing.T) {
 	if len(plain) != len(cf) {
 		t.Fatalf("2-D streams differ beyond flag byte: %d vs %d", len(plain), len(cf))
 	}
-	dec, err := MustNew(Abs, 1).Decompress(cf)
+	dec, err := MustNew(Abs, 1).Decompress(context.Background(), cf, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestCurveFitMultiDimFallsBackToLorenzo(t *testing.T) {
 
 func TestUnknownFlagRejected(t *testing.T) {
 	f := quadratic(64)
-	enc, err := MustNew(Abs, 1e-3).Compress(f)
+	enc, err := MustNew(Abs, 1e-3).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestUnknownFlagRejected(t *testing.T) {
 	// dims header for {64}: rank byte + 1-byte uvarint = 2 bytes; mode at 2;
 	// flags at 3.
 	bad[3] |= 0x80
-	if _, err := MustNew(Abs, 1e-3).Decompress(bad); err == nil {
+	if _, err := MustNew(Abs, 1e-3).Decompress(context.Background(), bad, parallel.Config{}); err == nil {
 		t.Fatal("expected unknown-flags error")
 	}
 }

@@ -1,10 +1,12 @@
 package sz
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 // FuzzDecompress asserts the sz stream parser never panics on arbitrary
@@ -21,7 +23,7 @@ func FuzzDecompress(f *testing.F) {
 		MustNew(PointwiseRel, 1e-3),
 		MustNewCurveFit(Abs, 1e-3),
 	} {
-		enc, err := c.Compress(field)
+		enc, err := c.Compress(context.Background(), field, parallel.Config{})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -29,13 +31,13 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := MustNew(Abs, 1e-3)
-		out, err := c.Decompress(data)
+		out, err := c.Decompress(context.Background(), data, parallel.Config{Workers: 1})
 		if err == nil && out != nil {
 			if out.Len() == 0 || out.Len() > 1<<24 {
 				t.Fatalf("implausible decode length %d", out.Len())
 			}
 		}
-		outP, errP := c.WithWorkers(8).Decompress(data)
+		outP, errP := c.Decompress(context.Background(), data, parallel.Config{Workers: 8})
 		if (err == nil) != (errP == nil) {
 			t.Fatalf("serial/parallel decode disagree: %v vs %v", err, errP)
 		}

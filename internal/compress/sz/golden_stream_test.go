@@ -1,12 +1,12 @@
 package sz
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"math"
 	"testing"
 
-	"lrm/internal/compress"
 	"lrm/internal/grid"
 	"lrm/internal/parallel"
 )
@@ -100,15 +100,15 @@ func TestGoldenStreams(t *testing.T) {
 		f := goldenSynth(t, goldenFields[fn]...)
 		base := szGoldenCodec(t, cn)
 		for _, workers := range []int{1, 8} {
-			c := base.WithParallel(parallel.Config{Workers: workers, MinShardBytes: -1})
-			enc, err := c.Compress(f)
+			cfg := parallel.Config{Workers: workers, MinShardBytes: -1}
+			enc, err := base.Compress(context.Background(), f, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s workers=%d: %v", cn, fn, workers, err)
 			}
 			if got := goldenHash(enc); got != want {
 				t.Errorf("%s/%s workers=%d: stream hash %s, want golden %s", cn, fn, workers, got, want)
 			}
-			back, err := c.Decompress(enc)
+			back, err := base.Decompress(context.Background(), enc, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s workers=%d decode: %v", cn, fn, workers, err)
 			}
@@ -118,5 +118,3 @@ func TestGoldenStreams(t *testing.T) {
 		}
 	}
 }
-
-var _ compress.ParallelTunable = (*Codec)(nil)

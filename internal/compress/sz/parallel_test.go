@@ -2,11 +2,13 @@ package sz
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 // TestParallelByteIdentity: the predict–quantize wavefront and the sharded
@@ -28,45 +30,33 @@ func TestParallelByteIdentity(t *testing.T) {
 		for i := range f.Data {
 			f.Data[i] = math.Cos(float64(i)/13) + 0.05*rng.NormFloat64()
 		}
-		for _, serial := range codecs {
-			want, err := serial.WithWorkers(1).Compress(f)
+		for _, c := range codecs {
+			want, err := c.Compress(context.Background(), f, parallel.Config{Workers: 1})
 			if err != nil {
-				t.Fatalf("%s %v: serial: %v", serial.Name(), dims, err)
+				t.Fatalf("%s %v: serial: %v", c.Name(), dims, err)
 			}
 			for _, w := range []int{2, 4, 8} {
-				got, err := serial.WithWorkers(w).Compress(f)
+				got, err := c.Compress(context.Background(), f, parallel.Config{Workers: w})
 				if err != nil {
-					t.Fatalf("%s %v w=%d: %v", serial.Name(), dims, w, err)
+					t.Fatalf("%s %v w=%d: %v", c.Name(), dims, w, err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s %v: workers=%d stream differs from serial", serial.Name(), dims, w)
+					t.Fatalf("%s %v: workers=%d stream differs from serial", c.Name(), dims, w)
 				}
-				dec1, err := serial.WithWorkers(1).Decompress(want)
+				dec1, err := c.Decompress(context.Background(), want, parallel.Config{Workers: 1})
 				if err != nil {
-					t.Fatalf("%s %v: serial decompress: %v", serial.Name(), dims, err)
+					t.Fatalf("%s %v: serial decompress: %v", c.Name(), dims, err)
 				}
-				decW, err := serial.WithWorkers(w).Decompress(want)
+				decW, err := c.Decompress(context.Background(), want, parallel.Config{Workers: w})
 				if err != nil {
-					t.Fatalf("%s %v w=%d: decompress: %v", serial.Name(), dims, w, err)
+					t.Fatalf("%s %v w=%d: decompress: %v", c.Name(), dims, w, err)
 				}
 				for i := range dec1.Data {
 					if math.Float64bits(dec1.Data[i]) != math.Float64bits(decW.Data[i]) {
-						t.Fatalf("%s %v w=%d: decoded value %d differs bitwise", serial.Name(), dims, w, i)
+						t.Fatalf("%s %v w=%d: decoded value %d differs bitwise", c.Name(), dims, w, i)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestWithWorkersDoesNotMutate: WithWorkers returns a bound copy.
-func TestWithWorkersDoesNotMutate(t *testing.T) {
-	c := MustNew(Abs, 1e-5)
-	p := c.WithWorkers(4)
-	if c.workers != 0 {
-		t.Fatalf("WithWorkers mutated the receiver: workers=%d", c.workers)
-	}
-	if pc, ok := p.(*Codec); !ok || pc.workers != 4 {
-		t.Fatalf("WithWorkers(4) returned %#v", p)
 	}
 }

@@ -81,35 +81,6 @@ type Codec struct {
 	mode     Mode
 	bound    float64
 	curveFit bool
-	workers  int   // worker pool size; 0 = parallel.DefaultWorkers()
-	minShard int64 // size-aware cutover; see parallel.Config.MinShardBytes
-}
-
-// WithWorkers returns a copy of c that runs the predict–quantize wavefront
-// and the Huffman stage on a pool of the given size. 1 forces serial
-// execution; 0 restores the default (GOMAXPROCS). Output is byte-identical
-// at every worker count.
-func (c *Codec) WithWorkers(workers int) compress.Codec {
-	cp := *c
-	cp.workers = workers
-	return &cp
-}
-
-// WithParallel returns a copy of c bound to a full parallel config: the
-// worker budget plus the size-aware cutover threshold. The zero config
-// restores all defaults. Implements compress.ParallelTunable.
-func (c *Codec) WithParallel(cfg parallel.Config) compress.Codec {
-	cp := *c
-	cp.workers = cfg.Workers
-	cp.minShard = cfg.MinShardBytes
-	return &cp
-}
-
-// workerCount resolves the effective pool size for an input of totalBytes
-// (8 bytes per sample), applying the size-aware cutover so small fields
-// never pay wavefront and shard-merge overhead they cannot amortize.
-func (c *Codec) workerCount(totalBytes int64) int {
-	return parallel.Config{Workers: c.workers, MinShardBytes: c.minShard}.WorkersFor(totalBytes)
 }
 
 // New returns a codec with the given mode and error bound.
@@ -475,17 +446,15 @@ func parsePayload(b []byte, n int) (codes []int, exact []float64, err error) {
 	return codes, exact, nil
 }
 
-// Compress implements compress.Codec.
-func (c *Codec) Compress(f *grid.Field) ([]byte, error) {
-	return c.CompressCtx(context.Background(), f)
-}
-
-// CompressCtx implements compress.CtxCodec: identical stream to Compress,
-// with the stage spans parented onto the span carried by ctx.
-func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) {
+// Compress implements compress.Codec: the predict–quantize wavefront and
+// the Huffman stage run on cfg's pool, and the stage spans parent onto the
+// span carried by ctx.
+func (c *Codec) Compress(ctx context.Context, f *grid.Field, cfg parallel.Config) ([]byte, error) {
 	ctx, sp := trace.Start(ctx, "sz.compress")
 	defer sp.End()
-	workers := c.workerCount(8 * int64(f.Len()))
+	// The size-aware cutover keeps small fields off the pool: they cannot
+	// amortize wavefront and shard-merge overhead.
+	workers := cfg.WorkersFor(8 * int64(f.Len()))
 	if hasNaNOrInf(f.Data, workers) {
 		err := errors.New("sz: NaN/Inf not supported")
 		sp.SetError(err)
@@ -607,15 +576,10 @@ func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) 
 
 // Decompress implements compress.Codec. Failures wrap the
 // compress.ErrTruncated / compress.ErrCorrupt taxonomy.
-func (c *Codec) Decompress(data []byte) (*grid.Field, error) {
-	return c.DecompressCtx(context.Background(), data)
-}
-
-// DecompressCtx implements compress.CtxCodec.
-func (c *Codec) DecompressCtx(ctx context.Context, data []byte) (*grid.Field, error) {
+func (c *Codec) Decompress(ctx context.Context, data []byte, cfg parallel.Config) (*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "sz.decompress")
 	defer sp.End()
-	f, err := c.decompress(ctx, data)
+	f, err := decompress(ctx, data, cfg)
 	if err != nil {
 		err = compress.Classify(err)
 		sp.SetError(err)
@@ -625,7 +589,7 @@ func (c *Codec) DecompressCtx(ctx context.Context, data []byte) (*grid.Field, er
 	return f, nil
 }
 
-func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error) {
+func decompress(ctx context.Context, data []byte, cfg parallel.Config) (*grid.Field, error) {
 	dims, rest, err := compress.DecodeDimsHeader(data)
 	if err != nil {
 		return nil, err
@@ -676,7 +640,7 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 			return nil, err
 		}
 		_, ds := trace.Start(ctx, "sz.dequantize")
-		vals, err := dequantizeCore(codes, dims, eb, exact, curveFit, c.workerCount(8*int64(n)))
+		vals, err := dequantizeCore(codes, dims, eb, exact, curveFit, cfg.WorkersFor(8*int64(n)))
 		ds.AddItems(int64(len(codes)))
 		ds.SetError(err)
 		ds.End()
@@ -722,7 +686,7 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 			return nil, err
 		}
 		_, ds := trace.Start(ctx, "sz.dequantize")
-		logs, err := dequantizeCore(codes, dims, eb, exact, curveFit, c.workerCount(8*int64(n)))
+		logs, err := dequantizeCore(codes, dims, eb, exact, curveFit, cfg.WorkersFor(8*int64(n)))
 		ds.AddItems(int64(len(codes)))
 		ds.SetError(err)
 		ds.End()
@@ -745,18 +709,8 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 	return nil, fmt.Errorf("sz: unreachable mode %d: %w", mode, compress.ErrCorrupt)
 }
 
-// The codec is fully context-aware: plain Compress/Decompress delegate to
-// the Ctx variants with a background context.
-var _ compress.CtxCodec = (*Codec)(nil)
-
 func init() {
 	// Streams are self-describing (mode/bound come from the header), so the
-	// constructor arguments only seed a receiver; the worker budget is the
-	// one knob that matters on decode.
-	compress.RegisterWorkersDecoder("sz", func(b []byte, workers int) (*grid.Field, error) {
-		return MustNew(Abs, 1e-5).WithWorkers(workers).Decompress(b)
-	})
-	compress.RegisterCtxDecoder("sz", func(ctx context.Context, b []byte, workers int) (*grid.Field, error) {
-		return compress.DecompressCtx(ctx, MustNew(Abs, 1e-5).WithWorkers(workers), b)
-	})
+	// constructor arguments only seed a receiver.
+	compress.Register("sz", MustNew(Abs, 1e-5).Decompress)
 }

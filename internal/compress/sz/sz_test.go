@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"lrm/internal/compress"
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 func smooth2D(n int) *grid.Field {
@@ -45,11 +47,11 @@ func TestAbsBoundHonoured(t *testing.T) {
 	f := smooth2D(48)
 	for _, eb := range []float64{1e-2, 1e-4, 1e-6} {
 		c := MustNew(Abs, eb)
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +71,11 @@ func TestAbsBoundOnRoughData(t *testing.T) {
 	}
 	eb := 0.5
 	c := MustNew(Abs, eb)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +91,11 @@ func TestValueRangeRelBound(t *testing.T) {
 	lo, hi := f.MinMax()
 	rel := 1e-4
 	c := MustNew(ValueRangeRel, rel)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +123,11 @@ func TestPointwiseRelBound(t *testing.T) {
 	}
 	rel := 1e-3
 	c := MustNew(PointwiseRel, rel)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestPointwiseRelBound(t *testing.T) {
 func TestSmoothDataCompressesWell(t *testing.T) {
 	f := smooth2D(64)
 	c := MustNew(Abs, 1e-3)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +170,8 @@ func TestSmootherDataHigherRatio(t *testing.T) {
 		noisy.Data[i] = rng.NormFloat64() * 100
 	}
 	c := MustNew(Abs, 1e-3)
-	se, _ := c.Compress(smooth)
-	ne, _ := c.Compress(noisy)
+	se, _ := c.Compress(context.Background(), smooth, parallel.Config{})
+	ne, _ := c.Compress(context.Background(), noisy, parallel.Config{})
 	if len(se) >= len(ne) {
 		t.Fatalf("smooth (%dB) should beat noise (%dB)", len(se), len(ne))
 	}
@@ -181,11 +183,11 @@ func TestConstantField(t *testing.T) {
 		f.Data[i] = 42.5
 	}
 	for _, c := range []*Codec{MustNew(Abs, 1e-6), MustNew(ValueRangeRel, 1e-5), MustNew(PointwiseRel, 1e-5)} {
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
@@ -208,11 +210,11 @@ func TestAllRanks(t *testing.T) {
 		for i := range f.Data {
 			f.Data[i] = math.Sin(float64(i) / 11)
 		}
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -241,11 +243,11 @@ func TestQuickAbsBound(t *testing.T) {
 		}
 		eb := 1e-3
 		c := MustNew(Abs, eb)
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			return false
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			return false
 		}
@@ -264,7 +266,7 @@ func TestQuickAbsBound(t *testing.T) {
 func TestRejectsNaN(t *testing.T) {
 	f := grid.New(4)
 	f.Data[1] = math.NaN()
-	if _, err := MustNew(Abs, 1e-3).Compress(f); err == nil {
+	if _, err := MustNew(Abs, 1e-3).Compress(context.Background(), f, parallel.Config{}); err == nil {
 		t.Fatal("expected NaN rejection")
 	}
 }
@@ -279,19 +281,19 @@ func TestDecompressGarbage(t *testing.T) {
 		{9, 0, 0},
 	}
 	for i, b := range cases {
-		if _, err := c.Decompress(b); err == nil {
+		if _, err := c.Decompress(context.Background(), b, parallel.Config{}); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
 	f := smooth2D(16)
-	enc, _ := c.Compress(f)
-	if _, err := c.Decompress(enc[:len(enc)-10]); err == nil {
+	enc, _ := c.Compress(context.Background(), f, parallel.Config{})
+	if _, err := c.Decompress(context.Background(), enc[:len(enc)-10], parallel.Config{}); err == nil {
 		t.Fatal("expected truncation error")
 	}
 	// Corrupt the mode byte.
 	bad := append([]byte(nil), enc...)
 	bad[len(compress.EncodeDimsHeader(f.Dims))] = 200
-	if _, err := c.Decompress(bad); err == nil {
+	if _, err := c.Decompress(context.Background(), bad, parallel.Config{}); err == nil {
 		t.Fatal("expected unknown-mode error")
 	}
 }
@@ -300,11 +302,11 @@ func TestCrossCodecStreams(t *testing.T) {
 	// A stream compressed with one bound must decompress correctly through
 	// a codec configured differently (streams are self-describing).
 	f := smooth2D(24)
-	enc, err := MustNew(Abs, 1e-6).Compress(f)
+	enc, err := MustNew(Abs, 1e-6).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := MustNew(PointwiseRel, 0.5).Decompress(enc)
+	dec, err := MustNew(PointwiseRel, 0.5).Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

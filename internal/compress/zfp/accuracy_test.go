@@ -1,9 +1,12 @@
 package zfp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+
+	"lrm/internal/parallel"
 )
 
 func TestNewAccuracyValidation(t *testing.T) {
@@ -25,11 +28,11 @@ func TestAccuracyBoundHonoured(t *testing.T) {
 	f := smooth3D(16)
 	for _, tol := range []float64{1e-1, 1e-3, 1e-6, 1e-9} {
 		c := MustNewAccuracy(tol)
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +53,11 @@ func TestAccuracyBoundOnWideDynamicRange(t *testing.T) {
 	}
 	tol := 1e-3
 	c := MustNewAccuracy(tol)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func TestAccuracyLooserToleranceSmallerStream(t *testing.T) {
 	f := noisy3D(16, 9)
 	var prev int = 1 << 30
 	for _, tol := range []float64{1e-9, 1e-6, 1e-3, 1e-1} {
-		enc, err := MustNewAccuracy(tol).Compress(f)
+		enc, err := MustNewAccuracy(tol).Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +90,7 @@ func TestAccuracySmallMagnitudeBlocksNearlyFree(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] *= 1e-9
 	}
-	enc, err := MustNewAccuracy(1.0).Compress(f)
+	enc, err := MustNewAccuracy(1.0).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestAccuracyModeStreamGarbage(t *testing.T) {
 		{1, 4, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, // tolerance = +Inf
 	}
 	for i, b := range cases {
-		if _, err := c.Decompress(b); err == nil {
+		if _, err := c.Decompress(context.Background(), b, parallel.Config{}); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
@@ -117,11 +120,11 @@ func TestAccuracyCrossModeDecode(t *testing.T) {
 	// Streams are self-describing: a precision-configured codec must decode
 	// an accuracy-mode stream and vice versa.
 	f := smooth3D(8)
-	encA, err := MustNewAccuracy(1e-5).Compress(f)
+	encA, err := MustNewAccuracy(1e-5).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := MustNew(8).Decompress(encA)
+	dec, err := MustNew(8).Decompress(context.Background(), encA, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +133,11 @@ func TestAccuracyCrossModeDecode(t *testing.T) {
 			t.Fatalf("cross-mode decode violated bound at %d", i)
 		}
 	}
-	encP, err := MustNew(24).Compress(f)
+	encP, err := MustNew(24).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MustNewAccuracy(1).Decompress(encP); err != nil {
+	if _, err := MustNewAccuracy(1).Decompress(context.Background(), encP, parallel.Config{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,11 +149,11 @@ func TestAccuracyRandomizedBoundQuick(t *testing.T) {
 		f := noisy3D(n, int64(trial))
 		tol := math.Ldexp(1, -rng.Intn(30))
 		c := MustNewAccuracy(tol)
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

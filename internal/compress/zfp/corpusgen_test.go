@@ -1,12 +1,14 @@
 package zfp
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 func TestGenerateCorpus(t *testing.T) {
@@ -23,7 +25,7 @@ func TestGenerateCorpus(t *testing.T) {
 		"accuracy":  MustNewAccuracy(1e-3),
 		"rate":      MustNewRate(8),
 	} {
-		enc, err := c.Compress(field)
+		enc, err := c.Compress(context.Background(), field, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,13 @@
 package zfp
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"lrm/internal/bitstream"
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 // FuzzDecompress asserts the zfp stream parser never panics: arbitrary
@@ -17,7 +19,7 @@ func FuzzDecompress(f *testing.F) {
 		field.Data[i] = float64(i) / 7
 	}
 	for _, c := range []*Codec{MustNew(8), MustNewAccuracy(1e-3), MustNewRate(8)} {
-		enc, err := c.Compress(field)
+		enc, err := c.Compress(context.Background(), field, parallel.Config{})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -25,13 +27,13 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := MustNew(16)
-		out, err := c.Decompress(data)
+		out, err := c.Decompress(context.Background(), data, parallel.Config{Workers: 1})
 		if err == nil && out != nil {
 			if out.Len() == 0 || out.Len() > 1<<24 {
 				t.Fatalf("implausible decode length %d", out.Len())
 			}
 		}
-		outP, errP := c.WithWorkers(8).Decompress(data)
+		outP, errP := c.Decompress(context.Background(), data, parallel.Config{Workers: 8})
 		if (err == nil) != (errP == nil) {
 			t.Fatalf("serial/parallel decode disagree: %v vs %v", err, errP)
 		}

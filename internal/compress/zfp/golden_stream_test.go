@@ -1,6 +1,7 @@
 package zfp
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"math"
@@ -9,7 +10,6 @@ import (
 	"testing"
 
 	"lrm/internal/bitstream"
-	"lrm/internal/compress"
 	"lrm/internal/grid"
 	"lrm/internal/parallel"
 )
@@ -125,15 +125,15 @@ func TestGoldenStreams(t *testing.T) {
 		f := goldenSynth(t, dims...)
 		base := zfpGoldenCodec(t, cn)
 		for _, workers := range []int{1, 8} {
-			c := base.WithParallel(parallel.Config{Workers: workers, MinShardBytes: -1})
-			enc, err := c.Compress(f)
+			cfg := parallel.Config{Workers: workers, MinShardBytes: -1}
+			enc, err := base.Compress(context.Background(), f, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s workers=%d: %v", cn, fn, workers, err)
 			}
 			if got := goldenHash(enc); got != want {
 				t.Errorf("%s/%s workers=%d: stream hash %s, want golden %s", cn, fn, workers, got, want)
 			}
-			back, err := c.Decompress(enc)
+			back, err := base.Decompress(context.Background(), enc, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s workers=%d decode: %v", cn, fn, workers, err)
 			}
@@ -400,21 +400,21 @@ func TestCompressMatchesAcrossWorkerCounts(t *testing.T) {
 		f.Data[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64())
 	}
 	for _, c := range []*Codec{MustNew(16), MustNewAccuracy(1e-7), MustNewRate(9)} {
-		serial, err := c.WithWorkers(1).Compress(f)
+		serial, err := c.Compress(context.Background(), f, parallel.Config{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
 			for _, minShard := range []int64{0, -1, 1 << 30} {
-				cc := c.WithParallel(parallel.Config{Workers: workers, MinShardBytes: minShard})
-				enc, err := cc.Compress(f)
+				cfg := parallel.Config{Workers: workers, MinShardBytes: minShard}
+				enc, err := c.Compress(context.Background(), f, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if string(enc) != string(serial) {
 					t.Fatalf("%s workers=%d minShard=%d: stream differs from serial", c.Name(), workers, minShard)
 				}
-				back, err := cc.Decompress(enc)
+				back, err := c.Decompress(context.Background(), enc, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -425,5 +425,3 @@ func TestCompressMatchesAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
-
-var _ compress.ParallelTunable = (*Codec)(nil)

@@ -141,7 +141,7 @@ func blockBudgetBits(rate uint, size int) int { return int(rate) * size }
 // sharding the block list across the pool like the variable-rate encoder.
 // Because every block costs exactly `budget` bits, shard boundaries land
 // at deterministic offsets and concatenation reproduces the serial stream.
-func (c *Codec) compressRate(ctx context.Context, f *grid.Field) ([]byte, error) {
+func (c *Codec) compressRate(ctx context.Context, f *grid.Field, workers int) ([]byte, error) {
 	rank := f.Rank()
 	size := 1 << (2 * uint(rank))
 	budget := blockBudgetBits(c.rate, size)
@@ -151,7 +151,6 @@ func (c *Codec) compressRate(ctx context.Context, f *grid.Field) ([]byte, error)
 
 	bs := blocks(f.Dims)
 	var w bitstream.Writer
-	workers := c.workerCount(8 * int64(f.Len()))
 	if workers <= 1 || len(bs) < minParallelBlocks {
 		_, sp := trace.Start(ctx, "zfp.shard_encode")
 		sp.AddItems(int64(len(bs)))

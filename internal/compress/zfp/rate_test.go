@@ -1,11 +1,13 @@
 package zfp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 func TestNewRateValidation(t *testing.T) {
@@ -24,11 +26,11 @@ func TestRateExactStreamSize(t *testing.T) {
 	// The defining property: stream size depends only on dims and rate.
 	for _, rate := range []int{2, 8, 16, 32} {
 		c := MustNewRate(rate)
-		smooth, err := c.Compress(smooth3D(16))
+		smooth, err := c.Compress(context.Background(), smooth3D(16), parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		noise, err := c.Compress(noisy3D(16, 4))
+		noise, err := c.Compress(context.Background(), noisy3D(16, 4), parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +52,11 @@ func TestRateRoundTripQuality(t *testing.T) {
 	var prevRMSE = math.Inf(1)
 	for _, rate := range []int{4, 8, 16, 32} {
 		c := MustNewRate(rate)
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +84,11 @@ func TestRateAllRanksAndPartialBlocks(t *testing.T) {
 		for i := range f.Data {
 			f.Data[i] = math.Sin(float64(i) / 5)
 		}
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -101,11 +103,11 @@ func TestRateAllRanksAndPartialBlocks(t *testing.T) {
 func TestRateZeroBlocks(t *testing.T) {
 	f := grid.New(8, 8, 8)
 	c := MustNewRate(8)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +121,11 @@ func TestRateZeroBlocks(t *testing.T) {
 func TestDecodeAtMatchesFullDecode(t *testing.T) {
 	f := smooth3D(16)
 	c := MustNewRate(16)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := c.Decompress(enc)
+	full, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +149,11 @@ func TestDecodeAtLowerRanks(t *testing.T) {
 	for i := range f1.Data {
 		f1.Data[i] = float64(i) * 1.5
 	}
-	enc, err := c.Compress(f1)
+	enc, err := c.Compress(context.Background(), f1, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _ := c.Decompress(enc)
+	full, _ := c.Decompress(context.Background(), enc, parallel.Config{})
 	for i := 0; i < 37; i += 5 {
 		got, err := c.DecodeAt(enc, i)
 		if err != nil {
@@ -166,11 +168,11 @@ func TestDecodeAtLowerRanks(t *testing.T) {
 	for i := range f2.Data {
 		f2.Data[i] = math.Cos(float64(i) / 7)
 	}
-	enc2, err := c.Compress(f2)
+	enc2, err := c.Compress(context.Background(), f2, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full2, _ := c.Decompress(enc2)
+	full2, _ := c.Decompress(context.Background(), enc2, parallel.Config{})
 	for j := 0; j < 9; j += 2 {
 		for i := 0; i < 13; i += 3 {
 			got, err := c.DecodeAt(enc2, j, i)
@@ -187,7 +189,7 @@ func TestDecodeAtLowerRanks(t *testing.T) {
 func TestDecodeAtValidation(t *testing.T) {
 	c := MustNewRate(8)
 	f := smooth3D(8)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestDecodeAtValidation(t *testing.T) {
 		t.Fatal("expected out-of-range rejection")
 	}
 	// Non-rate stream.
-	pEnc, err := MustNew(16).Compress(f)
+	pEnc, err := MustNew(16).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +216,11 @@ func TestDecodeAtValidation(t *testing.T) {
 func TestRateCrossModeDecodeDispatch(t *testing.T) {
 	// Any codec instance must decode a rate stream (self-describing).
 	f := smooth3D(8)
-	enc, err := MustNewRate(16).Compress(f)
+	enc, err := MustNewRate(16).Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := MustNew(8).Decompress(enc)
+	dec, err := MustNew(8).Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

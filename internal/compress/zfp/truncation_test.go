@@ -1,11 +1,13 @@
 package zfp
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"lrm/internal/compress"
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 // TestDecompressEveryPrefix asserts the decode contract on truncation across
@@ -24,12 +26,12 @@ func TestDecompressEveryPrefix(t *testing.T) {
 		MustNewAccuracy(1e-4),
 		MustNewRate(10),
 	} {
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
 		for n := 0; n < len(enc); n++ {
-			_, err := c.Decompress(enc[:n])
+			_, err := c.Decompress(context.Background(), enc[:n], parallel.Config{})
 			if err == nil {
 				t.Fatalf("%s: prefix %d/%d decoded without error", c.Name(), n, len(enc))
 			}

@@ -61,8 +61,6 @@ type Codec struct {
 	precision uint    // bit planes kept per block (precision mode), 1..60
 	tolerance float64 // absolute error tolerance (accuracy mode)
 	rate      uint    // bits per value (rate mode), 1..62
-	workers   int     // worker pool size; 0 = parallel.DefaultWorkers()
-	minShard  int64   // size-aware cutover; see parallel.Config.MinShardBytes
 }
 
 // Stream/codec modes.
@@ -121,34 +119,6 @@ func MustNew(precision int) *Codec {
 		panic(err)
 	}
 	return c
-}
-
-// WithWorkers returns a copy of c that runs its kernels on a pool of the
-// given size. 1 forces serial execution; 0 restores the default
-// (GOMAXPROCS). Output is byte-identical at every worker count, so the
-// knob trades only latency, never format.
-func (c *Codec) WithWorkers(workers int) compress.Codec {
-	cp := *c
-	cp.workers = workers
-	return &cp
-}
-
-// WithParallel returns a copy of c bound to a full parallel config: the
-// worker budget plus the size-aware cutover threshold. The zero config
-// restores all defaults. Implements compress.ParallelTunable.
-func (c *Codec) WithParallel(cfg parallel.Config) compress.Codec {
-	cp := *c
-	cp.workers = cfg.Workers
-	cp.minShard = cfg.MinShardBytes
-	return &cp
-}
-
-// workerCount resolves the effective pool size for an input of totalBytes
-// (8 bytes per sample), applying the size-aware cutover: small inputs run
-// serially no matter the budget, because forking the pool costs more than
-// it saves below ~half a MiB per shard.
-func (c *Codec) workerCount(totalBytes int64) int {
-	return parallel.Config{Workers: c.workers, MinShardBytes: c.minShard}.WorkersFor(totalBytes)
 }
 
 // Name implements compress.Codec.
@@ -777,18 +747,16 @@ func (s *blockScratch) release() {
 	parallel.PutUint64s(s.nb)
 }
 
-// Compress implements compress.Codec.
-func (c *Codec) Compress(f *grid.Field) ([]byte, error) {
-	return c.CompressCtx(context.Background(), f)
-}
-
-// CompressCtx implements compress.CtxCodec: identical stream to Compress,
-// with the codec's spans parented onto the span carried by ctx.
-func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) {
+// Compress implements compress.Codec: the block kernels run on cfg's pool,
+// and the codec's spans parent onto the span carried by ctx. The size-aware
+// cutover keeps small inputs serial no matter the budget, because forking
+// the pool costs more than it saves below ~half a MiB per shard.
+func (c *Codec) Compress(ctx context.Context, f *grid.Field, cfg parallel.Config) ([]byte, error) {
 	ctx, sp := trace.Start(ctx, "zfp.compress")
 	defer sp.End()
+	workers := cfg.WorkersFor(8 * int64(f.Len()))
 	if c.mode == modeRate {
-		out, err := c.compressRate(ctx, f)
+		out, err := c.compressRate(ctx, f, workers)
 		if err != nil {
 			sp.SetError(err)
 			return nil, err
@@ -797,7 +765,7 @@ func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) 
 		return out, nil
 	}
 	var w bitstream.Writer
-	if err := c.encodeShards(ctx, f, blocks(f.Dims), &w); err != nil {
+	if err := c.encodeShards(ctx, f, blocks(f.Dims), &w, workers); err != nil {
 		sp.SetError(err)
 		return nil, err
 	}
@@ -822,8 +790,7 @@ func (c *Codec) CompressCtx(ctx context.Context, f *grid.Field) ([]byte, error) 
 // exactly — block i's bits always land at the same offset. A
 // zfp.shard_encode span is opened per shard on both paths, so traces show
 // the shard structure even when the pool budget forces serial execution.
-func (c *Codec) encodeShards(ctx context.Context, f *grid.Field, bs []blockShape, w *bitstream.Writer) error {
-	workers := c.workerCount(8 * int64(f.Len()))
+func (c *Codec) encodeShards(ctx context.Context, f *grid.Field, bs []blockShape, w *bitstream.Writer, workers int) error {
 	if workers <= 1 || len(bs) < minParallelBlocks {
 		_, sp := trace.Start(ctx, "zfp.shard_encode")
 		sp.AddItems(int64(len(bs)))
@@ -1157,15 +1124,10 @@ const emptyEmax = math.MinInt32
 
 // Decompress implements compress.Codec. Failures wrap the
 // compress.ErrTruncated / compress.ErrCorrupt taxonomy.
-func (c *Codec) Decompress(data []byte) (*grid.Field, error) {
-	return c.DecompressCtx(context.Background(), data)
-}
-
-// DecompressCtx implements compress.CtxCodec.
-func (c *Codec) DecompressCtx(ctx context.Context, data []byte) (*grid.Field, error) {
+func (c *Codec) Decompress(ctx context.Context, data []byte, cfg parallel.Config) (*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "zfp.decompress")
 	defer sp.End()
-	f, err := c.decompress(ctx, data)
+	f, err := c.decompress(ctx, data, cfg)
 	if err != nil {
 		err = compress.Classify(err)
 		sp.SetError(err)
@@ -1175,7 +1137,7 @@ func (c *Codec) DecompressCtx(ctx context.Context, data []byte) (*grid.Field, er
 	return f, nil
 }
 
-func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error) {
+func (c *Codec) decompress(ctx context.Context, data []byte, cfg parallel.Config) (*grid.Field, error) {
 	dims, rest, err := compress.DecodeDimsHeader(data)
 	if err != nil {
 		return nil, err
@@ -1207,7 +1169,7 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 		for _, d := range dims {
 			n *= int64(d)
 		}
-		return decompressRate(ctx, dims, rest[1:], c.workerCount(8*n))
+		return decompressRate(ctx, dims, rest[1:], cfg.WorkersFor(8*n))
 	default:
 		return nil, fmt.Errorf("zfp: unknown mode %d in stream: %w", mode, compress.ErrHeader)
 	}
@@ -1225,7 +1187,7 @@ func (c *Codec) decompress(ctx context.Context, data []byte) (*grid.Field, error
 	rank := f.Rank()
 	size := 1 << (2 * uint(rank))
 	bs := blocks(dims)
-	workers := c.workerCount(8 * int64(f.Len()))
+	workers := cfg.WorkersFor(8 * int64(f.Len()))
 	if workers > 1 && len(bs) >= minParallelBlocks {
 		// The parallel path buffers every parsed block's coefficients at
 		// once; degenerate shapes (many mostly-padding blocks) can make that
@@ -1385,15 +1347,6 @@ func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []bloc
 	return f, nil
 }
 
-// The codec is fully context-aware: plain Compress/Decompress delegate to
-// the Ctx variants with a background context.
-var _ compress.CtxCodec = (*Codec)(nil)
-
 func init() {
-	compress.RegisterWorkersDecoder("zfp", func(b []byte, workers int) (*grid.Field, error) {
-		return MustNew(16).WithWorkers(workers).Decompress(b)
-	})
-	compress.RegisterCtxDecoder("zfp", func(ctx context.Context, b []byte, workers int) (*grid.Field, error) {
-		return compress.DecompressCtx(ctx, MustNew(16).WithWorkers(workers), b)
-	})
+	compress.Register("zfp", MustNew(16).Decompress)
 }

@@ -1,6 +1,7 @@
 package zfp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"lrm/internal/bitstream"
 	"lrm/internal/compress"
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 func smooth3D(n int) *grid.Field {
@@ -145,11 +147,11 @@ func TestErrorWithinPrecisionBound(t *testing.T) {
 	f := smooth3D(16)
 	for _, p := range []int{12, 16, 24, 32} {
 		c := MustNew(p)
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,8 +176,8 @@ func TestHigherPrecisionLowerError(t *testing.T) {
 	var prev float64 = math.Inf(1)
 	for _, p := range []int{8, 16, 24, 32} {
 		c := MustNew(p)
-		enc, _ := c.Compress(f)
-		dec, err := c.Decompress(enc)
+		enc, _ := c.Compress(context.Background(), f, parallel.Config{})
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,11 +196,11 @@ func TestHigherPrecisionLowerError(t *testing.T) {
 
 func TestSmoothCompressesBetterThanNoise(t *testing.T) {
 	c := MustNew(16)
-	smoothEnc, err := c.Compress(smooth3D(16))
+	smoothEnc, err := c.Compress(context.Background(), smooth3D(16), parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noiseEnc, err := c.Compress(noisy3D(16, 5))
+	noiseEnc, err := c.Compress(context.Background(), noisy3D(16, 5), parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestSmoothCompressesBetterThanNoise(t *testing.T) {
 func TestZeroFieldIsTiny(t *testing.T) {
 	f := grid.New(16, 16, 16)
 	c := MustNew(16)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestZeroFieldIsTiny(t *testing.T) {
 	if len(enc) > 64 {
 		t.Fatalf("zero field encoded to %d bytes", len(enc))
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +249,11 @@ func TestAllRanksAndPartialBlocks(t *testing.T) {
 		for i := range f.Data {
 			f.Data[i] = math.Sin(float64(i)/3) * (1 + 0.01*rng.Float64())
 		}
-		enc, err := c.Compress(f)
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -269,11 +271,11 @@ func TestWideDynamicRange(t *testing.T) {
 		f.Data[i] = math.Ldexp(1, i-32) // 2^-32 .. 2^31
 	}
 	c := MustNew(32)
-	enc, err := c.Compress(f)
+	enc, err := c.Compress(context.Background(), f, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +291,11 @@ func TestWideDynamicRange(t *testing.T) {
 func TestRejectsNaN(t *testing.T) {
 	f := grid.New(4)
 	f.Data[2] = math.NaN()
-	if _, err := MustNew(16).Compress(f); err == nil {
+	if _, err := MustNew(16).Compress(context.Background(), f, parallel.Config{}); err == nil {
 		t.Fatal("expected NaN rejection")
 	}
 	f.Data[2] = math.Inf(1)
-	if _, err := MustNew(16).Compress(f); err == nil {
+	if _, err := MustNew(16).Compress(context.Background(), f, parallel.Config{}); err == nil {
 		t.Fatal("expected Inf rejection")
 	}
 }
@@ -308,14 +310,14 @@ func TestDecompressGarbage(t *testing.T) {
 	}
 	c := MustNew(16)
 	for i, b := range cases {
-		if _, err := c.Decompress(b); err == nil {
+		if _, err := c.Decompress(context.Background(), b, parallel.Config{}); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
 	// Truncated payload.
 	f := smooth3D(8)
-	enc, _ := c.Compress(f)
-	if _, err := c.Decompress(enc[:len(enc)/2]); err == nil {
+	enc, _ := c.Compress(context.Background(), f, parallel.Config{})
+	if _, err := c.Decompress(context.Background(), enc[:len(enc)/2], parallel.Config{}); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }
@@ -326,8 +328,8 @@ func TestNegativeValues(t *testing.T) {
 		f.Data[i] = -100.5 + float64(i)
 	}
 	c := MustNew(32)
-	enc, _ := c.Compress(f)
-	dec, err := c.Decompress(enc)
+	enc, _ := c.Compress(context.Background(), f, parallel.Config{})
+	dec, err := c.Decompress(context.Background(), enc, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

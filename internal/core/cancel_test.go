@@ -26,8 +26,8 @@ type cancelProbe struct {
 func (p *cancelProbe) Name() string   { return "cancelprobe" }
 func (p *cancelProbe) Lossless() bool { return p.inner.Lossless() }
 
-func (p *cancelProbe) Compress(f *grid.Field) ([]byte, error) {
-	b, err := p.inner.Compress(f)
+func (p *cancelProbe) Compress(ctx context.Context, f *grid.Field, cfg parallel.Config) ([]byte, error) {
+	b, err := p.inner.Compress(ctx, f, cfg)
 	p.mu.Lock()
 	p.calls++
 	n := p.calls
@@ -39,7 +39,9 @@ func (p *cancelProbe) Compress(f *grid.Field) ([]byte, error) {
 	return b, err
 }
 
-func (p *cancelProbe) Decompress(b []byte) (*grid.Field, error) { return p.inner.Decompress(b) }
+func (p *cancelProbe) Decompress(ctx context.Context, b []byte, cfg parallel.Config) (*grid.Field, error) {
+	return p.inner.Decompress(ctx, b, cfg)
+}
 
 func (p *cancelProbe) callCount() int {
 	p.mu.Lock()
@@ -57,8 +59,8 @@ var probeDecode = struct {
 }{}
 
 var registerProbe = sync.OnceFunc(func() {
-	compress.RegisterCtxDecoder("cancelprobe", func(_ context.Context, b []byte, _ int) (*grid.Field, error) {
-		f, err := compress.NewFlate(6).Decompress(b)
+	compress.Register("cancelprobe", func(ctx context.Context, b []byte, cfg parallel.Config) (*grid.Field, error) {
+		f, err := compress.NewFlate(6).Decompress(ctx, b, cfg)
 		probeDecode.mu.Lock()
 		probeDecode.calls++
 		n := probeDecode.calls

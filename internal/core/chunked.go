@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"math"
 	"strconv"
-	"strings"
 
 	"lrm/internal/compress"
 	"lrm/internal/grid"
@@ -29,16 +28,6 @@ var (
 
 // chunkedMagic marks the multi-chunk container format.
 const chunkedMagic = "LRMC"
-
-// codecFamily reduces a codec's self-description to its family name for
-// pprof labels: "sz(abs=1e-3)" → "sz". Parameters would explode label
-// cardinality in the continuous profiler's per-codec attribution.
-func codecFamily(name string) string {
-	if i := strings.IndexByte(name, '('); i >= 0 {
-		name = name[:i]
-	}
-	return name
-}
 
 // CompressChunked splits the field into `chunks` slabs along the leading
 // dimension and compresses them concurrently on the shared bounded worker
@@ -88,11 +77,11 @@ func CompressChunkedCtx(ctx context.Context, f *grid.Field, opts Options, chunks
 
 	// Divide the pool: when chunk-level concurrency already saturates it,
 	// each chunk's codec runs serially; leftover capacity goes to the
-	// codecs' internal kernels.
+	// codecs' internal kernels. Only Workers is divided; the rest of the
+	// caller's config reaches every chunk unchanged.
 	workers := opts.Parallel.Resolve()
-	running := min(workers, chunks)
 	inner := opts
-	inner.Parallel = parallel.Config{Workers: max(1, workers/running)}
+	inner.Parallel.Workers = innerWorkers(workers, chunks)
 
 	type chunkOut struct {
 		res *Result
@@ -101,8 +90,9 @@ func CompressChunkedCtx(ctx context.Context, f *grid.Field, opts Options, chunks
 	outs := make([]chunkOut, chunks)
 	// The codec family label ("sz", not "sz(abs=1e-3)") joins stage/chunk
 	// on the workers' pprof labels, so the continuous profiler can split
-	// CPU by codec as request-level codec choice becomes dynamic.
-	codecFam := codecFamily(opts.DataCodec.Name())
+	// CPU by codec as request-level codec choice becomes dynamic; parameters
+	// would explode label cardinality.
+	codecFam := compress.CodecFamily(opts.DataCodec.Name())
 	parallel.ForCtx(ctx, workers, chunks, func(ctx context.Context, c int) {
 		// Cancellation is checked once per chunk, here at the boundary: a
 		// canceled request (client disconnect, deadline) stops scheduling new
@@ -149,7 +139,7 @@ func CompressChunkedCtx(ctx context.Context, f *grid.Field, opts Options, chunks
 				Raw:             sub.Bytes,
 				Original:        sub.Data,
 				Reconstruct: func() ([]float64, error) {
-					g, derr := decompressSingle(cctx, res.Archive, 1)
+					g, derr := decompressSingle(cctx, res.Archive, parallel.Config{Workers: 1})
 					if derr != nil {
 						return nil, derr
 					}
@@ -248,15 +238,21 @@ func chunkCRC(idx int, archive []byte) uint32 {
 	return crc32.Update(crc32.ChecksumIEEE(le[:]), crc32.IEEETable, archive)
 }
 
-// chunkedDecode parses and decodes an LRMC archive on a resolved worker
-// budget. In strict mode (degraded == false) the first failure aborts; in
-// degraded mode every chunk is attempted, failures are reported per chunk,
-// and the surviving chunks' regions are returned (failed regions stay
-// zero). A container header too damaged to frame any chunk fails outright
+// innerWorkers is each chunk's codec budget when a pool of workers runs
+// chunks at once: chunk-level concurrency first, leftover capacity to each
+// chunk's codec-internal kernels.
+func innerWorkers(workers, chunks int) int {
+	return max(1, workers/min(workers, chunks))
+}
+
+// chunkedDecode parses and decodes an LRMC archive on the budget cfg. In
+// strict mode (degraded == false) the first failure aborts; in degraded
+// mode every chunk is attempted, failures are reported per chunk, and the
+// surviving chunks' regions are returned (failed regions stay zero). A container header too damaged to frame any chunk fails outright
 // in both modes, as does a canceled ctx — cancellation is checked at every
 // chunk boundary and reported as compress.ErrCanceled, never as a chunk
 // failure.
-func chunkedDecode(ctx context.Context, archive []byte, workers int, degraded bool) (*Partial, error) {
+func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, degraded bool) (*Partial, error) {
 	ctx, sp := trace.Start(ctx, "core.decompress_chunked")
 	defer sp.End()
 	r := &reader{buf: archive}
@@ -356,10 +352,10 @@ func chunkedDecode(ctx context.Context, archive []byte, workers int, degraded bo
 		slab *= d
 	}
 
-	// Divide the budget like CompressChunked: chunk-level concurrency
-	// first, leftover capacity to each chunk's codec-internal kernels.
-	running := min(workers, chunks)
-	inner := max(1, workers/running)
+	// Divide the budget like CompressChunked.
+	workers := cfg.Resolve()
+	inner := cfg
+	inner.Workers = innerWorkers(workers, chunks)
 	errs := make([]error, chunks)
 	parallel.ForCtx(ctx, workers, chunks, func(ctx context.Context, c int) {
 		// Same chunk-boundary cancellation contract as CompressChunkedCtx: a

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lrm/internal/compress"
 	"lrm/internal/compress/fpc"
 	"lrm/internal/compress/zfp"
 	"lrm/internal/grid"
@@ -170,8 +171,8 @@ func TestCodecFamily(t *testing.T) {
 		"":                  "",
 	}
 	for in, want := range cases {
-		if got := codecFamily(in); got != want {
-			t.Errorf("codecFamily(%q) = %q, want %q", in, got, want)
+		if got := compress.CodecFamily(in); got != want {
+			t.Errorf("CodecFamily(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -1,29 +1,16 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"lrm/internal/compress"
 	"lrm/internal/compress/fpc"
 	"lrm/internal/compress/sz"
 	"lrm/internal/compress/zfp"
-	"lrm/internal/grid"
 )
 
-// codecBase strips the parameterisation from a codec name:
-// "zfp(p=16)" -> "zfp". Streams are self-describing, so decoding only
-// needs to know the codec family.
-func codecBase(name string) string { return compress.CodecFamily(name) }
-
-// decoderFor returns a context-aware decompression function for a codec
-// family from the shared registry, bound to the given worker budget
-// (families without a ctx or worker-aware decoder fall back with ctx
-// ignored / serial decode). Codec packages register themselves at init; the
-// imports below (for PaperCodecs) pull every built-in family in.
-func decoderFor(family string, workers int) (func(ctx context.Context, b []byte) (*grid.Field, error), error) {
-	return compress.DecoderCtxForWorkers(family, workers)
-}
+// Importing the codec packages registers their decoders, so core decodes
+// every built-in family.
 
 // PaperCodecs returns the paper's standard codec configurations
 // (Section IV-B / V-B): primary codec for original data and rep, and the

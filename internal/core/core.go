@@ -46,33 +46,12 @@ type Options struct {
 	// DeltaCodec compresses the delta. nil falls back to DataCodec. The
 	// paper uses a looser bound here (Section V-B).
 	DeltaCodec compress.Codec
-	// Parallel selects the worker-pool size applied to codecs that
-	// implement compress.Parallelizable. The zero value leaves each codec
-	// on its own default (GOMAXPROCS); Workers == 1 reproduces the exact
-	// serial execution. Archives are byte-identical at every setting.
+	// Parallel is the execution budget passed to every codec call: the
+	// worker-pool size plus the size-aware shard cutover. The zero value
+	// selects the defaults (GOMAXPROCS workers, DefaultMinShardBytes);
+	// Workers == 1 reproduces the exact serial execution. Archives are
+	// byte-identical at every setting.
 	Parallel parallel.Config
-}
-
-// withParallel returns a copy of opts whose codecs are bound to the
-// configured parallel.Config — pool size plus the size-aware shard cutover
-// (Config.MinShardBytes). Codecs that accept neither knob pass through.
-func (o Options) withParallel() Options {
-	if o.Parallel == (parallel.Config{}) {
-		return o
-	}
-	o.DataCodec = applyParallel(o.DataCodec, o.Parallel)
-	o.DeltaCodec = applyParallel(o.DeltaCodec, o.Parallel)
-	return o
-}
-
-func applyParallel(c compress.Codec, cfg parallel.Config) compress.Codec {
-	if p, ok := c.(compress.ParallelTunable); ok {
-		return p.WithParallel(cfg)
-	}
-	if p, ok := c.(compress.Parallelizable); ok && cfg.Workers != 0 {
-		return p.WithWorkers(cfg.Workers)
-	}
-	return c
 }
 
 // Result is a compression outcome with the per-part byte accounting the
@@ -129,7 +108,6 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 	if opts.DataCodec == nil {
 		return nil, errors.New("core: DataCodec is required")
 	}
-	opts = opts.withParallel()
 	res := &Result{OriginalBytes: 8 * f.Len()}
 
 	var buf bytes.Buffer
@@ -137,8 +115,8 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 
 	if opts.Model == nil {
 		buf.WriteByte(modeDirect)
-		writeString(&buf, codecBase(opts.DataCodec.Name()))
-		stream, err := compress.CompressCtx(ctx, opts.DataCodec, f)
+		writeString(&buf, compress.CodecFamily(opts.DataCodec.Name()))
+		stream, err := opts.DataCodec.Compress(ctx, f, opts.Parallel)
 		if err != nil {
 			return nil, fmt.Errorf("core: direct compression: %w", err)
 		}
@@ -171,7 +149,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 	// double-count. Compress the rep first, then reconstruct from the
 	// decompressed rep to compute the delta.
 	ssCtx, ss := trace.Start(ctx, "core.rep_store")
-	repValStream, storedRep, err := storeRepValues(ssCtx, rep, opts.DataCodec)
+	repValStream, storedRep, err := storeRepValues(ssCtx, rep, opts.DataCodec, opts.Parallel)
 	ss.SetError(err)
 	ss.End()
 	if err != nil {
@@ -188,7 +166,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 		dsp.End()
 		return nil, err
 	}
-	deltaStream, err := compress.CompressCtx(dspCtx, deltaCodec, delta)
+	deltaStream, err := deltaCodec.Compress(dspCtx, delta, opts.Parallel)
 	dsp.SetBytes(int64(8*f.Len()), int64(len(deltaStream)))
 	dsp.SetError(err)
 	dsp.End()
@@ -213,7 +191,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 	}
 
 	buf.WriteByte(modePreconditoned)
-	writeString(&buf, codecBase(opts.DataCodec.Name()))
+	writeString(&buf, compress.CodecFamily(opts.DataCodec.Name()))
 	writeString(&buf, rep.Model)
 	buf.WriteByte(byte(len(rep.Dims)))
 	for _, d := range rep.Dims {
@@ -222,7 +200,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 	writeUvarint(&buf, uint64(len(rep.Meta))) // pre-flate size for exactness
 	writeBytes(&buf, metaStream)
 	writeBytes(&buf, repValStream)
-	writeString(&buf, codecBase(deltaCodec.Name()))
+	writeString(&buf, compress.CodecFamily(deltaCodec.Name()))
 	writeBytes(&buf, deltaStream)
 
 	res.Archive = buf.Bytes()
@@ -289,7 +267,7 @@ func boundWithSlack(eps float64, f *grid.Field) float64 {
 // storeRepValues compresses the representation's numeric payload with the
 // codec and returns both the stream and the representation as it will look
 // after decompression (meta intact, values re-read from the codec).
-func storeRepValues(ctx context.Context, rep *reduce.Rep, codec compress.Codec) (stream []byte, stored *reduce.Rep, err error) {
+func storeRepValues(ctx context.Context, rep *reduce.Rep, codec compress.Codec, cfg parallel.Config) (stream []byte, stored *reduce.Rep, err error) {
 	cp := *rep
 	if len(rep.Values) == 0 {
 		return nil, &cp, nil
@@ -298,11 +276,11 @@ func storeRepValues(ctx context.Context, rep *reduce.Rep, codec compress.Codec) 
 	if err != nil {
 		return nil, nil, err
 	}
-	stream, err = compress.CompressCtx(ctx, codec, vf)
+	stream, err = codec.Compress(ctx, vf, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: rep compression: %w", err)
 	}
-	back, err := compress.DecompressCtx(ctx, codec, stream)
+	back, err := codec.Decompress(ctx, stream, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: rep verify: %w", err)
 	}
@@ -313,10 +291,12 @@ func storeRepValues(ctx context.Context, rep *reduce.Rep, codec compress.Codec) 
 // DecompressOpts configures decompression. The zero value matches
 // Decompress: default worker pool, fail-fast on any chunk error.
 type DecompressOpts struct {
-	// Parallel is the worker budget shared by chunk-level concurrency and
-	// codec-internal kernels, mirroring Options.Parallel on the compression
-	// side. The zero value resolves to GOMAXPROCS; Workers == 1 reproduces
-	// the serial execution.
+	// Parallel is the execution budget shared by chunk-level concurrency
+	// and codec-internal kernels, mirroring Options.Parallel on the
+	// compression side: the chunked container splits Workers among chunks
+	// and passes the rest of the config (MinShardBytes) to every codec
+	// call unchanged. The zero value selects the defaults; Workers == 1
+	// reproduces the serial execution.
 	Parallel parallel.Config
 }
 
@@ -341,7 +321,7 @@ func DecompressWithOpts(archive []byte, opts DecompressOpts) (*grid.Field, error
 func DecompressWithOptsCtx(ctx context.Context, archive []byte, opts DecompressOpts) (*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "core.decompress")
 	defer sp.End()
-	f, err := decompress(ctx, archive, opts.Parallel.Resolve())
+	f, err := decompress(ctx, archive, opts.Parallel)
 	if err != nil {
 		err = compress.Classify(err)
 		sp.SetError(err)
@@ -351,21 +331,20 @@ func DecompressWithOptsCtx(ctx context.Context, archive []byte, opts DecompressO
 	return f, nil
 }
 
-// decompress dispatches on the container magic with a resolved worker
-// budget.
-func decompress(ctx context.Context, archive []byte, workers int) (*grid.Field, error) {
+// decompress dispatches on the container magic.
+func decompress(ctx context.Context, archive []byte, cfg parallel.Config) (*grid.Field, error) {
 	if len(archive) >= 4 && string(archive[:4]) == chunkedMagic {
-		p, err := chunkedDecode(ctx, archive, workers, false)
+		p, err := chunkedDecode(ctx, archive, cfg, false)
 		if err != nil {
 			return nil, err
 		}
 		return p.Field, nil
 	}
-	return decompressSingle(ctx, archive, workers)
+	return decompressSingle(ctx, archive, cfg)
 }
 
 // decompressSingle decodes one LRM1 archive.
-func decompressSingle(ctx context.Context, archive []byte, workers int) (*grid.Field, error) {
+func decompressSingle(ctx context.Context, archive []byte, cfg parallel.Config) (*grid.Field, error) {
 	r := &reader{buf: archive}
 	if string(r.take(4)) != magic {
 		if len(archive) < 4 {
@@ -378,7 +357,7 @@ func decompressSingle(ctx context.Context, archive []byte, workers int) (*grid.F
 	if r.err != nil {
 		return nil, fmt.Errorf("core: corrupt archive: %w", r.err)
 	}
-	dataDecode, err := decoderFor(dataCodecName, workers)
+	dataDecode, err := compress.DecoderFor(dataCodecName)
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +368,7 @@ func decompressSingle(ctx context.Context, archive []byte, workers int) (*grid.F
 		if r.err != nil {
 			return nil, fmt.Errorf("core: corrupt archive: %w", r.err)
 		}
-		return dataDecode(ctx, stream)
+		return dataDecode(ctx, stream, cfg)
 
 	case modePreconditoned:
 		modelName := r.string()
@@ -441,7 +420,7 @@ func decompressSingle(ctx context.Context, archive []byte, workers int) (*grid.F
 		}
 		rep := &reduce.Rep{Model: modelName, Dims: dims, Meta: meta}
 		if len(repValStream) > 0 {
-			vf, err := dataDecode(ctx, repValStream)
+			vf, err := dataDecode(ctx, repValStream, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("core: rep values: %w", err)
 			}
@@ -451,11 +430,11 @@ func decompressSingle(ctx context.Context, archive []byte, workers int) (*grid.F
 		if err != nil {
 			return nil, fmt.Errorf("core: reconstruct: %w", compress.Classify(err))
 		}
-		deltaDecode, err := decoderFor(deltaCodecName, workers)
+		deltaDecode, err := compress.DecoderFor(deltaCodecName)
 		if err != nil {
 			return nil, err
 		}
-		delta, err := deltaDecode(ctx, deltaStream)
+		delta, err := deltaDecode(ctx, deltaStream, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: delta: %w", err)
 		}

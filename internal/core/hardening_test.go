@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -63,18 +64,20 @@ func TestGridCheckDimsOverflow(t *testing.T) {
 }
 
 // ctrCodec is a registry test double: a trivial store-raw codec whose
-// worker-aware decoder records every budget it is handed, so tests can
-// observe how the chunked container divides its pool.
+// registered decoder records the worker budget of every config it is
+// handed, so tests can observe how the chunked container divides its pool.
 type ctrCodec struct{}
 
 func (ctrCodec) Name() string   { return "ctr" }
 func (ctrCodec) Lossless() bool { return true }
 
-func (ctrCodec) Compress(f *grid.Field) ([]byte, error) {
+func (ctrCodec) Compress(_ context.Context, f *grid.Field, _ parallel.Config) ([]byte, error) {
 	return append(compress.EncodeDimsHeader(f.Dims), f.Bytes()...), nil
 }
 
-func (ctrCodec) Decompress(b []byte) (*grid.Field, error) { return ctrDecode(b) }
+func (ctrCodec) Decompress(_ context.Context, b []byte, _ parallel.Config) (*grid.Field, error) {
+	return ctrDecode(b)
+}
 
 func ctrDecode(b []byte) (*grid.Field, error) {
 	dims, rest, err := compress.DecodeDimsHeader(b)
@@ -94,9 +97,9 @@ var ctrSeen struct {
 }
 
 func init() {
-	compress.RegisterWorkersDecoder("ctr", func(b []byte, workers int) (*grid.Field, error) {
+	compress.Register("ctr", func(_ context.Context, b []byte, cfg parallel.Config) (*grid.Field, error) {
 		ctrSeen.mu.Lock()
-		ctrSeen.budgets = append(ctrSeen.budgets, workers)
+		ctrSeen.budgets = append(ctrSeen.budgets, cfg.Workers)
 		ctrSeen.mu.Unlock()
 		return ctrDecode(b)
 	})

@@ -78,7 +78,7 @@ func DecompressChunkedPartialWithOpts(archive []byte, opts DecompressOpts) (*Par
 // compress.ErrCanceled (degraded mode does not apply to cancellation — a
 // client disconnect is not data loss).
 func DecompressChunkedPartialWithOptsCtx(ctx context.Context, archive []byte, opts DecompressOpts) (*Partial, error) {
-	p, err := chunkedDecode(ctx, archive, opts.Parallel.Resolve(), true)
+	p, err := chunkedDecode(ctx, archive, opts.Parallel, true)
 	if err != nil {
 		return nil, compress.Classify(err)
 	}

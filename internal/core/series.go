@@ -73,7 +73,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 	var buf bytes.Buffer
 	buf.WriteString(seriesMagic)
 	writeUvarint(&buf, uint64(len(snaps)))
-	writeString(&buf, codecBase(deltaCodec.Name()))
+	writeString(&buf, compress.CodecFamily(deltaCodec.Name()))
 
 	res = &SeriesResult{}
 
@@ -162,8 +162,8 @@ func decompressSeries(ctx context.Context, archive []byte) ([]*grid.Field, error
 	if err := compress.CheckedAlloc("core: series frames", uint64(count), uint64(len(archive)), 8); err != nil {
 		return nil, err
 	}
-	workers := parallel.Config{}.Resolve()
-	deltaDecode, err := decoderFor(deltaCodecName, workers)
+	var cfg parallel.Config // the default budget
+	deltaDecode, err := compress.DecoderFor(deltaCodecName)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func decompressSeries(ctx context.Context, archive []byte) ([]*grid.Field, error
 	if r.err != nil {
 		return nil, fmt.Errorf("core: truncated series frame 0: %w", r.err)
 	}
-	cur, err := decompress(ctx, firstArchive, workers)
+	cur, err := decompress(ctx, firstArchive, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: series frame 0: %w", err)
 	}
@@ -184,7 +184,7 @@ func decompressSeries(ctx context.Context, archive []byte) ([]*grid.Field, error
 		if r.err != nil {
 			return nil, fmt.Errorf("core: truncated series frame %d: %w", i, r.err)
 		}
-		delta, err := deltaDecode(ctx, stream)
+		delta, err := deltaDecode(ctx, stream, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: series frame %d: %w", i, err)
 		}

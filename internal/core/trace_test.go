@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"lrm/internal/compress/zfp"
+	"lrm/internal/grid"
 	"lrm/internal/obs"
 	"lrm/internal/obs/trace"
 	"lrm/internal/parallel"
@@ -131,6 +133,74 @@ func TestChunkedTraceNesting(t *testing.T) {
 	}
 	if decodes != 2 {
 		t.Errorf("got %d chunk decode spans, want 2", decodes)
+	}
+}
+
+// countSpans counts the spans named name in the retained trace rooted at
+// root (the last one, if several are retained).
+func countSpans(t *testing.T, root, name string) int {
+	t.Helper()
+	var tr *trace.Trace
+	for _, cand := range trace.Snapshot() {
+		if cand.Root == root {
+			tr = cand
+		}
+	}
+	if tr == nil {
+		t.Fatalf("no %s trace retained", root)
+	}
+	n := 0
+	for _, s := range tr.Spans {
+		if s.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// TestParallelConfigReachesCodecs checks that the whole parallel.Config,
+// not just its worker count, reaches the codec on both the single-archive
+// decode path and the chunked compress path. The field is far below the
+// default shard cutover, so only MinShardBytes: -1 lets the zfp kernels
+// shard it; the result must still match a serial decode exactly.
+func TestParallelConfigReachesCodecs(t *testing.T) {
+	withFullObs(t)
+	f := grid.New(16, 16, 16)
+	for i := range f.Data {
+		f.Data[i] = math.Sin(float64(i) / 37)
+	}
+	ctx := context.Background()
+	cfg := parallel.Config{Workers: 4, MinShardBytes: -1}
+	res, err := Compress(f, Options{DataCodec: zfp.MustNew(16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := DecompressWithOpts(res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace.Reset()
+	got, err := DecompressWithOptsCtx(ctx, res.Archive, DecompressOpts{Parallel: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serial.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(serial.Data[i]) {
+			t.Fatalf("sharded decode differs from serial at %d", i)
+		}
+	}
+	if n := countSpans(t, "core.decompress", "zfp.shard_decode"); n <= 1 {
+		t.Errorf("decode with MinShardBytes -1 ran %d zfp.shard_decode spans, want > 1", n)
+	}
+
+	// 8 workers over 2 chunks leaves 4 per chunk's codec, and the chunks
+	// keep the caller's cutover.
+	chunked := Options{DataCodec: zfp.MustNew(16), Parallel: parallel.Config{Workers: 8, MinShardBytes: -1}}
+	if _, err := CompressChunkedCtx(ctx, f, chunked, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := countSpans(t, "core.compress_chunked", "zfp.shard_encode"); n <= 2 {
+		t.Errorf("chunked compress with MinShardBytes -1 ran %d zfp.shard_encode spans, want > 2", n)
 	}
 }
 

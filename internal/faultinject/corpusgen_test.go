@@ -1,17 +1,20 @@
 package faultinject_test
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"lrm/internal/compress"
 	"lrm/internal/compress/fpc"
 	"lrm/internal/compress/sz"
 	"lrm/internal/compress/zfp"
 	"lrm/internal/core"
 	"lrm/internal/grid"
 	"lrm/internal/huffman"
+	"lrm/internal/parallel"
 	"lrm/internal/reduce"
 )
 
@@ -34,10 +37,8 @@ func buildCorpus(t *testing.T) map[string][]byte {
 	t.Helper()
 	f := corpusField()
 	out := map[string][]byte{}
-	codec := func(name string, c interface {
-		Compress(*grid.Field) ([]byte, error)
-	}) {
-		enc, err := c.Compress(f)
+	codec := func(name string, c compress.Codec) {
+		enc, err := c.Compress(context.Background(), f, parallel.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

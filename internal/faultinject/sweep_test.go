@@ -1,6 +1,7 @@
 package faultinject_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,14 +37,14 @@ func decoderForCorpus(t *testing.T, name string) faultinject.DecodeFunc {
 	serial := core.DecompressOpts{Parallel: parallel.Config{Workers: 1}}
 	switch {
 	case strings.HasPrefix(name, "sz-"):
-		c := sz.MustNew(sz.Abs, 1e-4).WithWorkers(1)
-		return func(b []byte) error { _, err := c.Decompress(b); return err }
+		c := sz.MustNew(sz.Abs, 1e-4)
+		return func(b []byte) error { _, err := c.Decompress(context.Background(), b, serial.Parallel); return err }
 	case strings.HasPrefix(name, "zfp-"):
-		c := zfp.MustNew(16).WithWorkers(1)
-		return func(b []byte) error { _, err := c.Decompress(b); return err }
+		c := zfp.MustNew(16)
+		return func(b []byte) error { _, err := c.Decompress(context.Background(), b, serial.Parallel); return err }
 	case strings.HasPrefix(name, "fpc"):
 		c := fpc.MustNew(16)
-		return func(b []byte) error { _, err := c.Decompress(b); return err }
+		return func(b []byte) error { _, err := c.Decompress(context.Background(), b, parallel.Config{}); return err }
 	case strings.HasPrefix(name, "huffman"):
 		return func(b []byte) error { _, err := huffman.Decode(b); return err }
 	case strings.HasPrefix(name, "lrmc"):

@@ -21,8 +21,7 @@ import (
 //     type-aware: a package-level `F` with a package-level `FCtx` taking a
 //     leading context, or a method `m.F` whose receiver type also has
 //     `FCtx`. Interface values without a Ctx method in their method set are
-//     not flagged; the `if cc, ok := c.(CtxCodec)` assertion-with-fallback
-//     idiom is the sanctioned way to call through such values.
+//     not flagged.
 //
 // Closures without their own ctx parameter inherit the enclosing scope's
 // obligation (they capture the ctx); closures with one are their own scope.

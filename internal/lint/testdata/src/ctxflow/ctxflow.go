@@ -55,7 +55,7 @@ func Spawn(ctx context.Context, n int) int {
 type Codec interface{ Do(n int) int }
 
 // Use calls through an interface with no Ctx variant in its method set:
-// clean — the assert-and-fallback idiom is the sanctioned path there.
+// clean, since there is no ctx-taking variant to call instead.
 func Use(ctx context.Context, c Codec, n int) int {
 	return c.Do(n)
 }

@@ -8,6 +8,7 @@
 package obs_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"lrm/internal/grid"
 	"lrm/internal/obs"
 	"lrm/internal/obs/quality"
+	"lrm/internal/parallel"
 )
 
 // sink defeats dead-code elimination of the measured loops.
@@ -103,14 +105,14 @@ func TestDisabledOverheadBelowTwoPercent(t *testing.T) {
 		fn   func()
 	}{
 		{"sz.compress", func() {
-			c := sz.MustNew(sz.Abs, 1e-4).WithWorkers(1)
-			if _, err := c.Compress(f); err != nil {
+			c := sz.MustNew(sz.Abs, 1e-4)
+			if _, err := c.Compress(context.Background(), f, parallel.Config{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"zfp.compress", func() {
-			c := zfp.MustNew(16).WithWorkers(1)
-			if _, err := c.Compress(f); err != nil {
+			c := zfp.MustNew(16)
+			if _, err := c.Compress(context.Background(), f, parallel.Config{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}},

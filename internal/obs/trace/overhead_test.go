@@ -15,6 +15,7 @@ import (
 	"lrm/internal/grid"
 	"lrm/internal/obs"
 	"lrm/internal/obs/trace"
+	"lrm/internal/parallel"
 )
 
 // sink defeats dead-code elimination of the measured loop.
@@ -59,9 +60,9 @@ func TestTraceDisabledOverheadBelowTwoPercent(t *testing.T) {
 
 	lifecycleNs := disabledLifecycleNs()
 	f := overheadField()
-	codec := zfp.MustNew(16).WithWorkers(1)
+	codec := zfp.MustNew(16)
 	compress := func() {
-		if _, err := codec.Compress(f); err != nil {
+		if _, err := codec.Compress(context.Background(), f, parallel.Config{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

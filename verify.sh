@@ -30,6 +30,10 @@ echo "==> gofmt -l ."
 fmtcheck
 step go run ./cmd/lrmlint ./...
 step go test ./...
+# The benchmark (lrmbench3/) is a separate module that ./... skips, so a
+# library API change could break it unseen: vet it and run its short tests.
+echo "==> lrmbench3: go vet ./... && go test -short ./..."
+(cd lrmbench3 && GOFLAGS=-mod=readonly GOPROXY=off go vet ./... && go test -short ./...)
 # Invariant-instrumented packages: the assertions themselves must hold on
 # every test input.
 step go test -tags invariants ./internal/compress/... ./internal/reduce/... ./internal/core/...
