@@ -160,8 +160,9 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 		return nil, fmt.Errorf("core: reconstruct stored rep: %w", err)
 	}
 	dspCtx, dsp := trace.Start(ctx, "core.delta")
-	delta, err := f.Sub(recon)
-	if err != nil {
+	// recon is a temporary: the delta overwrites it rather than cloning f.
+	delta := recon
+	if err := delta.SubFrom(f); err != nil {
 		dsp.SetError(err)
 		dsp.End()
 		return nil, err

@@ -175,6 +175,19 @@ func (f *Field) Sub(g *Field) (*Field, error) {
 	return out, nil
 }
 
+// SubFrom replaces f with g − f element-wise: the difference Sub would
+// return for g.Sub(f), written into f's buffer instead of a new field.
+func (f *Field) SubFrom(g *Field) error {
+	if !sameDims(f.Dims, g.Dims) {
+		return fmt.Errorf("grid: dims mismatch %v vs %v", g.Dims, f.Dims)
+	}
+	d := f.Data[:len(g.Data)]
+	for i, v := range g.Data {
+		d[i] = v - d[i]
+	}
+	return nil
+}
+
 // AddInPlace adds g into f element-wise.
 func (f *Field) AddInPlace(g *Field) error {
 	if !sameDims(f.Dims, g.Dims) {

@@ -129,11 +129,40 @@ func TestSubAddRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSubFromMatchesSub: the in-place g − f is bitwise g.Sub(f), signed
+// zeros included.
+func TestSubFromMatchesSub(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	f, g := New(5, 3), New(5, 3)
+	for i := range f.Data {
+		f.Data[i] = rng.NormFloat64()
+		g.Data[i] = rng.NormFloat64()
+	}
+	f.Data[0], g.Data[0] = 0, math.Copysign(0, -1)
+	f.Data[1], g.Data[1] = math.Copysign(0, -1), 0
+	f.Data[2] = g.Data[2]
+	want, err := g.Sub(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SubFrom(g); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if math.Float64bits(f.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d: SubFrom %v, Sub %v", i, f.Data[i], want.Data[i])
+		}
+	}
+}
+
 func TestSubDimsMismatch(t *testing.T) {
 	if _, err := New(2, 2).Sub(New(4)); err == nil {
 		t.Fatal("expected dims mismatch error")
 	}
 	if err := New(2, 2).AddInPlace(New(2, 3)); err == nil {
+		t.Fatal("expected dims mismatch error")
+	}
+	if err := New(2, 2).SubFrom(New(4)); err == nil {
 		t.Fatal("expected dims mismatch error")
 	}
 }

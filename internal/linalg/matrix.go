@@ -204,8 +204,8 @@ func CovarianceWorkers(m *Matrix, workers int) *Matrix {
 		denom = 1
 	}
 	if workers > 1 && n > 1 && m.Rows*n*n/2 >= minParallelFlops {
-		// Center once (elementwise, order-free), then give each worker a
-		// band of output rows a: the inner i-ascending accumulation per
+		// Center once (elementwise, order-free), then accumulate each
+		// upper-triangle row a on its own: the inner i-ascending sum per
 		// (a, b) matches the serial interleaved order term for term.
 		centered := make([]float64, m.Rows*n)
 		parallel.ForShard(workers, m.Rows, func(_, lo, hi int) {
@@ -217,20 +217,12 @@ func CovarianceWorkers(m *Matrix, workers int) *Matrix {
 				}
 			}
 		})
-		parallel.ForShard(workers, n, func(_, alo, ahi int) {
-			for a := alo; a < ahi; a++ {
-				crow := cov.Data[a*n : (a+1)*n]
-				for i := 0; i < m.Rows; i++ {
-					row := centered[i*n : (i+1)*n]
-					va := row[a]
-					if va == 0 {
-						continue
-					}
-					for b := a; b < n; b++ {
-						crow[b] += va * row[b]
-					}
-				}
-			}
+		// Row a costs Rows·(n−a) multiply-adds, so equal bands of rows
+		// would leave the first worker most of the work (about 75% at two
+		// workers). Rows are handed out one at a time through For's shared
+		// cursor instead, heaviest first.
+		parallel.For(workers, n, func(a int) {
+			covTriangleRow(cov.Data[a*n+a:(a+1)*n], centered[a:], n, m.Rows)
 		})
 	} else {
 		// Accumulate upper triangle row-by-row.
@@ -260,4 +252,49 @@ func CovarianceWorkers(m *Matrix, workers int) *Matrix {
 		}
 	}
 	return cov
+}
+
+// covTriangleRow adds Σ_i c[i*n]·c[i*n+b] into crow[b] for every b, over
+// ascending i, skipping the terms whose c[i*n] is zero; c starts at column
+// a of the centered rows and crow at cov(a, a). Four observations are
+// folded per pass through a register accumulator, one rounded += at a
+// time, so each entry sees exactly the serial sequence of additions.
+func covTriangleRow(crow, c []float64, n, rows int) {
+	w := len(crow)
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		r0, r1 := c[i*n:][:w], c[(i+1)*n:][:w]
+		r2, r3 := c[(i+2)*n:][:w], c[(i+3)*n:][:w]
+		v0, v1, v2, v3 := r0[0], r1[0], r2[0], r3[0]
+		if v0 == 0 || v1 == 0 || v2 == 0 || v3 == 0 {
+			covAxpy(crow, r0, v0)
+			covAxpy(crow, r1, v1)
+			covAxpy(crow, r2, v2)
+			covAxpy(crow, r3, v3)
+			continue
+		}
+		for b, t := range crow {
+			t += v0 * r0[b]
+			t += v1 * r1[b]
+			t += v2 * r2[b]
+			t += v3 * r3[b]
+			crow[b] = t
+		}
+	}
+	for ; i < rows; i++ {
+		r := c[i*n:][:w]
+		covAxpy(crow, r, r[0])
+	}
+}
+
+// covAxpy adds va·r[b] into crow[b], or nothing when va is zero (which also
+// leaves a −0 accumulator intact).
+func covAxpy(crow, r []float64, va float64) {
+	if va == 0 {
+		return
+	}
+	r = r[:len(crow)]
+	for b, x := range r {
+		crow[b] += va * x
+	}
 }

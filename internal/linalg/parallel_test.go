@@ -68,7 +68,7 @@ func TestMulWorkersBitwiseEqual(t *testing.T) {
 // upper-triangle accumulation) must match the serial path bit for bit.
 func TestCovarianceWorkersBitwiseEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for _, s := range []struct{ rows, cols int }{{5, 4}, {200, 40}, {2, 64}} {
+	for _, s := range []struct{ rows, cols int }{{5, 4}, {200, 40}, {2, 64}, {301, 37}, {1003, 24}} {
 		m := randMatrix(rng, s.rows, s.cols)
 		want := CovarianceWorkers(m, 1)
 		for _, w := range []int{2, 4, 8} {

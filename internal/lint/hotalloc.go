@@ -27,9 +27,10 @@ var AnalyzerHotAlloc = &Analyzer{
 }
 
 // hotPathFuncs is the canonical hot-kernel list: every function here is on
-// the per-block or per-symbol path of a codec, or the per-pair path of the
-// Jacobi SVD, and must stay allocation free in steady state. Methods are
-// listed by bare name.
+// the per-block or per-symbol path of a codec, the per-pair path of the
+// Jacobi SVD and EigenSym, the per-row path of the covariance, or the
+// per-row and per-level path of the Haar transforms, and must stay
+// allocation free in steady state. Methods are listed by bare name.
 var hotPathFuncs = map[string]map[string]bool{
 	"lrm/internal/compress/zfp": {
 		"encodePlane": true, "decodePlane": true,
@@ -50,6 +51,15 @@ var hotPathFuncs = map[string]map[string]bool{
 	},
 	"lrm/internal/linalg": {
 		"jacobiDots": true, "jacobiRotate": true, "jacobiRotateDot": true,
+		"eigenRotate": true, "planeRotate": true,
+		"covTriangleRow": true, "covAxpy": true,
+	},
+	"lrm/internal/wavelet": {
+		"forwardStep": true, "inverseStep": true,
+		"forwardStepPanel": true, "inverseStepPanel": true,
+		"forwardLevels": true, "inverseLevels": true, "bandLadder": true,
+		"Forward1D": true, "Inverse1D": true, "Forward2D": true, "Inverse2D": true,
+		"Forward2DNonstandard": true, "Inverse2DNonstandard": true,
 	},
 }
 

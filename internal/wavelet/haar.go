@@ -10,12 +10,22 @@ import (
 	"math"
 
 	"lrm/internal/compress"
+	"lrm/internal/parallel"
 )
 
 // invSqrt2 scales the Haar sum/difference pairs so the transform is
 // orthonormal (energy preserving), which makes thresholds comparable across
 // levels.
 var invSqrt2 = 1 / math.Sqrt2
+
+// panelWidth is how many adjacent columns the column pass transforms
+// together: eight float64s, one 64-byte cache line of every row, so each
+// step reads and writes whole lines instead of one element per row.
+const panelWidth = 8
+
+// maxLevels bounds the band-size ladder: every level halves (rounding up) a
+// band of fewer than 2^63 elements, so no transform has more levels.
+const maxLevels = 64
 
 // forwardStep transforms one level in place: pair sums go to the front half
 // of v, pair differences to the back half. For odd lengths the trailing
@@ -53,49 +63,117 @@ func inverseStep(v []float64, tmp []float64) {
 	copy(v, tmp[:n])
 }
 
-// Forward1D applies the full multilevel Haar transform to v in place,
-// recursing on the low band until a single coefficient remains.
-func Forward1D(v []float64) {
-	tmp := make([]float64, len(v))
-	n := len(v)
-	for n >= 2 {
+// forwardStepPanel is forwardStep applied to the first n rows of w ≤
+// panelWidth adjacent columns at once: d holds the panel's first row at
+// d[:w] and row r at d[r*stride:]. tmp needs n*w elements. Every element
+// gets forwardStep's arithmetic; only the traversal differs.
+func forwardStepPanel(d []float64, stride, w, n int, tmp []float64) int {
+	pairs := n / 2
+	low := (n + 1) / 2
+	for i := 0; i < pairs; i++ {
+		ra, rb := d[2*i*stride:][:w], d[(2*i+1)*stride:][:w]
+		ts, td := tmp[i*w:][:w], tmp[(low+i)*w:][:w]
+		for j, a := range ra {
+			b := rb[j]
+			ts[j] = (a + b) * invSqrt2
+			td[j] = (a - b) * invSqrt2
+		}
+	}
+	if n%2 == 1 {
+		copy(tmp[pairs*w:][:w], d[(n-1)*stride:][:w])
+	}
+	for r := 0; r < n; r++ {
+		copy(d[r*stride:][:w], tmp[r*w:][:w])
+	}
+	return low
+}
+
+// inverseStepPanel undoes forwardStepPanel for a band of n rows.
+func inverseStepPanel(d []float64, stride, w, n int, tmp []float64) {
+	pairs := n / 2
+	low := (n + 1) / 2
+	for i := 0; i < pairs; i++ {
+		rs, rd := d[i*stride:][:w], d[(low+i)*stride:][:w]
+		ta, tb := tmp[2*i*w:][:w], tmp[(2*i+1)*w:][:w]
+		for j, s := range rs {
+			dd := rd[j]
+			ta[j] = (s + dd) * invSqrt2
+			tb[j] = (s - dd) * invSqrt2
+		}
+	}
+	if n%2 == 1 {
+		copy(tmp[(n-1)*w:][:w], d[pairs*stride:][:w])
+	}
+	for r := 0; r < n; r++ {
+		copy(d[r*stride:][:w], tmp[r*w:][:w])
+	}
+}
+
+// bandLadder returns the band sizes n, ⌈n/2⌉, ... (all ≥ 2) that the
+// multilevel transform of length n visits, stored in buf.
+func bandLadder(n int, buf *[maxLevels]int) []int {
+	k := 0
+	for ; n >= 2; n = (n + 1) / 2 {
+		buf[k] = n
+		k++
+	}
+	return buf[:k]
+}
+
+// forwardLevels is the multilevel forward transform of v with scratch tmp.
+func forwardLevels(v, tmp []float64) {
+	for n := len(v); n >= 2; {
 		n = forwardStep(v[:n], tmp)
 	}
 }
 
+// inverseLevels undoes forwardLevels by unwinding the band ladder of v's
+// length.
+func inverseLevels(v, tmp []float64, ladder []int) {
+	for k := len(ladder) - 1; k >= 0; k-- {
+		inverseStep(v[:ladder[k]], tmp)
+	}
+}
+
+// Forward1D applies the full multilevel Haar transform to v in place,
+// recursing on the low band until a single coefficient remains.
+func Forward1D(v []float64) {
+	tmp := parallel.Floats(len(v))
+	forwardLevels(v, tmp)
+	parallel.PutFloats(tmp)
+}
+
 // Inverse1D undoes Forward1D in place.
 func Inverse1D(v []float64) {
-	tmp := make([]float64, len(v))
-	// Reproduce the band-size ladder, then unwind it.
-	var sizes []int
-	n := len(v)
-	for n >= 2 {
-		sizes = append(sizes, n)
-		n = (n + 1) / 2
-	}
-	for i := len(sizes) - 1; i >= 0; i-- {
-		inverseStep(v[:sizes[i]], tmp)
-	}
+	tmp := parallel.Floats(len(v))
+	var buf [maxLevels]int
+	inverseLevels(v, tmp, bandLadder(len(v), &buf))
+	parallel.PutFloats(tmp)
+}
+
+// scratch2D returns the one scratch buffer a 2-D transform needs: a row,
+// or a panel of the full column height, whichever is larger.
+func scratch2D(rows, cols int) []float64 {
+	return parallel.Floats(max(cols, panelWidth*rows))
 }
 
 // Forward2D applies the standard (separable) decomposition to a row-major
 // rows×cols matrix in place: the full 1-D transform to every row, then to
-// every column. This matches the paper's Step 1 / Step 2 description.
+// every column. This matches the paper's Step 1 / Step 2 description. The
+// columns are transformed panelWidth at a time, straight from the matrix.
 func Forward2D(data []float64, rows, cols int) error {
 	if rows*cols != len(data) {
 		return fmt.Errorf("wavelet: %d values do not fit %dx%d", len(data), rows, cols)
 	}
+	tmp := scratch2D(rows, cols)
+	defer parallel.PutFloats(tmp)
 	for r := 0; r < rows; r++ {
-		Forward1D(data[r*cols : (r+1)*cols])
+		forwardLevels(data[r*cols:(r+1)*cols], tmp)
 	}
-	col := make([]float64, rows)
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			col[r] = data[r*cols+c]
-		}
-		Forward1D(col)
-		for r := 0; r < rows; r++ {
-			data[r*cols+c] = col[r]
+	for c := 0; c < cols; c += panelWidth {
+		w := min(panelWidth, cols-c)
+		for n := rows; n >= 2; {
+			n = forwardStepPanel(data[c:], cols, w, n, tmp)
 		}
 	}
 	return nil
@@ -106,18 +184,19 @@ func Inverse2D(data []float64, rows, cols int) error {
 	if rows*cols != len(data) {
 		return fmt.Errorf("wavelet: %d values do not fit %dx%d", len(data), rows, cols)
 	}
-	col := make([]float64, rows)
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			col[r] = data[r*cols+c]
-		}
-		Inverse1D(col)
-		for r := 0; r < rows; r++ {
-			data[r*cols+c] = col[r]
+	tmp := scratch2D(rows, cols)
+	defer parallel.PutFloats(tmp)
+	var colBuf, rowBuf [maxLevels]int
+	colLadder := bandLadder(rows, &colBuf)
+	for c := 0; c < cols; c += panelWidth {
+		w := min(panelWidth, cols-c)
+		for k := len(colLadder) - 1; k >= 0; k-- {
+			inverseStepPanel(data[c:], cols, w, colLadder[k], tmp)
 		}
 	}
+	rowLadder := bandLadder(cols, &rowBuf)
 	for r := 0; r < rows; r++ {
-		Inverse1D(data[r*cols : (r+1)*cols])
+		inverseLevels(data[r*cols:(r+1)*cols], tmp, rowLadder)
 	}
 	return nil
 }

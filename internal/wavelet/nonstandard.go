@@ -1,6 +1,10 @@
 package wavelet
 
-import "fmt"
+import (
+	"fmt"
+
+	"lrm/internal/parallel"
+)
 
 // Forward2DNonstandard applies the nonstandard (pyramid) Haar
 // decomposition: rows and columns are transformed ONE level at a time,
@@ -14,7 +18,8 @@ func Forward2DNonstandard(data []float64, rows, cols int) error {
 	if rows*cols != len(data) {
 		return fmt.Errorf("wavelet: %d values do not fit %dx%d", len(data), rows, cols)
 	}
-	tmp := make([]float64, max(rows, cols))
+	tmp := scratch2D(rows, cols)
+	defer parallel.PutFloats(tmp)
 	r, c := rows, cols
 	for r >= 2 || c >= 2 {
 		if c >= 2 {
@@ -25,15 +30,8 @@ func Forward2DNonstandard(data []float64, rows, cols int) error {
 			c = (c + 1) / 2
 		}
 		if r >= 2 {
-			col := tmp[:r]
-			for i := 0; i < c; i++ {
-				for j := 0; j < r; j++ {
-					col[j] = data[j*cols+i]
-				}
-				forwardStep(col, make([]float64, r))
-				for j := 0; j < r; j++ {
-					data[j*cols+i] = col[j]
-				}
+			for i := 0; i < c; i += panelWidth {
+				forwardStepPanel(data[i:], cols, min(panelWidth, c-i), r, tmp)
 			}
 			r = (r + 1) / 2
 		}
@@ -52,7 +50,8 @@ func Inverse2DNonstandard(data []float64, rows, cols int) error {
 		didRow bool
 		didCol bool
 	}
-	var ladder []level
+	var ladder [maxLevels]level
+	levels := 0
 	r, c := rows, cols
 	for r >= 2 || c >= 2 {
 		lv := level{r: r, c: c}
@@ -64,10 +63,12 @@ func Inverse2DNonstandard(data []float64, rows, cols int) error {
 			lv.didCol = true
 			r = (r + 1) / 2
 		}
-		ladder = append(ladder, lv)
+		ladder[levels] = lv
+		levels++
 	}
-	tmp := make([]float64, max(rows, cols))
-	for i := len(ladder) - 1; i >= 0; i-- {
+	tmp := scratch2D(rows, cols)
+	defer parallel.PutFloats(tmp)
+	for i := levels - 1; i >= 0; i-- {
 		lv := ladder[i]
 		rr, cc := lv.r, lv.c
 		// The forward pass at this level saw (rr, cc); its row step worked
@@ -78,15 +79,8 @@ func Inverse2DNonstandard(data []float64, rows, cols int) error {
 			lowC = (cc + 1) / 2
 		}
 		if lv.didCol {
-			col := tmp[:rr]
-			for x := 0; x < lowC; x++ {
-				for j := 0; j < rr; j++ {
-					col[j] = data[j*cols+x]
-				}
-				inverseStep(col, make([]float64, rr))
-				for j := 0; j < rr; j++ {
-					data[j*cols+x] = col[j]
-				}
+			for x := 0; x < lowC; x += panelWidth {
+				inverseStepPanel(data[x:], cols, min(panelWidth, lowC-x), rr, tmp)
 			}
 		}
 		if lv.didRow {

@@ -58,9 +58,10 @@ if [ "${1:-}" != "quick" ]; then
 	# the artifact pipeline end to end without paying full measurement cost,
 	# and the traced pass exercises span propagation through the pool.
 	step go run ./cmd/lrmbench -iters 1 -stats -profile-top -out /tmp/lrmbench-smoke.json -trace /tmp/lrmbench-trace.json
-	# One iteration of the exact-SVD kernel micro-benchmark keeps it compiling
-	# and running.
-	step go test -run '^$' -bench SVD -benchtime 1x ./internal/linalg/
+	# One iteration of the reduce-layer kernel micro-benchmarks (exact SVD,
+	# Jacobi EigenSym, 2-D Haar) keeps them compiling and running.
+	step go test -run '^$' -bench 'SVD|EigenSym' -benchtime 1x ./internal/linalg/
+	step go test -run '^$' -bench Haar2D -benchtime 1x ./internal/wavelet/
 	# The trace artifact must contain the pipeline root span (lrmbench
 	# already refuses to write a file that is not valid JSON).
 	echo "==> trace smoke: core.compress root present"
