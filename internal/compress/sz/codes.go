@@ -5,6 +5,7 @@ import (
 
 	"lrm/internal/compress"
 	"lrm/internal/huffman"
+	"lrm/internal/parallel"
 )
 
 // encodeCodes entropy-codes the quantization codes. Huffman is the right
@@ -15,13 +16,18 @@ func encodeCodes(codes []int, workers int) []byte {
 	return huffman.EncodeParallel(codes, workers)
 }
 
-// decodeCodes reverses encodeCodes and validates the expected count.
+// decodeCodes reverses encodeCodes and validates the expected count. The
+// codes land in an arena slice: the caller owns it and must return it with
+// parallel.PutInts once dequantized.
 func decodeCodes(b []byte, n int) ([]int, error) {
-	codes, err := huffman.Decode(b)
+	buf := parallel.Ints(n)
+	codes, err := huffman.DecodeInto(buf, b)
 	if err != nil {
+		parallel.PutInts(buf)
 		return nil, fmt.Errorf("sz: %w", err)
 	}
 	if len(codes) != n {
+		parallel.PutInts(buf)
 		return nil, fmt.Errorf("sz: decoded %d codes, want %d: %w", len(codes), n, compress.ErrCorrupt)
 	}
 	return codes, nil

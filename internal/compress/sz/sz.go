@@ -419,6 +419,9 @@ func buildPayload(codes []int, exact []float64, workers int) []byte {
 	return append(b, enc...)
 }
 
+// parsePayload splits a payload into its exact values and quantization
+// codes. The codes are arena-backed (see decodeCodes): on success the
+// caller returns them with parallel.PutInts after dequantizing.
 func parsePayload(b []byte, n int) (codes []int, exact []float64, err error) {
 	cnt, sz := binary.Uvarint(b)
 	if sz <= 0 {
@@ -639,6 +642,7 @@ func decompress(ctx context.Context, data []byte, cfg parallel.Config) (*grid.Fi
 		if err != nil {
 			return nil, err
 		}
+		defer parallel.PutInts(codes)
 		_, ds := trace.Start(ctx, "sz.dequantize")
 		vals, err := dequantizeCore(codes, dims, eb, exact, curveFit, cfg.WorkersFor(8*int64(n)))
 		ds.AddItems(int64(len(codes)))
@@ -685,6 +689,7 @@ func decompress(ctx context.Context, data []byte, cfg parallel.Config) (*grid.Fi
 		if err != nil {
 			return nil, err
 		}
+		defer parallel.PutInts(codes)
 		_, ds := trace.Start(ctx, "sz.dequantize")
 		logs, err := dequantizeCore(codes, dims, eb, exact, curveFit, cfg.WorkersFor(8*int64(n)))
 		ds.AddItems(int64(len(codes)))

@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,8 +10,8 @@ import (
 
 // TestGenerateCorpus regenerates the checked-in FuzzDecode seed corpus:
 // a table-sized skewed stream, fault-injected (truncated / bit-flipped)
-// variants, a deep-code stream that overflows the decode table, and raw
-// garbage. Gated behind LRM_GEN_CORPUS like the codec corpus generators.
+// variants, a deep-code stream that overflows the decode table, streams
+// long enough for the multi-symbol fast loop, and raw garbage. Gated behind LRM_GEN_CORPUS like the codec corpus generators.
 func TestGenerateCorpus(t *testing.T) {
 	if os.Getenv("LRM_GEN_CORPUS") == "" {
 		t.Skip("set LRM_GEN_CORPUS=1 to regenerate testdata/fuzz seeds")
@@ -49,6 +50,20 @@ func TestGenerateCorpus(t *testing.T) {
 	// Kraft-oversubscribed header (three symbols of length 1): canonically
 	// ordered but the third code overflows its bit length.
 	seeds["seed-oversubscribed"] = append([]byte{64, 3, 0, 1, 2, 1, 4, 1}, make([]byte, 16)...)
+
+	// Payloads of thousands of symbols reach the multi-symbol fast loop, so
+	// mutations land inside it rather than only in the per-symbol tail.
+	sz := Encode(goldenSkew(4096))
+	seeds["seed-fast-skewed"] = sz
+	mut = append([]byte(nil), sz...)
+	mut[len(mut)/2] ^= 0x08
+	seeds["seed-fast-bitflip"] = mut
+	seeds["seed-fast-truncated"] = sz[:len(sz)-5]
+	// Shuffled Fibonacci counts put codes past tableBits mid-payload.
+	deepFast := fibSymbols(20)
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(deepFast), func(i, j int) { deepFast[i], deepFast[j] = deepFast[j], deepFast[i] })
+	seeds["seed-fast-deepcodes"] = Encode(deepFast)
 
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"lrm/internal/bitstream"
 	"lrm/internal/compress"
+	"lrm/internal/parallel"
 )
 
 // decodeReference is the pre-table decoder kept verbatim: header parse, then
@@ -216,6 +217,8 @@ func TestDecodeMatchesReference(t *testing.T) {
 	over = append(over, make([]byte, 16)...)
 	inputs = append(inputs, over)
 
+	inputs = append(inputs, fastRegionInputs(rng)...)
+
 	for i, data := range inputs {
 		i, data := i, data
 		t.Run(fmt.Sprintf("input-%d", i), func(t *testing.T) {
@@ -224,11 +227,125 @@ func TestDecodeMatchesReference(t *testing.T) {
 	}
 }
 
+// fastRegionInputs builds streams aimed at the multi-symbol fast loop and
+// its hand-offs: counts around multiMinSymbols, payloads that end on every
+// offset around the fastTailBytes edge and the fastTailSymbols tail, long
+// codes in mid-payload, alphabets too large for the multi-symbol table,
+// and truncations and bit flips of each byte near the payload's end.
+func fastRegionInputs(rng *rand.Rand) [][]byte {
+	var valid [][]byte
+	skewed := func(n int) []int {
+		syms := make([]int, n)
+		for i := range syms {
+			syms[i] = 1<<15 + int(rng.NormFloat64()*2)
+			if rng.Intn(100) == 0 {
+				syms[i] = 1 << 16
+			}
+		}
+		return syms
+	}
+	// SZ-shaped streams with counts straddling the multi-table threshold
+	// and the fast loop's symbol tail, then two long enough to stay in
+	// the fast region for thousands of lookups.
+	for _, n := range []int{multiMinSymbols - 1, multiMinSymbols, multiMinSymbols + 1,
+		multiMinSymbols + fastTailSymbols - 1, multiMinSymbols + fastTailSymbols,
+		multiMinSymbols + fastTailSymbols + 1, 4096, 1 << 15} {
+		valid = append(valid, Encode(skewed(n)))
+	}
+	// Mostly 1-bit codes: one more symbol moves the payload's end by about
+	// one bit, so eight streams end at every bit offset of a byte.
+	for extra := 0; extra < 8; extra++ {
+		syms := make([]int, multiMinSymbols+extra)
+		for i := range syms {
+			if i%50 == 49 {
+				syms[i] = 1 + i%3
+			}
+		}
+		valid = append(valid, Encode(syms))
+	}
+	// Long codes scattered through a long payload: the Fibonacci alphabet
+	// shuffled, so codes past tableBits start at arbitrary bit offsets
+	// inside the fast region.
+	deep := fibSymbols(20)
+	rng.Shuffle(len(deep), func(i, j int) { deep[i], deep[j] = deep[j], deep[i] })
+	valid = append(valid, Encode(deep))
+
+	out := append([][]byte(nil), valid...)
+	for _, enc := range valid {
+		// Every cut and a bit flip at every byte across the last stretch of
+		// the payload: each fast-region exit point meets each failure.
+		for back := 1; back <= 2*fastTailBytes && back < len(enc); back++ {
+			out = append(out, enc[:len(enc)-back])
+			mut := append([]byte(nil), enc...)
+			mut[len(mut)-back] ^= 1 << uint(rng.Intn(8))
+			out = append(out, mut)
+		}
+		// Mid-payload damage, where the fast loop meets it first.
+		for i := 0; i < 4; i++ {
+			mut := append([]byte(nil), enc...)
+			mut[len(mut)/2+rng.Intn(len(mut)/4)] ^= 1 << uint(rng.Intn(8))
+			out = append(out, mut)
+		}
+	}
+	// An under-subscribed header (two symbols of length 2 leave every code
+	// starting with 1 unused) whose payload turns invalid mid-way: the fast
+	// loop must hand the bad window to the per-bit walk, which reports it.
+	under := []byte{0x80, 0x20, 2, 0, 2, 2, 2} // count 4096
+	under = append(under, make([]byte, 600)...)
+	under = append(under, 0xff)
+	under = append(under, make([]byte, 600)...)
+	out = append(out, under)
+	// Kraft-oversubscribed (three symbols of length 1, the third code
+	// unreachable) with a count large enough to build the multi table.
+	over := append([]byte{0x80, 0x20, 3, 0, 1, 2, 1, 4, 1}, make([]byte, 256)...)
+	for i := 9; i < len(over); i += 7 {
+		over[i] = byte(i)
+	}
+	out = append(out, over)
+
+	// The largest alphabet the multi-symbol table serves, and the smallest
+	// it turns away (the single-symbol path then decodes everything). These
+	// streams are long, so they get one cut and one flip each.
+	for _, nsyms := range []int{multiMaxAlphabet - 1, multiMaxAlphabet} {
+		wide := make([]int, nsyms+multiMinSymbols)
+		for i := range wide {
+			wide[i] = i % nsyms
+		}
+		enc := Encode(wide)
+		mut := append([]byte(nil), enc...)
+		mut[len(mut)-len(mut)/8] ^= 0x10
+		out = append(out, enc, enc[:len(enc)-1], mut)
+	}
+	return out
+}
+
+// TestFastRegionFixtures checks that the deep fixture of fastRegionInputs
+// is long enough for the fast loop and holds codes past tableBits, so long
+// codes are decoded from inside the fast region.
+func TestFastRegionFixtures(t *testing.T) {
+	deep := fibSymbols(20)
+	hist, counts, _ := histogram(deep, 1)
+	if counts != nil {
+		parallel.PutInts(counts)
+	}
+	maxLen := 0
+	for _, e := range codeLengths(hist) {
+		maxLen = max(maxLen, e.length)
+	}
+	if len(deep) < 4*multiMinSymbols || maxLen <= tableBits {
+		t.Fatalf("deep fixture: %d symbols, max code length %d; want ≥ %d symbols and codes past tableBits %d",
+			len(deep), maxLen, 4*multiMinSymbols, tableBits)
+	}
+}
+
 // TestDecodeDeepCodesRoundTrip pins the overflow path explicitly: the
 // Fibonacci alphabet must round-trip and must contain codes > tableBits.
 func TestDecodeDeepCodesRoundTrip(t *testing.T) {
 	syms := fibSymbols(24)
-	hist := histogram(syms, 1)
+	hist, counts, _ := histogram(syms, 1)
+	if counts != nil {
+		parallel.PutInts(counts)
+	}
 	sl := codeLengths(hist)
 	maxLen := 0
 	for _, e := range sl {

@@ -6,8 +6,9 @@ import "testing"
 // arbitrary input, and differentially checks the table-driven decoder
 // against the per-bit reference: identical symbols, identical errors. The
 // checked-in seeds under testdata/fuzz/FuzzDecode include truncated and
-// bit-flipped streams, so plain `go test` already exercises both decoders
-// over the fault-injection corpus.
+// bit-flipped streams, some of them thousands of symbols long, so plain
+// `go test` already exercises both decoders — the multi-symbol fast loop
+// included — over the fault-injection corpus.
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode([]int{1, 2, 3, 1, 1, 2}))
 	f.Add(Encode([]int{-5}))

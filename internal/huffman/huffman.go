@@ -7,6 +7,16 @@
 // lengths (canonical codes are reconstructed from lengths alone), followed
 // by the bit-packed payload.
 //
+// Both directions are table-driven. The encoder looks each symbol's code
+// up in a flat table indexed by symbol, built in the histogram's own count
+// buffer whenever the symbol span is dense (the SZ case: codes in
+// [0, 2^16] however few are present); only sparse alphabets use a map. The
+// decoder reads 64-bit windows and resolves up to three short codes per
+// lookup in a multi-symbol table, leaving long codes and the last payload
+// bytes to a per-symbol path. The format is fixed: the streams and every
+// decode outcome, errors included, are those of the plain per-symbol coder
+// (decodeReference in the tests).
+//
 // Both the frequency count and the payload encode parallelize over shards
 // of the symbol slice without changing a single output bit: per-shard
 // counts merge by addition (commutative, so the totals equal a serial
@@ -42,6 +52,33 @@ const tableBits = 11
 // entries costs more than the per-bit walk it replaces.
 const tableMinSymbols = 64
 
+// multiMinSymbols gates the multi-symbol table: its build clears and
+// refills 2^tableBits entries, up to three stores each, and pays for
+// itself only from about this many symbols on. Both sides are in use: the
+// lrm-bench/3 model-select workload (seed 1) decodes sz streams of 1 to
+// 1680 symbols (below) and of 2160 to 64000 (above); direct-sz decodes
+// 262144.
+const multiMinSymbols = 2048
+
+// multiMaxAlphabet bounds the alphabet the multi-symbol table serves: its
+// entries hold three 16-bit canonical indices, so it is built only for
+// alphabets of fewer than 2^16 symbols.
+const multiMaxAlphabet = 1 << 16
+
+// fastTailBytes is how many payload bytes must remain for the fast decode
+// loop: 9 bytes cover a 64-bit window at any bit offset, so every code the
+// loop resolves from the table lies wholly in genuine payload bits.
+const fastTailBytes = 9
+
+// lookupsPerWindow is how many multi-symbol lookups the fast loop takes
+// from one 64-bit window: a window read at any bit offset holds at least
+// 57 genuine bits, and each lookup consumes at most tableBits of them.
+const lookupsPerWindow = (64 - 7) / tableBits
+
+// fastTailSymbols is the room the fast loop needs in the output per
+// window: every lookup stores three symbols.
+const fastTailSymbols = 3 * lookupsPerWindow
+
 // minParallelSymbols gates the sharded paths: below this, pool fork/join
 // overhead swamps the counting and packing work.
 const minParallelSymbols = 4096
@@ -72,25 +109,31 @@ const denseRangeCap = 1 << 22
 // symbol. When the symbol span is small it counts into dense per-shard
 // arrays merged by addition; otherwise it falls back to a serial map. Both
 // paths return the identical sorted slice.
-func histogram(symbols []int, workers int) []symCount {
+//
+// On the dense path the span-sized count buffer is also returned, with the
+// smallest symbol as its base: it comes from the parallel arena, the caller
+// owns it (buildCodeTable overwrites it with the code table) and must hand
+// it back with parallel.PutInts. On the map path dense is nil.
+func histogram(symbols []int, workers int) (hist []symCount, dense []int, base int) {
 	if len(symbols) == 0 {
-		return nil
+		return nil, nil, 0
 	}
 	lo, hi := minMax(symbols, workers)
 	span := hi - lo + 1
 	if span <= denseRangeCap && span <= 4*len(symbols)+1024 {
-		return denseHistogram(symbols, lo, span, workers)
+		dense = denseCounts(symbols, lo, span, workers)
+		return denseHistogram(dense, lo), dense, lo
 	}
 	counts := make(map[int]int)
 	for _, s := range symbols {
 		counts[s]++
 	}
-	out := make([]symCount, 0, len(counts))
+	hist = make([]symCount, 0, len(counts))
 	for s, c := range counts {
-		out = append(out, symCount{s, c})
+		hist = append(hist, symCount{s, c})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].symbol < out[j].symbol })
-	return out
+	sort.Slice(hist, func(i, j int) bool { return hist[i].symbol < hist[j].symbol })
+	return hist, nil, 0
 }
 
 // minMax scans for the smallest and largest symbol, sharding the scan when
@@ -135,12 +178,11 @@ func minMax(symbols []int, workers int) (int, int) {
 	return lo, hi
 }
 
-// denseHistogram counts into span-sized arrays indexed by symbol-lo.
+// denseCounts counts into a span-sized arena array indexed by symbol-lo.
 // Per-shard tables merge by addition, so the totals are exactly the serial
 // counts no matter how shards interleave.
-func denseHistogram(symbols []int, lo, span, workers int) []symCount {
+func denseCounts(symbols []int, lo, span, workers int) []int {
 	total := parallel.Ints(span)
-	defer parallel.PutInts(total)
 	for i := range total {
 		total[i] = 0
 	}
@@ -148,34 +190,40 @@ func denseHistogram(symbols []int, lo, span, workers int) []symCount {
 		for _, s := range symbols {
 			total[s-lo]++
 		}
-	} else {
-		shards := parallel.Shards(workers, len(symbols))
-		tables := make([][]int, shards)
-		parallel.ForShard(workers, len(symbols), func(sh, a, b int) {
-			t := parallel.Ints(span)
-			for i := range t {
-				t[i] = 0
-			}
-			for _, s := range symbols[a:b] {
-				t[s-lo]++
-			}
-			tables[sh] = t
-		})
-		for _, t := range tables {
-			for i, c := range t {
-				total[i] += c
-			}
-			parallel.PutInts(t)
-		}
+		return total
 	}
+	shards := parallel.Shards(workers, len(symbols))
+	tables := make([][]int, shards)
+	parallel.ForShard(workers, len(symbols), func(sh, a, b int) {
+		t := parallel.Ints(span)
+		for i := range t {
+			t[i] = 0
+		}
+		for _, s := range symbols[a:b] {
+			t[s-lo]++
+		}
+		tables[sh] = t
+	})
+	for _, t := range tables {
+		for i, c := range t {
+			total[i] += c
+		}
+		parallel.PutInts(t)
+	}
+	return total
+}
+
+// denseHistogram lists the nonzero entries of a dense count array, in
+// symbol order.
+func denseHistogram(counts []int, lo int) []symCount {
 	nsyms := 0
-	for _, c := range total {
+	for _, c := range counts {
 		if c > 0 {
 			nsyms++
 		}
 	}
 	out := make([]symCount, 0, nsyms)
-	for i, c := range total {
+	for i, c := range counts {
 		if c > 0 {
 			out = append(out, symCount{lo + i, c})
 		}
@@ -326,46 +374,43 @@ type symLen struct {
 	symbol, length int
 }
 
-// codeTable resolves symbol -> (code, length) for the payload loop. For
-// compact alphabets it is two flat arrays indexed by symbol-base — one
-// load per symbol instead of two map probes.
+// codeTable resolves symbol -> (code, length) for the payload loop. Each
+// entry packs code<<6 | length (lengths are at most maxCodeLen < 64, so a
+// code plus its length fit one 64-bit word). Whenever the histogram was
+// dense the table is dense too — one load per symbol — and it lives in the
+// histogram's own count buffer, so no second span-sized array is
+// allocated. Only a sparse histogram falls back to a map.
 type codeTable struct {
-	dense   bool
-	base    int
-	codeArr []uint64
-	lenArr  []uint8
-	codeMap map[int]uint64
-	lenMap  map[int]int
+	base   int
+	dense  []int          // packed entry at symbol-base; nil on the map path
+	sparse map[int]uint64 // packed entry by symbol
 }
 
-func buildCodeTable(sl []symLen, codes []uint64) codeTable {
-	if len(sl) == 0 {
-		return codeTable{}
-	}
-	lo, hi := sl[0].symbol, sl[0].symbol
-	for _, e := range sl[1:] {
-		if e.symbol < lo {
-			lo = e.symbol
-		}
-		if e.symbol > hi {
-			hi = e.symbol
-		}
-	}
-	span := hi - lo + 1
-	if span <= denseRangeCap && span <= 4*len(sl)+1024 {
-		t := codeTable{dense: true, base: lo, codeArr: make([]uint64, span), lenArr: make([]uint8, span)}
+// buildCodeTable packs the canonical codes into a codeTable. counts and
+// base are histogram's dense buffer and base: when counts is non-nil its
+// entries are overwritten in place (every present symbol appears in sl,
+// and absent symbols are never looked up), so counts must not be read as
+// counts afterwards.
+func buildCodeTable(sl []symLen, codes []uint64, counts []int, base int) codeTable {
+	if counts != nil {
 		for i, e := range sl {
-			t.codeArr[e.symbol-lo] = codes[i]
-			t.lenArr[e.symbol-lo] = uint8(e.length)
+			counts[e.symbol-base] = int(codes[i]<<6 | uint64(e.length))
 		}
-		return t
+		return codeTable{base: base, dense: counts}
 	}
-	t := codeTable{codeMap: make(map[int]uint64, len(sl)), lenMap: make(map[int]int, len(sl))}
+	t := codeTable{sparse: make(map[int]uint64, len(sl))}
 	for i, e := range sl {
-		t.codeMap[e.symbol] = codes[i]
-		t.lenMap[e.symbol] = e.length
+		t.sparse[e.symbol] = codes[i]<<6 | uint64(e.length)
 	}
 	return t
+}
+
+// entry returns the packed code<<6 | length of symbol s.
+func (t *codeTable) entry(s int) uint64 {
+	if t.dense != nil {
+		return uint64(t.dense[s-t.base])
+	}
+	return t.sparse[s]
 }
 
 // pack writes the codes for a run of symbols into w. Codes batch through a
@@ -376,26 +421,27 @@ func buildCodeTable(sl []symLen, codes []uint64) codeTable {
 func (t *codeTable) pack(w *bitstream.Writer, symbols []int) {
 	var acc uint64
 	var cnt uint
-	if t.dense {
-		base, codeArr, lenArr := t.base, t.codeArr, t.lenArr
+	if t.dense != nil {
+		base, tab := t.base, t.dense
 		for _, s := range symbols {
-			i := s - base
-			c, l := codeArr[i], uint(lenArr[i])
+			e := uint64(tab[s-base])
+			l := uint(e & 63)
 			if cnt+l > 64 {
 				w.WriteBits(acc, cnt)
 				acc, cnt = 0, 0
 			}
-			acc = acc<<l | c
+			acc = acc<<l | e>>6
 			cnt += l
 		}
 	} else {
 		for _, s := range symbols {
-			c, l := t.codeMap[s], uint(t.lenMap[s])
+			e := t.sparse[s]
+			l := uint(e & 63)
 			if cnt+l > 64 {
 				w.WriteBits(acc, cnt)
 				acc, cnt = 0, 0
 			}
-			acc = acc<<l | c
+			acc = acc<<l | e>>6
 			cnt += l
 		}
 	}
@@ -412,7 +458,7 @@ func Encode(symbols []int) []byte { return EncodeParallel(symbols, 1) }
 // build depends only on the totals, and shard payloads concatenate in
 // shard order.
 func EncodeParallel(symbols []int, workers int) []byte {
-	hist := histogram(symbols, workers)
+	hist, counts, base := histogram(symbols, workers)
 	sl := codeLengths(hist)
 	codes := canonicalize(sl)
 
@@ -424,21 +470,18 @@ func EncodeParallel(symbols []int, workers int) []byte {
 		hdr = binary.AppendUvarint(hdr, uint64(e.length))
 	}
 
-	table := buildCodeTable(sl, codes)
+	table := buildCodeTable(sl, codes, counts, base)
+	if counts != nil {
+		defer parallel.PutInts(counts)
+	}
 	var w bitstream.Writer
 	if workers <= 1 || len(symbols) < minParallelSymbols {
 		// Presize the payload buffer: the exact bit total is a histogram
 		// dot product, which turns pack's repeated append-growth into a
 		// single allocation.
 		var totalBits int
-		if table.dense {
-			for _, e := range hist {
-				totalBits += e.count * int(table.lenArr[e.symbol-table.base])
-			}
-		} else {
-			for _, e := range hist {
-				totalBits += e.count * table.lenMap[e.symbol]
-			}
+		for _, e := range hist {
+			totalBits += e.count * int(table.entry(e.symbol)&63)
 		}
 		w.Grow(totalBits)
 		table.pack(&w, symbols)
@@ -463,7 +506,21 @@ func EncodeParallel(symbols []int, workers int) []byte {
 // Decode reverses Encode. Every failure wraps compress.ErrTruncated or
 // compress.ErrCorrupt, and header-claimed allocations are bounded against
 // the input that must back them (compress.CheckedAlloc).
-func Decode(data []byte) ([]int, error) {
+func Decode(data []byte) ([]int, error) { return DecodeInto(nil, data) }
+
+// DecodeInto is Decode writing the symbols into dst's backing array when
+// its capacity holds the stream's symbol count, and into a fresh slice
+// otherwise, so a caller can decode into arena scratch of known size.
+//
+// Decoding runs in two regions with one outcome. While at least
+// fastTailBytes payload bytes and fastTailSymbols unwritten symbols
+// remain, a local bit cursor reads 64-bit windows straight from the
+// payload and a multi-symbol table resolves up to three short codes per
+// lookup. Long codes, the last bytes and short payloads take the
+// per-symbol path (single-symbol table, then the per-bit group walk), so
+// every value, every error and every error text is that of the per-bit
+// reference decoder.
+func DecodeInto(dst []int, data []byte) ([]int, error) {
 	pos := 0
 	readUvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(data[pos:])
@@ -491,7 +548,10 @@ func Decode(data []byte) ([]int, error) {
 		return nil, err
 	}
 	if count == 0 {
-		return []int{}, nil
+		if dst == nil {
+			return []int{}, nil
+		}
+		return dst[:0], nil
 	}
 	if nsyms == 0 {
 		return nil, fmt.Errorf("huffman: empty alphabet with nonzero count: %w", compress.ErrCorrupt)
@@ -572,10 +632,25 @@ func Decode(data []byte) ([]int, error) {
 		prevLen = e.length
 	}
 
-	r := bitstream.NewReader(data[pos:])
-	out := make([]int, 0, count)
+	var out []int
+	if uint64(cap(dst)) >= count {
+		out = dst[:count]
+	} else {
+		out = make([]int, count)
+	}
+	payload := data[pos:]
+	r := bitstream.NewReader(payload)
+	n := 0
+	if count >= multiMinSymbols && len(sl) < multiMaxAlphabet {
+		multi := parallel.Uint64s(1 << tableBits)
+		defer parallel.PutUint64s(multi)
+		buildMultiTable(multi, table)
+		if n, err = decodeFast(r, payload, multi, ordered, out, &groups); err != nil {
+			return nil, err
+		}
+	}
 	if table != nil {
-		for uint64(len(out)) < count {
+		for n < len(out) {
 			e := table[r.Peek64()>>(64-tableBits)]
 			if e != 0 {
 				// A matched entry longer than the remaining genuine bits can
@@ -583,31 +658,140 @@ func Decode(data []byte) ([]int, error) {
 				// the per-bit walk would have run out of bits mid-code.
 				l := int(e & 0xff)
 				if l > r.Remaining() {
-					return nil, fmt.Errorf("huffman: truncated payload after %d symbols: %w", len(out), compress.ErrTruncated)
+					return nil, fmt.Errorf("huffman: truncated payload after %d symbols: %w", n, compress.ErrTruncated)
 				}
 				r.Advance(l)
-				out = append(out, ordered[e>>8])
+				out[n] = ordered[e>>8]
+				n++
 				continue
 			}
 			// No code of length ≤ tableBits prefixes the window: a long
 			// code, corruption, or truncation. The per-bit walk reproduces
 			// the exact pre-table outcome for all three.
-			sym, err := decodeOneSlow(r, &groups, ordered, len(out))
+			sym, err := decodeOneSlow(r, &groups, ordered, n)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, sym)
+			out[n] = sym
+			n++
 		}
 		return out, nil
 	}
-	for uint64(len(out)) < count {
-		sym, err := decodeOneSlow(r, &groups, ordered, len(out))
+	for ; n < len(out); n++ {
+		sym, err := decodeOneSlow(r, &groups, ordered, n)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, sym)
+		out[n] = sym
 	}
 	return out, nil
+}
+
+// buildMultiTable derives the multi-symbol table from the single-symbol
+// one. A window resolves greedily — its first code, the code right after
+// it, then a third — for as long as each code lies wholly inside the
+// tableBits-bit window (bits below the window are not payload, so a code
+// reaching into them is left to the next lookup). That is exactly what
+// repeated single-symbol decoding produces.
+//
+// Rather than decode every window, the build enumerates the code
+// sequences that fit: the short codes tile the single table from window 0
+// upward in canonical order, with non-decreasing lengths, so walking the
+// table in code-sized strides visits each short code once and can stop at
+// the first code that no longer fits (a zero entry ends the short codes).
+// Each sequence owns a contiguous window range; longer sequences overwrite
+// the ranges of their own prefixes, so at most 3·2^tableBits stores happen.
+//
+// Entries pack totalBits | k<<8 | idx1<<16 | idx2<<32 | idx3<<48, where k
+// (0..3) is the number of resolved symbols and the idx are canonical
+// indices; 0 marks a window whose first code is long or invalid.
+func buildMultiTable(multi, single []uint64) {
+	clear(multi)
+	const bits = tableBits
+	for w1 := 0; w1 < 1<<bits; {
+		e1 := single[w1]
+		if e1 == 0 {
+			return
+		}
+		l1 := int(e1 & 0xff)
+		ent1 := e1>>8<<16 | 1<<8 | uint64(l1)
+		fillWindows(multi, w1, bits-l1, ent1)
+		for w2 := 0; w2 < 1<<bits; {
+			e2 := single[w2]
+			l2 := int(e2 & 0xff)
+			if e2 == 0 || l1+l2 > bits {
+				break
+			}
+			s2 := w1 | w2>>l1
+			ent2 := ent1&^0x3ff | e2>>8<<32 | 2<<8 | uint64(l1+l2)
+			fillWindows(multi, s2, bits-l1-l2, ent2)
+			for w3 := 0; w3 < 1<<bits; {
+				e3 := single[w3]
+				l3 := int(e3 & 0xff)
+				if e3 == 0 || l1+l2+l3 > bits {
+					break
+				}
+				ent3 := ent2&^0x3ff | e3>>8<<48 | 3<<8 | uint64(l1+l2+l3)
+				fillWindows(multi, s2|w3>>(l1+l2), bits-l1-l2-l3, ent3)
+				w3 += 1 << (bits - l3)
+			}
+			w2 += 1 << (bits - l2)
+		}
+		w1 += 1 << (bits - l1)
+	}
+}
+
+// fillWindows stores ent in the 2^free windows starting at start.
+func fillWindows(multi []uint64, start, free int, ent uint64) {
+	r := multi[start : start+1<<free]
+	for i := range r {
+		r[i] = ent
+	}
+}
+
+// decodeFast decodes from the start of the payload while at least
+// fastTailBytes bytes and fastTailSymbols unwritten symbols remain, and
+// returns the number of symbols written to out with r positioned after
+// them. A local bit cursor
+// replaces the Reader's per-symbol bookkeeping; windows whose first code
+// is not short go through decodeOneSlow, whose errors are the reference
+// decoder's. Each lookup stores three symbols and keeps k of them, so the
+// extra stores land in slots the next lookup overwrites.
+func decodeFast(r *bitstream.Reader, payload []byte, multi []uint64, ordered, out []int, groups *[maxCodeLen + 1]lenGroup) (int, error) {
+	n, bit := 0, r.Pos()
+	lastByte := len(payload) - fastTailBytes
+	for n+fastTailSymbols <= len(out) && bit>>3 <= lastByte {
+		// At least 57 genuine bits: room for lookupsPerWindow lookups of
+		// at most tableBits bits each.
+		win := binary.BigEndian.Uint64(payload[bit>>3:]) << uint(bit&7)
+		var e uint64
+		for j := 0; j < lookupsPerWindow; j++ {
+			e = multi[win>>(64-tableBits)]
+			if e == 0 {
+				break
+			}
+			out[n] = ordered[e>>16&0xffff]
+			out[n+1] = ordered[e>>32&0xffff]
+			out[n+2] = ordered[e>>48]
+			n += int(e >> 8 & 3)
+			l := e & 0xff
+			bit += int(l)
+			win <<= l
+		}
+		if e != 0 {
+			continue
+		}
+		r.Advance(bit - r.Pos())
+		sym, err := decodeOneSlow(r, groups, ordered, n)
+		if err != nil {
+			return n, err
+		}
+		out[n] = sym
+		n++
+		bit = r.Pos()
+	}
+	r.Advance(bit - r.Pos())
+	return n, nil
 }
 
 // lenGroup indexes one canonical code length: its first code value and the

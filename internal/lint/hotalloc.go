@@ -47,7 +47,8 @@ var hotPathFuncs = map[string]map[string]bool{
 		"dequantRows": true, "lorenzoPredict": true, "curveFitPredict": true,
 	},
 	"lrm/internal/huffman": {
-		"pack": true, "decodeOneSlow": true,
+		"pack": true, "decodeOneSlow": true, "decodeFast": true,
+		"buildMultiTable": true, "fillWindows": true,
 	},
 	"lrm/internal/linalg": {
 		"jacobiDots": true, "jacobiRotate": true, "jacobiRotateDot": true,

@@ -10,15 +10,25 @@ import "sync"
 //
 // Returned slices have the requested length but UNSPECIFIED contents — the
 // caller must fully initialise what it reads. Pools store pointers to
-// slices so Put does not itself allocate a header.
+// slices, and the pointers themselves are recycled through a second pool:
+// get parks the emptied header there and put refills it, so a Get/Put
+// cycle allocates nothing in steady state.
 
 type slicePool[T any] struct {
-	pool sync.Pool
+	pool    sync.Pool // *[]T holding a recycled slice
+	headers sync.Pool // *[]T emptied by get, awaiting put
 }
 
 func (p *slicePool[T]) get(n int) []T {
-	if v, ok := p.pool.Get().(*[]T); ok && cap(*v) >= n {
-		return (*v)[:n]
+	v, ok := p.pool.Get().(*[]T)
+	if !ok {
+		return make([]T, n)
+	}
+	s := *v
+	*v = nil
+	p.headers.Put(v)
+	if cap(s) >= n {
+		return s[:n]
 	}
 	return make([]T, n)
 }
@@ -27,8 +37,12 @@ func (p *slicePool[T]) put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:0]
-	p.pool.Put(&s)
+	h, ok := p.headers.Get().(*[]T)
+	if !ok {
+		h = new([]T)
+	}
+	*h = s[:0]
+	p.pool.Put(h)
 }
 
 var (

@@ -154,6 +154,33 @@ func TestArenas(t *testing.T) {
 	PutInts(nil)
 }
 
+// TestArenasSteadyStateAllocFree pins the arena contract that a Get/Put
+// cycle allocates nothing once the pool is warm: the slice headers that
+// sync.Pool stores are recycled, not re-allocated on every Put. The race
+// detector makes sync.Pool drop items on purpose, so the test skips there;
+// the plain `go test` run keeps the pin.
+func TestArenasSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	cases := []struct {
+		name  string
+		cycle func()
+	}{
+		{"Floats", func() { PutFloats(Floats(256)) }},
+		{"Int64s", func() { PutInt64s(Int64s(256)) }},
+		{"Uint64s", func() { PutUint64s(Uint64s(256)) }},
+		{"Ints", func() { PutInts(Ints(256)) }},
+		{"Bytes", func() { PutBytes(Bytes(256)) }},
+	}
+	for _, c := range cases {
+		c.cycle() // warm the pool
+		if got := testing.AllocsPerRun(100, c.cycle); got != 0 {
+			t.Errorf("%s: %v allocs per Get/Put cycle, want 0", c.name, got)
+		}
+	}
+}
+
 // TestPoolStress hammers For/ForShard and the arenas from many goroutines at
 // once. Its real assertion is the -race detector (the verify gate runs this
 // package under -race): any unsynchronised access in the pool internals or

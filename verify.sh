@@ -58,10 +58,12 @@ if [ "${1:-}" != "quick" ]; then
 	# the artifact pipeline end to end without paying full measurement cost,
 	# and the traced pass exercises span propagation through the pool.
 	step go run ./cmd/lrmbench -iters 1 -stats -profile-top -out /tmp/lrmbench-smoke.json -trace /tmp/lrmbench-trace.json
-	# One iteration of the reduce-layer kernel micro-benchmarks (exact SVD,
-	# Jacobi EigenSym, 2-D Haar) keeps them compiling and running.
+	# One iteration of the kernel micro-benchmarks (exact SVD, Jacobi
+	# EigenSym, 2-D Haar, the SZ Huffman coder) keeps them compiling and
+	# running.
 	step go test -run '^$' -bench 'SVD|EigenSym' -benchtime 1x ./internal/linalg/
 	step go test -run '^$' -bench Haar2D -benchtime 1x ./internal/wavelet/
+	step go test -run '^$' -bench 'Encode|Decode' -benchtime 1x ./internal/huffman/
 	# The trace artifact must contain the pipeline root span (lrmbench
 	# already refuses to write a file that is not valid JSON).
 	echo "==> trace smoke: core.compress root present"
@@ -88,6 +90,9 @@ if [ "${1:-}" != "quick" ]; then
 	step go test -fuzz=FuzzWriteChromeTrace -fuzztime=10s -run='^$' ./internal/obs/trace
 	step go test -fuzz=FuzzHistoryQuery -fuzztime=10s -run='^$' ./internal/obs/tsdb
 	step go test -fuzz=FuzzParsePprof -fuzztime=10s -run='^$' ./internal/obs/pprofparse
+	# Differential fuzz of the table-driven Huffman decoder against the
+	# per-bit reference decoder.
+	step go test -fuzz=FuzzDecode -fuzztime=10s -run='^$' ./internal/huffman
 fi
 
 echo "==> verify OK"
