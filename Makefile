@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lint-json test invariants faultsweep race race-trace race-profile fuzz bench bench-smoke bench-compare trace-smoke serve-smoke verify
+.PHONY: build vet fmt lint lint-json test invariants faultsweep race race-trace race-profile fuzz bench serve-smoke verify
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,7 @@ invariants:
 # Fault-injection sweep: every archive mutation must yield a classified
 # error (never a panic, never an unbounded allocation).
 faultsweep:
-	$(GO) test -run TestSweepCorpus -count=1 ./internal/faultinject
+	$(GO) test -run 'TestSweepCorpus|TestPartialDecodeMetricsUnderSweep' -count=1 ./internal/faultinject
 
 # Concurrent packages under the race detector.
 race:
@@ -46,28 +46,14 @@ race-trace:
 race-profile:
 	$(GO) test -race -run TestConcurrentWindowsAndScrapes -count=2 ./internal/obs/profile
 
-# JSON benchmark harness (BENCH_<n>.json artifact); bench-smoke is the CI
-# single-iteration configuration.
+# The benchmark (lrm-bench/3, BENCHMARK.json): every workload, end to end.
 bench:
-	$(GO) run ./cmd/lrmbench -iters 5 -out BENCH.json
-
-bench-smoke:
-	$(GO) run ./cmd/lrmbench -iters 1 -out /tmp/lrmbench-smoke.json
-
-# Compare a fresh smoke run against the checked-in baseline artifact; the
-# wide tolerance absorbs machine variance, not real regressions.
-bench-compare: bench-smoke
-	$(GO) run ./cmd/lrmbench -compare -tolerance 0.75 BENCH_5.json /tmp/lrmbench-smoke.json
-
-# One traced pipeline pass exported as Chrome trace JSON
-# (load at https://ui.perfetto.dev).
-trace-smoke:
-	$(GO) run ./cmd/lrmbench -iters 1 -out /tmp/lrmbench-smoke.json -trace /tmp/lrmbench-trace.json
+	bash lrmbench3/run.sh -workload all -seed 1
 
 # Serving smoke: in-process lrmserve under a short mixed load; fails on
-# any 5xx, any transport error, or a loopback p99 above 2s.
+# any 4xx/5xx, any transport error, or a loopback p99 above 2s.
 serve-smoke:
-	$(GO) run ./cmd/lrmbench -serve-load -serve-clients 4 -serve-duration 3s -serve-p99 2s
+	$(GO) run ./cmd/lrmbench -serve-clients 4 -serve-duration 3s -serve-p99 2s
 
 # Short mutation pass over the decoder fuzz targets (seeds always run in
 # plain `make test`; this adds -fuzztime of coverage-guided input search).
@@ -79,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWriteChromeTrace -fuzztime=10s -run='^$$' ./internal/obs/trace
 	$(GO) test -fuzz=FuzzHistoryQuery -fuzztime=10s -run='^$$' ./internal/obs/tsdb
 	$(GO) test -fuzz=FuzzParsePprof -fuzztime=10s -run='^$$' ./internal/obs/pprofparse
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run='^$$' ./internal/huffman
 
 verify:
 	./verify.sh

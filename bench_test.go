@@ -151,7 +151,7 @@ func BenchmarkAblationMultiBaseBlocks(b *testing.B) {
 		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Compress(f, core.Options{
+				res, err := core.CompressCtx(context.Background(), f, core.Options{
 					Model:      reduce.MultiBase{Blocks: blocks},
 					DataCodec:  data,
 					DeltaCodec: delta,
@@ -177,7 +177,7 @@ func BenchmarkAblationPCAEnergy(b *testing.B) {
 		b.Run(fmt.Sprintf("energy=%.3f", energy), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Compress(f, core.Options{
+				res, err := core.CompressCtx(context.Background(), f, core.Options{
 					Model:      reduce.PCA{Energy: energy},
 					DataCodec:  data,
 					DeltaCodec: delta,
@@ -329,7 +329,7 @@ func BenchmarkChunkedCompress(b *testing.B) {
 		b.Run(fmt.Sprintf("chunks=%d", chunks), func(b *testing.B) {
 			b.SetBytes(int64(8 * f.Len()))
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunked(f, opts, chunks); err != nil {
+				if _, err := core.CompressChunkedCtx(context.Background(), f, opts, chunks); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,9 +18,9 @@ import (
 	"lrm/internal/sim/heat3d"
 )
 
-// serveLoadReport is the -serve-load JSON artifact: enough for a CI gate
-// to assert "no 5xx, p99 under threshold" and for a human to see the
-// latency shape at a glance.
+// serveLoadReport is the load generator's JSON artifact: enough for a CI
+// gate to assert "no 4xx/5xx, p99 under threshold" and for a human to see
+// the latency shape at a glance.
 type serveLoadReport struct {
 	Schema          string  `json:"schema"`
 	URL             string  `json:"url"`
@@ -79,11 +79,11 @@ type loadTally struct {
 }
 
 // serveLoadMain drives a compress/decompress request mix against an
-// lrmserve instance and gates on the outcome: any 5xx, any transport
-// error, or a p99 above limit is a failing run (exit 1). With url == ""
-// it stands up an in-process server on a loopback listener — the CI smoke
-// mode, no separate process needed — and additionally asserts that the
-// serve metrics actually recorded the traffic.
+// lrmserve instance and gates on the outcome: any 4xx or 5xx, any
+// transport error, or a p99 above limit is a failing run (exit 1). With
+// url == "" it stands up an in-process server on a loopback listener — the
+// CI smoke mode, no separate process needed — and additionally asserts
+// that the serve metrics actually recorded the traffic.
 func serveLoadMain(url string, clients int, duration, p99Limit time.Duration) int {
 	if clients < 1 {
 		clients = 1
@@ -225,6 +225,10 @@ func serveLoadMain(url string, clients int, duration, p99Limit time.Duration) in
 	}
 
 	code := 0
+	if rep.Status4xx > 0 {
+		fmt.Fprintf(os.Stderr, "lrmbench: serve-load: FAIL: %d responses were 4xx\n", rep.Status4xx)
+		code = 1
+	}
 	if rep.Status5xx > 0 {
 		fmt.Fprintf(os.Stderr, "lrmbench: serve-load: FAIL: %d responses were 5xx\n", rep.Status5xx)
 		code = 1

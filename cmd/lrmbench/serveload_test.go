@@ -2,6 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
@@ -40,7 +43,7 @@ func captureStdout(t *testing.T, fn func()) []byte {
 
 // TestServeLoadInProcess runs the whole smoke gate end to end against the
 // in-process loopback server: a short mixed load must finish with zero
-// 5xx, zero transport errors, a well-formed JSON report, and exit code 0.
+// 4xx or 5xx, zero transport errors, a well-formed JSON report, and exit code 0.
 func TestServeLoadInProcess(t *testing.T) {
 	var code int
 	out := captureStdout(t, func() {
@@ -59,8 +62,8 @@ func TestServeLoadInProcess(t *testing.T) {
 	if rep.Status2xx == 0 {
 		t.Error("no successful requests")
 	}
-	if rep.Status5xx != 0 || rep.TransportErrors != 0 {
-		t.Errorf("5xx = %d, transport errors = %d", rep.Status5xx, rep.TransportErrors)
+	if rep.Status4xx != 0 || rep.Status5xx != 0 || rep.TransportErrors != 0 {
+		t.Errorf("4xx = %d, 5xx = %d, transport errors = %d", rep.Status4xx, rep.Status5xx, rep.TransportErrors)
 	}
 	if rep.P99Ns <= 0 || rep.P99Ns < rep.P50Ns {
 		t.Errorf("implausible percentiles: p50 %d p99 %d", rep.P50Ns, rep.P99Ns)
@@ -76,5 +79,39 @@ func TestServeLoadP99Gate(t *testing.T) {
 	})
 	if code != 1 {
 		t.Fatalf("serveLoadMain with 1ns p99 limit = %d, want 1", code)
+	}
+}
+
+// TestServeLoadFailsOn4xx pins the 4xx gate: the generator sends only
+// well-formed requests, so a server that answers compress with 200 but
+// every decompress with 400 is broken and the run must fail even though
+// half its requests succeed.
+func TestServeLoadFailsOn4xx(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := io.Copy(io.Discard, r.Body); err != nil {
+			t.Errorf("read body: %v", err)
+		}
+		if r.URL.Path == "/v1/decompress" {
+			http.Error(w, "bad archive", http.StatusBadRequest)
+			return
+		}
+		if _, err := w.Write([]byte("archive")); err != nil {
+			t.Errorf("write response: %v", err)
+		}
+	}))
+	defer srv.Close()
+	var code int
+	out := captureStdout(t, func() {
+		code = serveLoadMain(srv.URL, 2, 200*time.Millisecond, 0)
+	})
+	if code != 1 {
+		t.Fatalf("serveLoadMain against a 400-on-decompress server = %d, want 1", code)
+	}
+	var rep serveLoadReport
+	if err := json.Unmarshal(out, &rep); err != nil {
+		t.Fatalf("report is not JSON: %v\n%s", err, out)
+	}
+	if rep.Status2xx == 0 || rep.Status4xx == 0 || rep.Status5xx != 0 || rep.TransportErrors != 0 {
+		t.Fatalf("want both 2xx and 4xx and nothing else: %+v", rep)
 	}
 }

@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// One module-wide Program shared by every pass: the interprocedural
-	// analyzers (decodetaint, errtaxonomy, ctxflow) see call edges and
+	// analyzers (decodetaint, errtaxonomy) see call edges and
 	// function summaries across package boundaries.
 	passes := make([]*lint.Pass, len(pkgs))
 	for i, pkg := range pkgs {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -60,7 +61,7 @@ func run(compressMode, decompressMode, selectMode bool, model, codec, dims strin
 		if err != nil {
 			return err
 		}
-		f, err := core.Decompress(archive)
+		f, err := core.DecompressCtx(context.Background(), archive)
 		if err != nil {
 			return err
 		}
@@ -82,7 +83,7 @@ func run(compressMode, decompressMode, selectMode bool, model, codec, dims strin
 		if err != nil {
 			return err
 		}
-		res, err := core.Compress(f, opts)
+		res, err := core.CompressCtx(context.Background(), f, opts)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Compress directly and with every reduced model.
+	// 3. Compress directly and with every reduced model. The pipeline
+	//    takes a context for tracing; a program without one passes
+	//    context.Background().
+	ctx := context.Background()
 	models := []struct {
 		name  string
 		model reduce.Model
@@ -43,14 +47,14 @@ func main() {
 	}
 	fmt.Printf("%-28s %10s %12s %12s\n", "method", "ratio", "max error", "RMSE")
 	for _, m := range models {
-		res, err := core.Compress(field, core.Options{
+		res, err := core.CompressCtx(ctx, field, core.Options{
 			Model: m.model, DataCodec: data, DeltaCodec: delta,
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", m.name, err)
 		}
 		// 4. Round trip and measure the information loss.
-		back, err := core.Decompress(res.Archive)
+		back, err := core.DecompressCtx(ctx, res.Archive)
 		if err != nil {
 			log.Fatalf("%s: decompress: %v", m.name, err)
 		}

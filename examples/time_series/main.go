@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,15 +32,16 @@ func main() {
 	// An absolute-error codec: small temporal deltas need few bit planes.
 	codec := zfp.MustNewAccuracy(1e-5)
 	opts := core.Options{Model: reduce.OneBase{}, DataCodec: codec, DeltaCodec: codec}
+	ctx := context.Background()
 
-	series, err := core.CompressSeries(snaps, opts)
+	series, err := core.CompressSeriesCtx(ctx, snaps, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	independent := 0
 	for _, s := range snaps {
-		res, err := core.Compress(s, opts)
+		res, err := core.CompressCtx(ctx, s, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func main() {
 	}
 
 	// Verify the round trip stays within the codec tolerance on every frame.
-	decoded, err := core.DecompressSeries(series.Archive)
+	decoded, err := core.DecompressSeriesCtx(ctx, series.Archive)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,11 +44,11 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Compress(f, core.Options{DataCodec: probeCodec{fam}})
+	res, err := core.CompressCtx(context.Background(), f, core.Options{DataCodec: probeCodec{fam}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := core.Decompress(res.Archive)
+	back, err := core.DecompressCtx(context.Background(), res.Archive)
 	if err != nil {
 		t.Fatalf("registered family not decodable through core: %v", err)
 	}
@@ -59,11 +59,11 @@ func TestRegistry(t *testing.T) {
 	if _, err := compress.DecoderFor("martian"); !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("unknown family: err = %v, want ErrCorrupt", err)
 	}
-	res, err = core.Compress(f, core.Options{DataCodec: probeCodec{"martian"}})
+	res, err = core.CompressCtx(context.Background(), f, core.Options{DataCodec: probeCodec{"martian"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Decompress(res.Archive); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := core.DecompressCtx(context.Background(), res.Archive); !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("core decode of unknown family: err = %v, want ErrCorrupt", err)
 	}
 

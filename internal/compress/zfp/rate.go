@@ -164,7 +164,7 @@ func (c *Codec) compressRate(ctx context.Context, f *grid.Field, workers int) ([
 		shards := parallel.Shards(workers, len(bs))
 		ws := make([]bitstream.Writer, shards)
 		errs := make([]error, shards)
-		parallel.ForShardCtx(ctx, workers, len(bs), func(ctx context.Context, s, lo, hi int) {
+		parallel.ForShard(workers, len(bs), func(s, lo, hi int) {
 			_, sp := trace.Start(ctx, "zfp.shard_encode")
 			sp.AddItems(int64(hi - lo))
 			errs[s] = c.encodeRateBlocks(f, bs[lo:hi], budget, &ws[s])
@@ -420,7 +420,7 @@ func decompressRate(ctx context.Context, dims []int, rest []byte, workers int) (
 
 	shards := parallel.Shards(workers, len(bs))
 	errs := make([]error, shards)
-	parallel.ForShardCtx(ctx, workers, len(bs), func(ctx context.Context, sh, lo, hi int) {
+	parallel.ForShard(workers, len(bs), func(sh, lo, hi int) {
 		_, sp := trace.Start(ctx, "zfp.shard_decode")
 		defer sp.End()
 		sp.AddItems(int64(hi - lo))

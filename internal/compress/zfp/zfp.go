@@ -802,7 +802,7 @@ func (c *Codec) encodeShards(ctx context.Context, f *grid.Field, bs []blockShape
 	shards := parallel.Shards(workers, len(bs))
 	ws := make([]bitstream.Writer, shards)
 	errs := make([]error, shards)
-	parallel.ForShardCtx(ctx, workers, len(bs), func(ctx context.Context, s, lo, hi int) {
+	parallel.ForShard(workers, len(bs), func(s, lo, hi int) {
 		_, sp := trace.Start(ctx, "zfp.shard_encode")
 		sp.AddItems(int64(hi - lo))
 		errs[s] = c.encodeBlocks(f, bs[lo:hi], &ws[s])
@@ -1315,7 +1315,7 @@ func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []bloc
 		obs.StageAdd("zfp.plane_decode", planeNs, nBlocks)
 	}
 
-	parallel.ForShardCtx(ctx, workers, len(bs), func(ctx context.Context, _, lo, hi int) {
+	parallel.ForShard(workers, len(bs), func(_, lo, hi int) {
 		_, sp := trace.Start(ctx, "zfp.shard_decode")
 		defer sp.End()
 		sp.AddItems(int64(hi - lo))

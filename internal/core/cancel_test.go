@@ -139,7 +139,7 @@ func TestCompressChunkedCtxCancelSkipsRemainingChunks(t *testing.T) {
 func TestCompressChunkedCtxUncanceledIdentical(t *testing.T) {
 	f := cancelField(t)
 	opts := Options{DataCodec: compress.NewFlate(6), Parallel: parallel.Config{Workers: 1}}
-	plain, err := CompressChunked(f, opts, 4)
+	plain, err := CompressChunkedCtx(context.Background(), f, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestDecompressChunkedCtxCancelSkipsRemainingChunks(t *testing.T) {
 	probe := &cancelProbe{inner: compress.NewFlate(6)}
 	opts := Options{DataCodec: probe, Parallel: parallel.Config{Workers: 1}}
 	const chunks = 4
-	res, err := CompressChunked(f, opts, chunks)
+	res, err := CompressChunkedCtx(context.Background(), f, opts, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"lrm/internal/compress"
@@ -14,7 +15,7 @@ import (
 // cleanly framed LRMC container.
 func TestChunkCRCsContentAddress(t *testing.T) {
 	f := heat3d.Solve(heat3d.Default(12))
-	res, err := CompressChunked(f, Options{DataCodec: compress.NewFlate(6)}, 4)
+	res, err := CompressChunkedCtx(context.Background(), f, Options{DataCodec: compress.NewFlate(6)}, 4)
 	if err != nil {
 		t.Fatalf("CompressChunked: %v", err)
 	}

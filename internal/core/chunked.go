@@ -29,7 +29,7 @@ var (
 // chunkedMagic marks the multi-chunk container format.
 const chunkedMagic = "LRMC"
 
-// CompressChunked splits the field into `chunks` slabs along the leading
+// CompressChunkedCtx splits the field into `chunks` slabs along the leading
 // dimension and compresses them concurrently on the shared bounded worker
 // pool — the N-to-N per-rank compression pattern of the paper's Table IV
 // runs, where every MPI rank compresses its own subdomain independently.
@@ -43,13 +43,10 @@ const chunkedMagic = "LRMC"
 // so a corrupted chunk is detected and reported without touching its
 // siblings. Preconditioning applies per chunk: one-base on a chunk is the
 // paper's multi-base picture, one local base per sub-domain.
-func CompressChunked(f *grid.Field, opts Options, chunks int) (*Result, error) {
-	return CompressChunkedCtx(context.Background(), f, opts, chunks)
-}
-
-// CompressChunkedCtx is CompressChunked with trace propagation: each chunk's
-// core.chunk_compress span parents onto the container span carried into the
-// pool workers, and the chunk's codec shards nest under the chunk in turn.
+//
+// Each chunk's core.chunk_compress span parents onto the container span
+// that the pool task closures capture, and the chunk's codec shards nest
+// under the chunk in turn.
 //
 // ctx is also consulted at every chunk boundary: once canceled, no further
 // chunks are scheduled and the call returns an error wrapping
@@ -93,7 +90,7 @@ func CompressChunkedCtx(ctx context.Context, f *grid.Field, opts Options, chunks
 	// CPU by codec as request-level codec choice becomes dynamic; parameters
 	// would explode label cardinality.
 	codecFam := compress.CodecFamily(opts.DataCodec.Name())
-	parallel.ForCtx(ctx, workers, chunks, func(ctx context.Context, c int) {
+	parallel.For(workers, chunks, func(c int) {
 		// Cancellation is checked once per chunk, here at the boundary: a
 		// canceled request (client disconnect, deadline) stops scheduling new
 		// chunk work instead of compressing every remaining slab at full CPU.
@@ -352,12 +349,12 @@ func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, deg
 		slab *= d
 	}
 
-	// Divide the budget like CompressChunked.
+	// Divide the budget like CompressChunkedCtx.
 	workers := cfg.Resolve()
 	inner := cfg
 	inner.Workers = innerWorkers(workers, chunks)
 	errs := make([]error, chunks)
-	parallel.ForCtx(ctx, workers, chunks, func(ctx context.Context, c int) {
+	parallel.For(workers, chunks, func(c int) {
 		// Same chunk-boundary cancellation contract as CompressChunkedCtx: a
 		// canceled request stops scheduling chunk decodes instead of running
 		// every remaining record at full CPU.
@@ -374,8 +371,8 @@ func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, deg
 			errs[c] = recs[c].err
 			return
 		}
-		// Chunk records are always single archives (CompressChunked stores
-		// Compress output); refusing nested containers here keeps a hostile
+		// Chunk records are always single archives (CompressChunkedCtx stores
+		// CompressCtx output); refusing nested containers here keeps a hostile
 		// archive from driving recursive header-sized allocations.
 		f, err := decompressSingle(cctx, recs[c].archive, inner)
 		if err != nil {

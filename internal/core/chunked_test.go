@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -17,13 +18,13 @@ func TestChunkedRoundTrip(t *testing.T) {
 	f := heatField(t)
 	for _, chunks := range []int{1, 2, 3, 4, 7} {
 		for _, m := range []reduce.Model{nil, reduce.OneBase{}, reduce.PCA{}} {
-			res, err := CompressChunked(f, Options{
+			res, err := CompressChunkedCtx(context.Background(), f, Options{
 				Model: m, DataCodec: zfp.MustNew(24), DeltaCodec: zfp.MustNew(16),
 			}, chunks)
 			if err != nil {
 				t.Fatalf("chunks=%d model=%s: %v", chunks, modelName(m), err)
 			}
-			dec, err := Decompress(res.Archive)
+			dec, err := DecompressCtx(context.Background(), res.Archive)
 			if err != nil {
 				t.Fatalf("chunks=%d model=%s: %v", chunks, modelName(m), err)
 			}
@@ -39,11 +40,11 @@ func TestChunkedRoundTrip(t *testing.T) {
 
 func TestChunkedLosslessExact(t *testing.T) {
 	f := heatField(t)
-	res, err := CompressChunked(f, Options{DataCodec: fpc.MustNew(10)}, 4)
+	res, err := CompressChunkedCtx(context.Background(), f, Options{DataCodec: fpc.MustNew(10)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(res.Archive)
+	dec, err := DecompressCtx(context.Background(), res.Archive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestChunkedLosslessExact(t *testing.T) {
 
 func TestChunkedAccounting(t *testing.T) {
 	f := heatField(t)
-	res, err := CompressChunked(f, Options{
+	res, err := CompressChunkedCtx(context.Background(), f, Options{
 		Model: reduce.OneBase{}, DataCodec: zfp.MustNew(16), DeltaCodec: zfp.MustNew(8),
 	}, 4)
 	if err != nil {
@@ -77,20 +78,20 @@ func TestChunkedAccounting(t *testing.T) {
 func TestChunkedValidation(t *testing.T) {
 	f := grid.New(4, 4)
 	opts := Options{DataCodec: zfp.MustNew(8)}
-	if _, err := CompressChunked(f, opts, 0); err == nil {
+	if _, err := CompressChunkedCtx(context.Background(), f, opts, 0); err == nil {
 		t.Fatal("expected chunks=0 rejection")
 	}
-	if _, err := CompressChunked(f, opts, 5); err == nil {
+	if _, err := CompressChunkedCtx(context.Background(), f, opts, 5); err == nil {
 		t.Fatal("expected chunks>extent rejection")
 	}
-	if _, err := CompressChunked(f, Options{}, 2); err == nil {
+	if _, err := CompressChunkedCtx(context.Background(), f, Options{}, 2); err == nil {
 		t.Fatal("expected missing-codec rejection")
 	}
 }
 
 func TestChunkedCRCDetectsCorruption(t *testing.T) {
 	f := heatField(t)
-	res, err := CompressChunked(f, Options{DataCodec: zfp.MustNew(16)}, 3)
+	res, err := CompressChunkedCtx(context.Background(), f, Options{DataCodec: zfp.MustNew(16)}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestChunkedCRCDetectsCorruption(t *testing.T) {
 	for _, pos := range []int{len(res.Archive) / 2, len(res.Archive) - 1} {
 		bad := append([]byte(nil), res.Archive...)
 		bad[pos] ^= 0x40
-		_, err := Decompress(bad)
+		_, err := DecompressCtx(context.Background(), bad)
 		if err == nil {
 			t.Fatalf("corruption at %d not detected", pos)
 		}
@@ -111,16 +112,16 @@ func TestChunkedCRCDetectsCorruption(t *testing.T) {
 
 func TestChunkedTruncation(t *testing.T) {
 	f := heatField(t)
-	res, err := CompressChunked(f, Options{DataCodec: zfp.MustNew(12)}, 2)
+	res, err := CompressChunkedCtx(context.Background(), f, Options{DataCodec: zfp.MustNew(12)}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(res.Archive); cut += 11 {
-		if _, err := Decompress(res.Archive[:cut]); err == nil {
+		if _, err := DecompressCtx(context.Background(), res.Archive[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := Decompress(append(res.Archive, 0)); err == nil {
+	if _, err := DecompressCtx(context.Background(), append(res.Archive, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -130,11 +131,11 @@ func TestChunkedOneBaseActsLikeMultiBase(t *testing.T) {
 	// bases. Its total rep must exceed the single-chunk one-base rep.
 	f := heatField(t)
 	opts := Options{Model: reduce.OneBase{}, DataCodec: zfp.MustNew(16), DeltaCodec: zfp.MustNew(8)}
-	one, err := CompressChunked(f, opts, 1)
+	one, err := CompressChunkedCtx(context.Background(), f, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := CompressChunked(f, opts, 4)
+	four, err := CompressChunkedCtx(context.Background(), f, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +149,11 @@ func TestChunkedRank1(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = math.Sin(float64(i) / 20)
 	}
-	res, err := CompressChunked(f, Options{DataCodec: zfp.MustNew(20)}, 8)
+	res, err := CompressChunkedCtx(context.Background(), f, Options{DataCodec: zfp.MustNew(20)}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(res.Archive)
+	dec, err := DecompressCtx(context.Background(), res.Archive)
 	if err != nil {
 		t.Fatal(err)
 	}

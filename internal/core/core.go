@@ -83,15 +83,10 @@ const (
 	modePreconditoned = 1
 )
 
-// Compress runs the pipeline on f.
-func Compress(f *grid.Field, opts Options) (*Result, error) {
-	return CompressCtx(context.Background(), f, opts)
-}
-
-// CompressCtx is Compress with trace propagation: the pipeline's spans
-// (core.compress and its reduce/rep_store/delta children, plus whatever the
-// codecs open) parent onto the span carried by ctx. Archives are
-// byte-identical to Compress — ctx carries observability only.
+// CompressCtx runs the pipeline on f. The pipeline's spans (core.compress
+// and its reduce/rep_store/delta children, plus whatever the codecs open)
+// parent onto the span carried by ctx. ctx carries observability only:
+// archives are byte-identical whether or not it holds a span.
 func CompressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, error) {
 	ctx, sp := trace.Start(ctx, "core.compress")
 	defer sp.End()
@@ -230,7 +225,7 @@ func assertEndToEndBound(f *grid.Field, codec compress.Codec, archive []byte) {
 	if !ok {
 		return
 	}
-	back, err := Decompress(archive)
+	back, err := DecompressCtx(context.TODO(), archive)
 	invariant.Assert(err == nil, "core: invariant round trip failed: %v", err)
 	invariant.ErrorBound(f.Data, back.Data, boundWithSlack(eps, f), "core: end-to-end "+codec.Name())
 }
@@ -246,7 +241,7 @@ func assertEndToEndBoundEps(f *grid.Field, deltaCodec compress.Codec, delta *gri
 	if !ok {
 		return
 	}
-	back, err := Decompress(archive)
+	back, err := DecompressCtx(context.TODO(), archive)
 	invariant.Assert(err == nil, "core: invariant round trip failed: %v", err)
 	invariant.ErrorBound(f.Data, back.Data, boundWithSlack(eps, f), "core: end-to-end precond "+deltaCodec.Name())
 }
@@ -290,7 +285,7 @@ func storeRepValues(ctx context.Context, rep *reduce.Rep, codec compress.Codec, 
 }
 
 // DecompressOpts configures decompression. The zero value matches
-// Decompress: default worker pool, fail-fast on any chunk error.
+// DecompressCtx: default worker pool, fail-fast on any chunk error.
 type DecompressOpts struct {
 	// Parallel is the execution budget shared by chunk-level concurrency
 	// and codec-internal kernels, mirroring Options.Parallel on the
@@ -301,24 +296,15 @@ type DecompressOpts struct {
 	Parallel parallel.Config
 }
 
-// Decompress reverses Compress and CompressChunked with default options.
-// Archives are fully self-describing; the container magic selects the
-// format. Failures wrap compress.ErrTruncated / compress.ErrCorrupt.
-func Decompress(archive []byte) (*grid.Field, error) {
-	return DecompressWithOpts(archive, DecompressOpts{})
-}
-
-// DecompressCtx is Decompress with trace propagation.
+// DecompressCtx reverses CompressCtx and CompressChunkedCtx with default
+// options, parenting its spans onto ctx. Archives are fully
+// self-describing; the container magic selects the format. Failures wrap
+// compress.ErrTruncated / compress.ErrCorrupt.
 func DecompressCtx(ctx context.Context, archive []byte) (*grid.Field, error) {
 	return DecompressWithOptsCtx(ctx, archive, DecompressOpts{})
 }
 
-// DecompressWithOpts is Decompress with an explicit worker budget.
-func DecompressWithOpts(archive []byte, opts DecompressOpts) (*grid.Field, error) {
-	return DecompressWithOptsCtx(context.Background(), archive, opts)
-}
-
-// DecompressWithOptsCtx is DecompressWithOpts with trace propagation.
+// DecompressWithOptsCtx is DecompressCtx with an explicit worker budget.
 func DecompressWithOptsCtx(ctx context.Context, archive []byte, opts DecompressOpts) (*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "core.decompress")
 	defer sp.End()

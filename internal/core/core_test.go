@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -53,11 +54,11 @@ func TestPipelineRoundTripAllModelsAllCodecs(t *testing.T) {
 	}
 	for _, cc := range codecs {
 		for _, m := range allModels() {
-			res, err := Compress(f, Options{Model: m, DataCodec: cc.data, DeltaCodec: cc.delta})
+			res, err := CompressCtx(context.Background(), f, Options{Model: m, DataCodec: cc.data, DeltaCodec: cc.delta})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cc.data.Name(), modelName(m), err)
 			}
-			dec, err := Decompress(res.Archive)
+			dec, err := DecompressCtx(context.Background(), res.Archive)
 			if err != nil {
 				t.Fatalf("%s/%s: decompress: %v", cc.data.Name(), modelName(m), err)
 			}
@@ -78,11 +79,11 @@ func TestLosslessCodecsExactThroughPipeline(t *testing.T) {
 	f := heatField(t)
 	codec := fpc.MustNew(10)
 	for _, m := range allModels() {
-		res, err := Compress(f, Options{Model: m, DataCodec: codec})
+		res, err := CompressCtx(context.Background(), f, Options{Model: m, DataCodec: codec})
 		if err != nil {
 			t.Fatalf("%s: %v", modelName(m), err)
 		}
-		dec, err := Decompress(res.Archive)
+		dec, err := DecompressCtx(context.Background(), res.Archive)
 		if err != nil {
 			t.Fatalf("%s: %v", modelName(m), err)
 		}
@@ -102,11 +103,11 @@ func TestPreconditioningImprovesRatioOnHeat3d(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Compress(f, Options{DataCodec: data})
+	direct, err := CompressCtx(context.Background(), f, Options{DataCodec: data})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneBase, err := Compress(f, Options{Model: reduce.OneBase{}, DataCodec: data, DeltaCodec: delta})
+	oneBase, err := CompressCtx(context.Background(), f, Options{Model: reduce.OneBase{}, DataCodec: data, DeltaCodec: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestPreconditioningImprovesRatioOnHeat3d(t *testing.T) {
 
 func TestResultAccounting(t *testing.T) {
 	f := heatField(t)
-	res, err := Compress(f, Options{Model: reduce.PCA{}, DataCodec: zfp.MustNew(16), DeltaCodec: zfp.MustNew(8)})
+	res, err := CompressCtx(context.Background(), f, Options{Model: reduce.PCA{}, DataCodec: zfp.MustNew(16), DeltaCodec: zfp.MustNew(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestResultAccounting(t *testing.T) {
 		t.Fatalf("ratio = %v", res.Ratio())
 	}
 
-	direct, err := Compress(f, Options{DataCodec: zfp.MustNew(16)})
+	direct, err := CompressCtx(context.Background(), f, Options{DataCodec: zfp.MustNew(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestResultAccounting(t *testing.T) {
 
 func TestMissingCodec(t *testing.T) {
 	f := grid.New(4)
-	if _, err := Compress(f, Options{}); err == nil {
+	if _, err := CompressCtx(context.Background(), f, Options{}); err == nil {
 		t.Fatal("expected DataCodec-required error")
 	}
 }
@@ -160,18 +161,18 @@ func TestDecompressGarbage(t *testing.T) {
 		[]byte("LRM1\x01\x03zfp\x03pca\x09"),
 	}
 	for i, b := range cases {
-		if _, err := Decompress(b); err == nil {
+		if _, err := DecompressCtx(context.Background(), b); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
 	// Valid archive, truncated at every byte boundary: error, never panic.
 	f := heatField(t)
-	res, err := Compress(f, Options{Model: reduce.OneBase{}, DataCodec: zfp.MustNew(12)})
+	res, err := CompressCtx(context.Background(), f, Options{Model: reduce.OneBase{}, DataCodec: zfp.MustNew(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(res.Archive); cut += 7 {
-		if _, err := Decompress(res.Archive[:cut]); err == nil {
+		if _, err := DecompressCtx(context.Background(), res.Archive[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -179,14 +180,14 @@ func TestDecompressGarbage(t *testing.T) {
 
 func TestUnknownCodecFamilyInArchive(t *testing.T) {
 	f := grid.New(8)
-	res, err := Compress(f, Options{DataCodec: zfp.MustNew(8)})
+	res, err := CompressCtx(context.Background(), f, Options{DataCodec: zfp.MustNew(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), res.Archive...)
 	// The codec name "zfp" starts after magic+mode+len: flip it.
 	bad[6], bad[7], bad[8] = 'q', 'q', 'q'
-	if _, err := Decompress(bad); err == nil {
+	if _, err := DecompressCtx(context.Background(), bad); err == nil {
 		t.Fatal("expected unknown-codec error")
 	}
 }
@@ -242,7 +243,7 @@ func TestSzPipelineRespectsLooseDeltaBound(t *testing.T) {
 	// 1e-3. Total error is bounded by rep-induced reconstruction shift
 	// (captured in the delta) + delta quantisation error <= ~1e-3.
 	f := heatField(t)
-	res, err := Compress(f, Options{
+	res, err := CompressCtx(context.Background(), f, Options{
 		Model:      reduce.OneBase{},
 		DataCodec:  sz.MustNew(sz.Abs, 1e-5),
 		DeltaCodec: sz.MustNew(sz.Abs, 1e-3),
@@ -250,7 +251,7 @@ func TestSzPipelineRespectsLooseDeltaBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(res.Archive)
+	dec, err := DecompressCtx(context.Background(), res.Archive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +263,11 @@ func TestSzPipelineRespectsLooseDeltaBound(t *testing.T) {
 func TestEmptyRepValuesPath(t *testing.T) {
 	// A zero field wavelet-transforms to all zeros -> empty sparse rep.
 	f := grid.New(16, 16)
-	res, err := Compress(f, Options{Model: reduce.Wavelet{}, DataCodec: zfp.MustNew(16)})
+	res, err := CompressCtx(context.Background(), f, Options{Model: reduce.Wavelet{}, DataCodec: zfp.MustNew(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(res.Archive)
+	dec, err := DecompressCtx(context.Background(), res.Archive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -33,7 +34,7 @@ func chunkedFuzzSeeds(tb testing.TB) [][]byte {
 		{Options{DataCodec: fpc.MustNew(8)}, 4},
 		{Options{Model: reduce.OneBase{}, DataCodec: zfp.MustNew(12)}, 2},
 	} {
-		res, err := CompressChunked(field, tc.opts, tc.chunks)
+		res, err := CompressChunkedCtx(context.Background(), field, tc.opts, tc.chunks)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -59,12 +60,12 @@ func FuzzDecompressChunked(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := Decompress(data); err != nil {
+		if _, err := DecompressCtx(context.Background(), data); err != nil {
 			if !errors.Is(err, compress.ErrCorrupt) && !errors.Is(err, compress.ErrTruncated) {
 				t.Fatalf("unclassified strict-decode error: %v", err)
 			}
 		}
-		p, err := DecompressChunkedPartial(data)
+		p, err := DecompressChunkedPartialWithOptsCtx(context.Background(), data, DecompressOpts{})
 		if err != nil {
 			if !errors.Is(err, compress.ErrCorrupt) && !errors.Is(err, compress.ErrTruncated) {
 				t.Fatalf("unclassified partial-decode error: %v", err)

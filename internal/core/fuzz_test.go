@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"lrm/internal/compress/fpc"
@@ -26,16 +27,16 @@ func FuzzDecompress(f *testing.F) {
 		{Model: reduce.OneBase{}, DataCodec: zfp.MustNew(12)},
 		{Model: reduce.PCA{}, DataCodec: sz.MustNew(sz.Abs, 1e-3)},
 	} {
-		res, err := Compress(field, opts)
+		res, err := CompressCtx(context.Background(), field, opts)
 		if err != nil {
 			f.Fatal(err)
 		}
 		seeds = append(seeds, res.Archive)
 	}
-	if chunked, err := CompressChunked(field, Options{DataCodec: zfp.MustNew(8)}, 2); err == nil {
+	if chunked, err := CompressChunkedCtx(context.Background(), field, Options{DataCodec: zfp.MustNew(8)}, 2); err == nil {
 		seeds = append(seeds, chunked.Archive)
 	}
-	if series, err := CompressSeries([]*grid.Field{field, field}, Options{DataCodec: zfp.MustNew(8)}); err == nil {
+	if series, err := CompressSeriesCtx(context.Background(), []*grid.Field{field, field}, Options{DataCodec: zfp.MustNew(8)}); err == nil {
 		seeds = append(seeds, series.Archive)
 	}
 	for _, s := range seeds {
@@ -43,11 +44,11 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must not panic; errors are fine.
-		if out, err := Decompress(data); err == nil && out != nil {
+		if out, err := DecompressCtx(context.Background(), data); err == nil && out != nil {
 			if out.Len() == 0 || out.Len() > 1<<24 {
 				t.Fatalf("implausible decode length %d", out.Len())
 			}
 		}
-		_, _ = DecompressSeries(data)
+		_, _ = DecompressSeriesCtx(context.Background(), data)
 	})
 }

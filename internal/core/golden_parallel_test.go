@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -34,11 +35,11 @@ func TestGoldenParallelArchivesByteIdentical(t *testing.T) {
 			parOpts := serialOpts
 			parOpts.Parallel = parallel.Config{Workers: 8}
 
-			serial, err := Compress(f, serialOpts)
+			serial, err := CompressCtx(context.Background(), f, serialOpts)
 			if err != nil {
 				t.Fatalf("%s: serial compress: %v", name, err)
 			}
-			par, err := Compress(f, parOpts)
+			par, err := CompressCtx(context.Background(), f, parOpts)
 			if err != nil {
 				t.Fatalf("%s: parallel compress: %v", name, err)
 			}
@@ -48,11 +49,11 @@ func TestGoldenParallelArchivesByteIdentical(t *testing.T) {
 			}
 
 			// Both decompress paths must agree bit-for-bit too.
-			dec1, err := Decompress(serial.Archive)
+			dec1, err := DecompressCtx(context.Background(), serial.Archive)
 			if err != nil {
 				t.Fatalf("%s: decompress: %v", name, err)
 			}
-			dec8, err := Decompress(par.Archive)
+			dec8, err := DecompressCtx(context.Background(), par.Archive)
 			if err != nil {
 				t.Fatalf("%s: decompress parallel archive: %v", name, err)
 			}
@@ -60,11 +61,11 @@ func TestGoldenParallelArchivesByteIdentical(t *testing.T) {
 				t.Fatalf("%s: decompressed fields differ", name)
 			}
 
-			serialChunked, err := CompressChunked(f, serialOpts, 4)
+			serialChunked, err := CompressChunkedCtx(context.Background(), f, serialOpts, 4)
 			if err != nil {
 				t.Fatalf("%s: serial chunked: %v", name, err)
 			}
-			parChunked, err := CompressChunked(f, parOpts, 4)
+			parChunked, err := CompressChunkedCtx(context.Background(), f, parOpts, 4)
 			if err != nil {
 				t.Fatalf("%s: parallel chunked: %v", name, err)
 			}
@@ -83,7 +84,7 @@ func TestGoldenParallelWorkerSweep(t *testing.T) {
 	codec := zfp.MustNew(16)
 	var want []byte
 	for _, w := range []int{1, 2, 3, 5, 16} {
-		res, err := Compress(f, Options{DataCodec: codec, Parallel: parallel.Config{Workers: w}})
+		res, err := CompressCtx(context.Background(), f, Options{DataCodec: codec, Parallel: parallel.Config{Workers: w}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -41,14 +41,14 @@ func TestChunkedDimsBomb(t *testing.T) {
 	}
 	for _, dims := range cases {
 		archive := hostileChunkedArchive(dims)
-		f, err := Decompress(archive)
+		f, err := DecompressCtx(context.Background(), archive)
 		if err == nil {
 			t.Fatalf("dims %v: hostile archive accepted (field dims %v)", dims, f.Dims)
 		}
 		if !errors.Is(err, compress.ErrCorrupt) {
 			t.Fatalf("dims %v: error %v does not wrap ErrCorrupt", dims, err)
 		}
-		if _, err := DecompressChunkedPartial(archive); err == nil {
+		if _, err := DecompressChunkedPartialWithOptsCtx(context.Background(), archive, DecompressOpts{}); err == nil {
 			t.Fatalf("dims %v: hostile archive accepted in degraded mode", dims)
 		}
 	}
@@ -118,7 +118,7 @@ func TestDecompressOptsWorkerBudget(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float64(i)
 	}
-	res, err := CompressChunked(f, Options{DataCodec: ctrCodec{}}, 4)
+	res, err := CompressChunkedCtx(context.Background(), f, Options{DataCodec: ctrCodec{}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDecompressOptsWorkerBudget(t *testing.T) {
 	// 8 workers over 4 chunks leaves 2 per chunk's codec, symmetric with
 	// CompressChunked's split.
 	takeCtrBudgets()
-	dec, err := DecompressWithOpts(res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 8}})
+	dec, err := DecompressWithOptsCtx(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDecompressOptsWorkerBudget(t *testing.T) {
 	}
 
 	// A serial budget stays serial all the way down.
-	if _, err := DecompressWithOpts(res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}}); err != nil {
+	if _, err := DecompressWithOptsCtx(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range takeCtrBudgets() {
@@ -185,7 +185,7 @@ func chunkSlabArchives(t *testing.T, f *grid.Field, chunks int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Compress(sub, Options{DataCodec: fpc.MustNew(10)})
+		res, err := CompressCtx(context.Background(), sub, Options{DataCodec: fpc.MustNew(10)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,11 +208,11 @@ func TestDecompressChunkedPartial(t *testing.T) {
 	bad[1] = []byte("not an archive")
 	archive := buildChunkedArchive(t, f.Dims, bad)
 
-	if _, err := Decompress(archive); err == nil {
+	if _, err := DecompressCtx(context.Background(), archive); err == nil {
 		t.Fatal("strict decode accepted a bad chunk")
 	}
 
-	p, err := DecompressChunkedPartial(archive)
+	p, err := DecompressChunkedPartialWithOptsCtx(context.Background(), archive, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestDecompressChunkedPartial(t *testing.T) {
 	}
 
 	// A fully intact archive reports Complete.
-	good, err := DecompressChunkedPartial(buildChunkedArchive(t, f.Dims, archives))
+	good, err := DecompressChunkedPartialWithOptsCtx(context.Background(), buildChunkedArchive(t, f.Dims, archives), DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDecompressChunkedPartialTruncated(t *testing.T) {
 
 	// Cut inside the last record: framing for chunks 0-1 survives.
 	cut := archive[:len(archive)-3]
-	p, err := DecompressChunkedPartial(cut)
+	p, err := DecompressChunkedPartialWithOptsCtx(context.Background(), cut, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +274,10 @@ func TestDecompressChunkedPartialTruncated(t *testing.T) {
 
 	// Trailing garbage is tolerated in degraded mode, an error in strict.
 	trailing := append(append([]byte(nil), archive...), 0xAA, 0xBB)
-	if _, err := Decompress(trailing); err == nil {
+	if _, err := DecompressCtx(context.Background(), trailing); err == nil {
 		t.Fatal("strict decode accepted trailing bytes")
 	}
-	p, err = DecompressChunkedPartial(trailing)
+	p, err = DecompressChunkedPartialWithOptsCtx(context.Background(), trailing, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestChunkedRecordReorderDetected(t *testing.T) {
 		writeUvarint(&buf, uint64(chunkCRC(orig, a)))
 		writeBytes(&buf, a)
 	}
-	_, err := Decompress(buf.Bytes())
+	_, err := DecompressCtx(context.Background(), buf.Bytes())
 	if err == nil {
 		t.Fatal("reordered records accepted")
 	}
@@ -330,7 +330,7 @@ func TestChunkedRecordReorderDetected(t *testing.T) {
 		t.Fatalf("reorder error %v does not wrap ErrCorrupt", err)
 	}
 
-	p, err := DecompressChunkedPartial(buf.Bytes())
+	p, err := DecompressChunkedPartialWithOptsCtx(context.Background(), buf.Bytes(), DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,12 +344,12 @@ func TestChunkedEveryPrefixTruncation(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float64(i)
 	}
-	res, err := CompressChunked(f, Options{DataCodec: fpc.MustNew(10)}, 3)
+	res, err := CompressChunkedCtx(context.Background(), f, Options{DataCodec: fpc.MustNew(10)}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(res.Archive); cut++ {
-		_, err := Decompress(res.Archive[:cut])
+		_, err := DecompressCtx(context.Background(), res.Archive[:cut])
 		if err == nil {
 			t.Fatalf("prefix of %d bytes accepted", cut)
 		}

@@ -42,41 +42,24 @@ type Partial struct {
 }
 
 // Complete reports whether every chunk decoded and no trailing bytes were
-// found — i.e. whether strict Decompress would have succeeded.
+// found — i.e. whether strict DecompressWithOptsCtx would have succeeded.
 func (p *Partial) Complete() bool { return len(p.Errors) == 0 && p.Trailing == 0 }
 
-// DecompressChunkedPartial is the degraded-mode counterpart of Decompress
-// for LRMC archives: instead of failing fast on the first bad chunk, it
-// decodes every chunk that survives CRC validation and reports the failures
-// per chunk, so a partially corrupted archive still yields the intact
-// subdomains (the per-rank recovery story of the paper's Table IV runs —
-// one rank's bad chunk should not discard every other rank's data).
+// DecompressChunkedPartialWithOptsCtx is the degraded-mode counterpart of
+// DecompressWithOptsCtx for LRMC archives: instead of failing fast on the
+// first bad chunk, it decodes every chunk that survives CRC validation and
+// reports the failures per chunk, so a partially corrupted archive still
+// yields the intact subdomains (the per-rank recovery story of the paper's
+// Table IV runs — one rank's bad chunk should not discard every other
+// rank's data).
 //
 // An error is returned only when the container header itself is too damaged
-// to frame any chunk; per-chunk failures land in Partial.Errors.
-func DecompressChunkedPartial(archive []byte) (*Partial, error) {
-	return DecompressChunkedPartialWithOpts(archive, DecompressOpts{})
-}
-
-// DecompressChunkedPartialCtx is DecompressChunkedPartial with trace
-// propagation.
-func DecompressChunkedPartialCtx(ctx context.Context, archive []byte) (*Partial, error) {
-	return DecompressChunkedPartialWithOptsCtx(ctx, archive, DecompressOpts{})
-}
-
-// DecompressChunkedPartialWithOpts is DecompressChunkedPartial with an
-// explicit worker budget.
-func DecompressChunkedPartialWithOpts(archive []byte, opts DecompressOpts) (*Partial, error) {
-	return DecompressChunkedPartialWithOptsCtx(context.Background(), archive, opts)
-}
-
-// DecompressChunkedPartialWithOptsCtx is the fully-explicit variant: worker
-// budget plus trace propagation. Failed chunks' spans carry their decode
-// error, so a degraded recovery always lands in the trace ring's errored
-// pool. ctx is consulted at every chunk boundary: once canceled, remaining
-// chunks are skipped and the call fails with an error wrapping
-// compress.ErrCanceled (degraded mode does not apply to cancellation — a
-// client disconnect is not data loss).
+// to frame any chunk; per-chunk failures land in Partial.Errors. Failed
+// chunks' spans carry their decode error, so a degraded recovery always
+// lands in the trace ring's errored pool. ctx is consulted at every chunk
+// boundary: once canceled, remaining chunks are skipped and the call fails
+// with an error wrapping compress.ErrCanceled (degraded mode does not apply
+// to cancellation — a client disconnect is not data loss).
 func DecompressChunkedPartialWithOptsCtx(ctx context.Context, archive []byte, opts DecompressOpts) (*Partial, error) {
 	p, err := chunkedDecode(ctx, archive, opts.Parallel, true)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -36,7 +37,7 @@ type archivePin struct {
 func checkArchivePins(t *testing.T, pins []archivePin) {
 	t.Helper()
 	for _, c := range pins {
-		res, err := Compress(c.field(t), Options{Model: c.model, DataCodec: c.codec})
+		res, err := CompressCtx(context.Background(), c.field(t), Options{Model: c.model, DataCodec: c.codec})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

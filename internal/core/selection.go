@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"lrm/internal/grid"
@@ -48,7 +49,7 @@ func SelectModel(f *grid.Field, candidates []Candidate, opts Options) (best Cand
 	for _, cand := range candidates {
 		o := opts
 		o.Model = cand.Model
-		res, cerr := Compress(f, o)
+		res, cerr := CompressCtx(context.TODO(), f, o)
 		if cerr != nil {
 			results = append(results, SelectionResult{Label: cand.Label, Err: cerr})
 			continue

@@ -15,7 +15,7 @@ import (
 // seriesMagic marks the time-series container format.
 const seriesMagic = "LRMS"
 
-// SeriesResult is the outcome of CompressSeries.
+// SeriesResult is the outcome of CompressSeriesCtx.
 type SeriesResult struct {
 	// Archive is the self-describing multi-frame container.
 	Archive []byte
@@ -33,7 +33,7 @@ func (r *SeriesResult) Ratio() float64 {
 	return float64(r.OriginalBytes) / float64(len(r.Archive))
 }
 
-// CompressSeries compresses a simulation output time series using the
+// CompressSeriesCtx compresses a simulation output time series using the
 // previous frame as the reduced model: frame 0 goes through the normal
 // pipeline (with opts.Model, if any), and every later frame stores only its
 // delta against the previous frame's *reconstruction*, compressed with the
@@ -48,13 +48,10 @@ func (r *SeriesResult) Ratio() float64 {
 //
 // Note that even with a lossless delta codec the series is only
 // near-exact, not bit-exact: (f - prev) + prev re-rounds in floating
-// point. Use per-frame Compress when bit-exactness matters.
-func CompressSeries(snaps []*grid.Field, opts Options) (*SeriesResult, error) {
-	return CompressSeriesCtx(context.Background(), snaps, opts)
-}
-
-// CompressSeriesCtx is CompressSeries with trace propagation: every frame's
-// pipeline spans nest under one core.compress_series root.
+// point. Use per-frame CompressCtx when bit-exactness matters.
+//
+// Every frame's pipeline spans nest under one core.compress_series root
+// parented onto ctx.
 func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (res *SeriesResult, err error) {
 	ctx, sp := trace.Start(ctx, "core.compress_series")
 	defer sp.End()
@@ -121,13 +118,9 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 	return res, nil
 }
 
-// DecompressSeries reverses CompressSeries, returning every frame.
-// Failures wrap compress.ErrTruncated / compress.ErrCorrupt.
-func DecompressSeries(archive []byte) ([]*grid.Field, error) {
-	return DecompressSeriesCtx(context.Background(), archive)
-}
-
-// DecompressSeriesCtx is DecompressSeries with trace propagation.
+// DecompressSeriesCtx reverses CompressSeriesCtx, returning every frame.
+// Its spans parent onto ctx. Failures wrap compress.ErrTruncated /
+// compress.ErrCorrupt.
 func DecompressSeriesCtx(ctx context.Context, archive []byte) ([]*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "core.decompress_series")
 	defer sp.End()

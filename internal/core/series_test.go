@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"lrm/internal/compress/fpc"
@@ -26,11 +27,11 @@ func TestSeriesRoundTripWithinBound(t *testing.T) {
 		DataCodec:  sz.MustNew(sz.Abs, 1e-5),
 		DeltaCodec: sz.MustNew(sz.Abs, 1e-4),
 	}
-	res, err := CompressSeries(snaps, opts)
+	res, err := CompressSeriesCtx(context.Background(), snaps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := DecompressSeries(res.Archive)
+	frames, err := DecompressSeriesCtx(context.Background(), res.Archive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +56,13 @@ func TestSeriesBeatsIndependentCompression(t *testing.T) {
 	// mode the small deltas need far fewer planes.
 	snaps := heatSeries(t, 16, 40, 8)
 	codec := zfp.MustNewAccuracy(1e-6)
-	series, err := CompressSeries(snaps, Options{DataCodec: codec})
+	series, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	independent := 0
 	for _, s := range snaps {
-		res, err := Compress(s, Options{DataCodec: codec})
+		res, err := CompressCtx(context.Background(), s, Options{DataCodec: codec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +92,11 @@ func TestSeriesLosslessNearExact(t *testing.T) {
 	// frames (the rolling reconstruction is what gets delta'd against).
 	snaps := heatSeries(t, 12, 30, 4)
 	codec := fpc.MustNew(10)
-	res, err := CompressSeries(snaps, Options{DataCodec: codec})
+	res, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := DecompressSeries(res.Archive)
+	frames, err := DecompressSeriesCtx(context.Background(), res.Archive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestSeriesLosslessNearExact(t *testing.T) {
 
 func TestSeriesSingleFrame(t *testing.T) {
 	snaps := heatSeries(t, 12, 20, 1)
-	res, err := CompressSeries(snaps, Options{DataCodec: zfp.MustNew(16)})
+	res, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: zfp.MustNew(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := DecompressSeries(res.Archive)
+	frames, err := DecompressSeriesCtx(context.Background(), res.Archive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,34 +126,34 @@ func TestSeriesSingleFrame(t *testing.T) {
 }
 
 func TestSeriesValidation(t *testing.T) {
-	if _, err := CompressSeries(nil, Options{DataCodec: zfp.MustNew(8)}); err == nil {
+	if _, err := CompressSeriesCtx(context.Background(), nil, Options{DataCodec: zfp.MustNew(8)}); err == nil {
 		t.Fatal("expected empty-series rejection")
 	}
-	if _, err := CompressSeries([]*grid.Field{grid.New(4)}, Options{}); err == nil {
+	if _, err := CompressSeriesCtx(context.Background(), []*grid.Field{grid.New(4)}, Options{}); err == nil {
 		t.Fatal("expected missing-codec rejection")
 	}
 	// Dim changes mid-series must fail cleanly.
 	snaps := []*grid.Field{grid.New(4, 4), grid.New(5, 5)}
-	if _, err := CompressSeries(snaps, Options{DataCodec: zfp.MustNew(8)}); err == nil {
+	if _, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: zfp.MustNew(8)}); err == nil {
 		t.Fatal("expected dims-mismatch rejection")
 	}
 }
 
 func TestSeriesGarbage(t *testing.T) {
 	snaps := heatSeries(t, 12, 20, 3)
-	res, err := CompressSeries(snaps, Options{DataCodec: zfp.MustNew(12)})
+	res, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: zfp.MustNew(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(res.Archive); cut += 13 {
-		if _, err := DecompressSeries(res.Archive[:cut]); err == nil {
+		if _, err := DecompressSeriesCtx(context.Background(), res.Archive[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := DecompressSeries(append(res.Archive, 1)); err == nil {
+	if _, err := DecompressSeriesCtx(context.Background(), append(res.Archive, 1)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := DecompressSeries([]byte("LRMX123")); err == nil {
+	if _, err := DecompressSeriesCtx(context.Background(), []byte("LRMX123")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

@@ -171,11 +171,11 @@ func TestParallelConfigReachesCodecs(t *testing.T) {
 	}
 	ctx := context.Background()
 	cfg := parallel.Config{Workers: 4, MinShardBytes: -1}
-	res, err := Compress(f, Options{DataCodec: zfp.MustNew(16)})
+	res, err := CompressCtx(context.Background(), f, Options{DataCodec: zfp.MustNew(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := DecompressWithOpts(res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
+	serial, err := DecompressWithOptsCtx(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +263,11 @@ func TestTracingPreservesStreams(t *testing.T) {
 
 	pm := obs.SetEnabled(false)
 	pt := trace.SetEnabled(false)
-	plain, err := Compress(f, opts)
+	plain, err := CompressCtx(context.Background(), f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainChunked, err := CompressChunked(f, opts, 2)
+	plainChunked, err := CompressChunkedCtx(context.Background(), f, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -76,7 +77,7 @@ func RunFig3(cfg Config) (*Fig3Result, error) {
 			for _, method := range fig3Methods() {
 				sum := 0.0
 				for i, f := range snaps {
-					res, err := core.Compress(f, core.Options{
+					res, err := core.CompressCtx(context.TODO(), f, core.Options{
 						Model: method.model(i, coarse), DataCodec: data, DeltaCodec: delta,
 					})
 					if err != nil {

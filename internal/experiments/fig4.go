@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -47,11 +48,11 @@ func RunFig4(cfg Config) (*Fig4Result, error) {
 			return nil, err
 		}
 		for _, f := range snaps {
-			direct, err := core.Compress(f, core.Options{DataCodec: data})
+			direct, err := core.CompressCtx(context.TODO(), f, core.Options{DataCodec: data})
 			if err != nil {
 				return nil, err
 			}
-			pre, err := core.Compress(f, core.Options{
+			pre, err := core.CompressCtx(context.TODO(), f, core.Options{
 				Model: reduce.OneBase{}, DataCodec: data, DeltaCodec: delta,
 			})
 			if err != nil {

@@ -58,13 +58,13 @@ func buildCorpus(t *testing.T) map[string][]byte {
 	}
 	out["huffman.bin"] = huffman.Encode(symbols)
 
-	direct, err := core.Compress(f, core.Options{DataCodec: zfp.MustNew(12)})
+	direct, err := core.CompressCtx(context.Background(), f, core.Options{DataCodec: zfp.MustNew(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["lrm1-direct.bin"] = direct.Archive
 
-	precond, err := core.Compress(f, core.Options{
+	precond, err := core.CompressCtx(context.Background(), f, core.Options{
 		Model: reduce.OneBase{}, DataCodec: zfp.MustNew(12), DeltaCodec: zfp.MustNew(8),
 	})
 	if err != nil {
@@ -72,13 +72,13 @@ func buildCorpus(t *testing.T) map[string][]byte {
 	}
 	out["lrm1-precond.bin"] = precond.Archive
 
-	chunked, err := core.CompressChunked(f, core.Options{DataCodec: zfp.MustNew(12)}, 3)
+	chunked, err := core.CompressChunkedCtx(context.Background(), f, core.Options{DataCodec: zfp.MustNew(12)}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["lrmc-zfp.bin"] = chunked.Archive
 
-	chunkedPre, err := core.CompressChunked(f, core.Options{
+	chunkedPre, err := core.CompressChunkedCtx(context.Background(), f, core.Options{
 		Model: reduce.OneBase{}, DataCodec: sz.MustNew(sz.Abs, 1e-4),
 	}, 2)
 	if err != nil {
@@ -91,7 +91,7 @@ func buildCorpus(t *testing.T) map[string][]byte {
 		frames[1].Data[i] += 0.01
 		frames[2].Data[i] += 0.02
 	}
-	series, err := core.CompressSeries(frames, core.Options{DataCodec: zfp.MustNew(12)})
+	series, err := core.CompressSeriesCtx(context.Background(), frames, core.Options{DataCodec: zfp.MustNew(12)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package faultinject_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,7 +54,7 @@ func TestPartialDecodeMetricsUnderSweep(t *testing.T) {
 			// Pristine decode: every chunk gets a span with byte attribution,
 			// the decoded counter matches the chunk count, no errors counted.
 			obs.Reset()
-			p, err := core.DecompressChunkedPartialWithOpts(data, serial)
+			p, err := core.DecompressChunkedPartialWithOptsCtx(context.Background(), data, serial)
 			if err != nil {
 				t.Fatalf("pristine archive fails to decode: %v", err)
 			}
@@ -81,7 +82,7 @@ func TestPartialDecodeMetricsUnderSweep(t *testing.T) {
 			reached := 0
 			decode := func(b []byte) error {
 				before := chunkErrors.Value()
-				p, partialErr := core.DecompressChunkedPartialWithOpts(b, serial)
+				p, partialErr := core.DecompressChunkedPartialWithOptsCtx(context.Background(), b, serial)
 				if partialErr != nil {
 					// Header/framing rejection: no chunk was attempted, so
 					// the counter must not have moved.
@@ -100,7 +101,7 @@ func TestPartialDecodeMetricsUnderSweep(t *testing.T) {
 				if p.Trailing > 0 {
 					// Trailing garbage is not a chunk failure; report it the
 					// way the strict decoder classifies it.
-					_, strictErr := core.DecompressWithOpts(b, serial)
+					_, strictErr := core.DecompressWithOptsCtx(context.Background(), b, serial)
 					return strictErr
 				}
 				return nil

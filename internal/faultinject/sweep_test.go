@@ -51,8 +51,8 @@ func decoderForCorpus(t *testing.T, name string) faultinject.DecodeFunc {
 		// Chunked containers are decoded both fail-fast and degraded: the
 		// partial path must uphold the same no-panic/no-bomb contract.
 		return func(b []byte) error {
-			_, strictErr := core.DecompressWithOpts(b, serial)
-			p, partialErr := core.DecompressChunkedPartialWithOpts(b, serial)
+			_, strictErr := core.DecompressWithOptsCtx(context.Background(), b, serial)
+			p, partialErr := core.DecompressChunkedPartialWithOptsCtx(context.Background(), b, serial)
 			if partialErr != nil {
 				return partialErr
 			}
@@ -67,9 +67,12 @@ func decoderForCorpus(t *testing.T, name string) faultinject.DecodeFunc {
 			return strictErr
 		}
 	case strings.HasPrefix(name, "lrms"):
-		return func(b []byte) error { _, err := core.DecompressSeries(b); return err }
+		return func(b []byte) error { _, err := core.DecompressSeriesCtx(context.Background(), b); return err }
 	case strings.HasPrefix(name, "lrm1"):
-		return func(b []byte) error { _, err := core.DecompressWithOpts(b, serial); return err }
+		return func(b []byte) error {
+			_, err := core.DecompressWithOptsCtx(context.Background(), b, serial)
+			return err
+		}
 	default:
 		t.Fatalf("no decoder mapped for corpus entry %q", name)
 		return nil

@@ -12,6 +12,7 @@
 package iosim
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -122,7 +123,7 @@ func EndToEnd(cfg Config, methods []Method) ([]Entry, error) {
 // sample should be representative of the per-rank subdomain.
 func MeasureMethod(name string, f *grid.Field, opts core.Options, staged bool) (Method, error) {
 	start := time.Now()
-	res, err := core.Compress(f, opts)
+	res, err := core.CompressCtx(context.TODO(), f, opts)
 	if err != nil {
 		return Method{}, fmt.Errorf("iosim: measuring %q: %w", name, err)
 	}

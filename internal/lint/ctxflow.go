@@ -5,29 +5,21 @@ import (
 	"go/types"
 )
 
-// AnalyzerCtxFlow flags context drops in the *Ctx call chain, the PR-5
-// tracing contract: once a function accepts a context.Context, spans and
-// pprof labels flow through it, and detaching re-roots the trace tree.
+// AnalyzerCtxFlow flags context drops in the call chain, the tracing
+// contract: once a function accepts a context.Context, spans and pprof
+// labels flow through it, and detaching re-roots the trace tree.
 //
-// Two shapes are reported inside any function (or closure) that has a
-// context.Context parameter:
-//
-//   - a call to context.Background() or context.TODO() — below the entry
-//     layer the surrounding ctx must be passed, not replaced. Entry-layer
-//     wrappers (`func Decompress(b) { return DecompressCtx(context.
-//     Background(), b) }`) have no ctx parameter and are untouched;
-//
-//   - a call to a function or method whose Ctx variant exists — resolved
-//     type-aware: a package-level `F` with a package-level `FCtx` taking a
-//     leading context, or a method `m.F` whose receiver type also has
-//     `FCtx`. Interface values without a Ctx method in their method set are
-//     not flagged.
+// Inside any function (or closure) that has a context.Context parameter, a
+// call to context.Background() or context.TODO() is reported: below the
+// entry layer the surrounding ctx must be passed, not replaced. Entry-layer
+// code (a main, a test, a helper with no ctx parameter) may root a fresh
+// context and is untouched.
 //
 // Closures without their own ctx parameter inherit the enclosing scope's
 // obligation (they capture the ctx); closures with one are their own scope.
 var AnalyzerCtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "*Ctx function dropping its context: Background()/TODO() below the entry layer, or a non-Ctx call where a Ctx variant exists",
+	Doc:  "function holding a context.Context that replaces it with Background()/TODO() instead of passing it down",
 	Run:  runCtxFlow,
 }
 
@@ -94,11 +86,6 @@ func checkCtxScope(p *Pass, body *ast.BlockStmt) {
 		if name, fromContextPkg := contextConstructor(p, call); fromContextPkg {
 			p.Reportf(call.Pos(),
 				"context.%s() below the entry layer detaches this call chain from its context; pass the surrounding ctx", name)
-			return true
-		}
-		if variant := droppedCtxVariant(p, call); variant != "" {
-			p.Reportf(call.Pos(),
-				"call drops the surrounding ctx; use %s", variant)
 		}
 		return true
 	})
@@ -121,57 +108,4 @@ func contextConstructor(p *Pass, call *ast.CallExpr) (string, bool) {
 		return sel.Sel.Name, ok && pkg.Imported().Path() == "context"
 	}
 	return sel.Sel.Name, id.Name == "context"
-}
-
-// droppedCtxVariant returns the name of the Ctx variant a call should have
-// used, or "" when the call is fine: the callee already takes a context, or
-// no variant exists for it.
-func droppedCtxVariant(p *Pass, call *ast.CallExpr) string {
-	callee := p.calleeFunc(call)
-	if callee == nil || calleeTakesContext(callee) {
-		return ""
-	}
-	name := callee.Name() + "Ctx"
-	if recv := callee.Type().(*types.Signature).Recv(); recv != nil {
-		// Method: look the variant up in the receiver's method set. For
-		// interface receivers this only fires when the interface itself
-		// declares the variant — assertion fallbacks stay legal.
-		obj, _, _ := types.LookupFieldOrMethod(recv.Type(), true, callee.Pkg(), name)
-		if v, ok := obj.(*types.Func); ok && calleeTakesContext(v) {
-			return recvString(recv.Type()) + "." + name
-		}
-		return ""
-	}
-	if callee.Pkg() == nil {
-		return ""
-	}
-	if v, ok := callee.Pkg().Scope().Lookup(name).(*types.Func); ok && calleeTakesContext(v) {
-		if callee.Pkg().Name() != "" && p.Pkg != callee.Pkg() {
-			return callee.Pkg().Name() + "." + name
-		}
-		return name
-	}
-	return ""
-}
-
-// calleeTakesContext reports whether any parameter of fn is a
-// context.Context.
-func calleeTakesContext(fn *types.Func) bool {
-	sig := fn.Type().(*types.Signature)
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-func recvString(t types.Type) string {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return t.String()
 }

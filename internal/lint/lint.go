@@ -12,8 +12,10 @@
 //   - hotalloc:   make() allocations inside hot-path kernels (the canonical
 //     list in hotalloc.go plus //lrm:hotpath-marked functions) that should
 //     draw scratch from the internal/parallel arenas instead
+//   - ctxflow:    functions holding a context.Context that replace it with
+//     context.Background()/TODO() instead of passing it down
 //
-// plus three interprocedural analyzers built on module-wide function
+// plus two interprocedural analyzers built on module-wide function
 // summaries (call-graph construction from go/types, per-function
 // taint/error summaries, fixed-point propagation — see program.go):
 //
@@ -21,8 +23,6 @@
 //     from untrusted input without CheckedAlloc/NewCheckedField or a guard
 //   - errtaxonomy: decode-path error returns that cannot wrap an
 //     ErrTruncated/ErrCorrupt/ErrHeader sentinel
-//   - ctxflow:     *Ctx functions dropping their context (Background/TODO
-//     below the entry layer, or calling F where FCtx exists)
 //
 // A diagnostic can be suppressed with a trailing or preceding comment
 //

@@ -9,7 +9,7 @@ import (
 )
 
 // Program is the module-wide view the interprocedural analyzers
-// (decodetaint, errtaxonomy, ctxflow) share: every loaded package, an index
+// (decodetaint, errtaxonomy) share: every loaded package, an index
 // from function objects to their declarations, a static call graph built
 // from go/types resolution, and the lazily computed per-function summaries
 // the analyzers propagate to a fixed point.

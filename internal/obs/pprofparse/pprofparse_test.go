@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"lrm/internal/compress"
@@ -111,42 +112,9 @@ func labeledProfile() []byte {
 	return e.buf
 }
 
-// TestTopCumFramesSynthetic pins the rollup semantics: nanosecond column
-// selection, once-per-sample crediting through recursion and inlining, and
-// descending cum order — the exact behavior lrmbench's -profile-top JSON
-// depends on.
-func TestTopCumFramesSynthetic(t *testing.T) {
-	frames, err := TopCumFrames(syntheticProfile(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Frame{
-		{Func: "fnA", CumNs: 500, CumPct: 100},
-		{Func: "fnB", CumNs: 300, CumPct: 60},
-		{Func: "fnC", CumNs: 100, CumPct: 20},
-	}
-	if len(frames) != len(want) {
-		t.Fatalf("got %d frames %+v, want %d", len(frames), frames, len(want))
-	}
-	for i, w := range want {
-		if frames[i] != w {
-			t.Errorf("frame %d: got %+v want %+v", i, frames[i], w)
-		}
-	}
-
-	// top-n truncation
-	top1, err := TopCumFrames(syntheticProfile(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top1) != 1 || top1[0].Func != "fnA" {
-		t.Fatalf("top-1: %+v", top1)
-	}
-}
-
-// TestTopCumFramesGzip checks the gzip header path (the format the runtime
-// actually emits) decodes to the same rollup.
-func TestTopCumFramesGzip(t *testing.T) {
+// TestParseGzip checks the gzip header path (the format the runtime
+// actually emits) decodes to the same profile as the raw bytes.
+func TestParseGzip(t *testing.T) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	if _, err := zw.Write(syntheticProfile()); err != nil {
@@ -155,18 +123,25 @@ func TestTopCumFramesGzip(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	frames, err := TopCumFrames(buf.Bytes(), 10)
+	zp, err := Parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frames) != 3 || frames[0].Func != "fnA" {
-		t.Fatalf("gzip path: %+v", frames)
+	p, err := Parse(syntheticProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zp, p) {
+		t.Fatalf("gzip path decoded %+v, raw path %+v", zp, p)
+	}
+	if len(p.Samples) != 3 || p.ValueIndex("nanoseconds") != 1 {
+		t.Fatalf("synthetic profile: %d samples, nanoseconds column %d", len(p.Samples), p.ValueIndex("nanoseconds"))
 	}
 }
 
-// TestTopCumFramesCorrupt feeds garbage and truncations; the parser must
-// error (or return empty) rather than panic.
-func TestTopCumFramesCorrupt(t *testing.T) {
+// TestParseCorrupt feeds garbage and truncations; the parser must error
+// (or return a profile) rather than panic.
+func TestParseCorrupt(t *testing.T) {
 	full := syntheticProfile()
 	inputs := [][]byte{
 		nil,
@@ -182,7 +157,7 @@ func TestTopCumFramesCorrupt(t *testing.T) {
 					t.Errorf("input %d: panic %v", i, r)
 				}
 			}()
-			TopCumFrames(in, 10)
+			_, _ = Parse(in)
 		}()
 	}
 }
@@ -224,12 +199,16 @@ func TestParseSampleTypesAndLabels(t *testing.T) {
 	}
 }
 
-// TestParseEmptyProfile: a profile with no sample types yields no frames
-// and no error (the runtime emits such profiles for zero-sample windows).
+// TestParseEmptyProfile: a profile with no sample types parses without
+// error to no samples and no value column (the runtime emits such
+// profiles for zero-sample windows).
 func TestParseEmptyProfile(t *testing.T) {
-	frames, err := TopCumFrames([]byte{}, 10)
-	if err != nil || frames != nil {
-		t.Fatalf("empty profile: frames %v err %v", frames, err)
+	p, err := Parse([]byte{})
+	if err != nil {
+		t.Fatalf("empty profile: %v", err)
+	}
+	if len(p.Samples) != 0 || p.ValueIndex("nanoseconds") != -1 {
+		t.Fatalf("empty profile: %d samples, value column %d", len(p.Samples), p.ValueIndex("nanoseconds"))
 	}
 }
 

@@ -23,9 +23,9 @@
 //	defer sp.End()
 //
 // and child stages started from ctx attach under the parent automatically,
-// including across the worker pool (parallel.ForCtx hands the submitting
-// goroutine's ctx to every task, so chunk shards nest under their chunk
-// span rather than orphaning).
+// including across the worker pool (a task closure captures the
+// submitting goroutine's ctx, so chunk shards nest under their chunk span
+// rather than orphaning).
 //
 // # The disabled fast path
 //
@@ -297,9 +297,10 @@ func (s *Span) End() {
 
 // WithLabels installs runtime/pprof labels (key/value pairs such as
 // "stage", "codec", "chunk") on the calling goroutine and returns a ctx
-// carrying them plus a restore function to defer. Tasks submitted to the
-// worker pool with the returned ctx inherit the labels (parallel.ForCtx
-// re-installs them in workers), so CPU profiles slice by pipeline stage.
+// carrying them plus a restore function to defer. Pool workers the calling
+// goroutine then starts (parallel.For) inherit the labels, because Go
+// copies a goroutine's labels into every goroutine it starts, so CPU
+// profiles slice by pipeline stage.
 // Disabled observability makes this a no-op returning ctx unchanged.
 func WithLabels(ctx context.Context, kv ...string) (context.Context, func()) {
 	if obs.State() == 0 {

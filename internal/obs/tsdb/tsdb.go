@@ -27,7 +27,7 @@
 // prefix.
 //
 // The sampler is a background goroutine owned by whoever built the store
-// (lrmserve's startup/drain, lrmbench/lrmexp's -history flag); nothing in
+// (lrmserve's startup/drain, lrmexp's -history flag); nothing in
 // this package touches the compression hot paths, so the disabled-overhead
 // contract of internal/obs is unaffected by linking it.
 package tsdb
@@ -327,8 +327,8 @@ func (s *Store) Mount() {
 }
 
 // DumpFiles writes the retained history as JSON to historyPath and the
-// rendered dashboard as HTML to dashPath — the -history/-dash file dumps
-// of lrmbench and lrmexp. Empty paths are skipped.
+// rendered dashboard as HTML to dashPath — lrmexp's -history/-dash file
+// dumps. Empty paths are skipped.
 func (s *Store) DumpFiles(historyPath, dashPath string) error {
 	if historyPath != "" {
 		f, err := os.Create(historyPath)

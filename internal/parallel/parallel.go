@@ -52,9 +52,10 @@ type Config struct {
 }
 
 // DefaultMinShardBytes is the per-shard input size below which the pool
-// costs more than it saves, measured on the BENCH harness: the zfp small
-// cell (256 KiB) regressed under workers=4 while the medium cell (2 MiB,
-// 512 KiB/shard) did not, so the default cutover sits at 512 KiB.
+// costs more than it saves. The retired lrm-bench/2 harness measured it
+// (BENCH_5.json, see git history): zfp on a 256 KiB field regressed under
+// workers=4 while a 2 MiB field (512 KiB/shard) did not, so the default
+// cutover sits at 512 KiB.
 const DefaultMinShardBytes = 512 << 10
 
 // Resolve returns the effective worker count for the config.
