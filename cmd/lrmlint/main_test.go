@@ -11,7 +11,7 @@ import (
 // fixtures: every analyzer must produce findings (exit 1) on its fixture
 // package, proving the tool gates CI rather than reporting and passing.
 func TestExitNonZeroOnFindings(t *testing.T) {
-	for _, rule := range []string{"floatcmp", "ignorederr", "mutexcopy", "goroutine", "deadassign", "decodetaint", "errtaxonomy", "ctxflow"} {
+	for _, rule := range []string{"floatcmp", "ignorederr", "goroutine", "deadassign", "decodetaint", "errtaxonomy", "ctxflow"} {
 		var out, errb bytes.Buffer
 		code := run([]string{"-rules", rule, "./internal/lint/testdata/src/" + rule}, &out, &errb)
 		if code != 1 {
@@ -45,7 +45,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, rule := range []string{"floatcmp", "ignorederr", "mutexcopy", "goroutine", "deadassign", "decodetaint", "errtaxonomy", "ctxflow"} {
+	for _, rule := range []string{"floatcmp", "ignorederr", "goroutine", "deadassign", "decodetaint", "errtaxonomy", "ctxflow"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list output missing %s", rule)
 		}

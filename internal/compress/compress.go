@@ -39,7 +39,9 @@ type Codec interface {
 	Decompress(ctx context.Context, b []byte, cfg parallel.Config) (*grid.Field, error)
 }
 
-// CompressCtx compresses f with c on the default parallel config.
+// CompressCtx compresses f with c on the default parallel config. Library
+// code calls c.Compress with its caller's budget; this wrapper and
+// DecompressCtx remain only for the lrmbench3 module's codec layer.
 func CompressCtx(ctx context.Context, c Codec, f *grid.Field) ([]byte, error) {
 	return c.Compress(ctx, f, parallel.Config{})
 }

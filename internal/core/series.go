@@ -84,7 +84,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 	res.OriginalBytes += 8 * snaps[0].Len()
 
 	// The rolling reconstruction the decoder will hold.
-	prev, err := DecompressCtx(ctx, first.Archive)
+	prev, err := DecompressWithOptsCtx(ctx, first.Archive, DecompressOpts{Parallel: opts.Parallel})
 	if err != nil {
 		return nil, fmt.Errorf("core: series frame 0 verify: %w", err)
 	}
@@ -96,7 +96,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 		if err != nil {
 			return nil, fmt.Errorf("core: series frame %d: %w", i, err)
 		}
-		stream, err := compress.CompressCtx(ctx, deltaCodec, delta)
+		stream, err := deltaCodec.Compress(ctx, delta, opts.Parallel)
 		if err != nil {
 			return nil, fmt.Errorf("core: series frame %d: %w", i, err)
 		}
@@ -104,7 +104,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 		res.FrameBytes = append(res.FrameBytes, len(stream))
 
 		// Advance the rolling reconstruction exactly as the decoder will.
-		dhat, err := compress.DecompressCtx(ctx, deltaCodec, stream)
+		dhat, err := deltaCodec.Decompress(ctx, stream, opts.Parallel)
 		if err != nil {
 			return nil, fmt.Errorf("core: series frame %d verify: %w", i, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"lrm/internal/compress/sz"
 	"lrm/internal/compress/zfp"
 	"lrm/internal/grid"
+	"lrm/internal/obs"
+	"lrm/internal/parallel"
 	"lrm/internal/reduce"
 	"lrm/internal/sim/heat3d"
 	"lrm/internal/stats"
@@ -155,5 +158,37 @@ func TestSeriesGarbage(t *testing.T) {
 	}
 	if _, err := DecompressSeriesCtx(context.Background(), []byte("LRMX123")); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestSeriesHonoursParallelBudget pins Options.Parallel on every frame, not
+// only frame 0: at Workers: 1 the delta frames must not fork the pool, and
+// the budget must not change a byte of the archive.
+func TestSeriesHonoursParallelBudget(t *testing.T) {
+	pm := obs.SetEnabled(true)
+	obs.Reset()
+	t.Cleanup(func() {
+		obs.Reset()
+		obs.SetEnabled(pm)
+	})
+	snaps := heatSeries(t, 64, 40, 3)
+	ctx := context.Background()
+
+	pooled := obs.GetHistogram("parallel.task.ns", nil)
+	p0 := pooled.Snapshot().Count
+	serial, err := CompressSeriesCtx(ctx, snaps, Options{DataCodec: zfp.MustNew(16), Parallel: parallel.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pooled.Snapshot().Count - p0; n != 0 {
+		t.Errorf("series at Workers: 1 ran %d pooled tasks, want 0", n)
+	}
+
+	def, err := CompressSeriesCtx(ctx, snaps, Options{DataCodec: zfp.MustNew(16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serial.Archive, def.Archive) {
+		t.Error("series archive at Workers: 1 differs from the default budget")
 	}
 }

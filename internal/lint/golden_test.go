@@ -142,8 +142,8 @@ func f(a, b float64) int {
 // TestByName covers rule-subset resolution.
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 10 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 10", len(all), err)
+	if err != nil || len(all) != 9 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 9", len(all), err)
 	}
 	two, err := ByName("floatcmp, goroutine")
 	if err != nil || len(two) != 2 {

@@ -5,10 +5,10 @@
 //
 //   - floatcmp:   naked float equality (==/!=) between non-constant operands
 //   - ignorederr: discarded error results from Write/Encode/Decode-family calls
-//   - mutexcopy:  by-value copies of types containing sync.Mutex/WaitGroup
 //   - goroutine:  goroutines launched with no completion/escape mechanism
 //   - deadassign: `_ = expr` blank assignments masking dead computation
-//   - obsspan:    obs.Start/StartChild spans without End() on every return path
+//   - obsspan:    trace.Start spans without End() on every return path, or
+//     started from context.Background() with a context already in reach
 //   - hotalloc:   make() allocations inside hot-path kernels (the canonical
 //     list in hotalloc.go plus //lrm:hotpath-marked functions) that should
 //     draw scratch from the internal/parallel arenas instead
@@ -23,6 +23,8 @@
 //     from untrusted input without CheckedAlloc/NewCheckedField or a guard
 //   - errtaxonomy: decode-path error returns that cannot wrap an
 //     ErrTruncated/ErrCorrupt/ErrHeader sentinel
+//
+// Lock copies are not an lrmlint rule: go vet's copylocks check covers them.
 //
 // A diagnostic can be suppressed with a trailing or preceding comment
 //
@@ -87,6 +89,14 @@ func (p *Pass) Program() *Program {
 		p.prog = NewProgram([]*Pass{p})
 	}
 	return p.prog
+}
+
+// typeOf is a nil-safe Info.Types lookup.
+func (p *Pass) typeOf(e ast.Expr) types.Type {
+	if tv, ok := p.Info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
 }
 
 type ignoreDirective struct {
@@ -161,7 +171,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerFloatCmp,
 		AnalyzerIgnoredErr,
-		AnalyzerMutexCopy,
 		AnalyzerGoroutine,
 		AnalyzerDeadAssign,
 		AnalyzerObsSpan,

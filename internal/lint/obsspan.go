@@ -6,18 +6,17 @@ import (
 )
 
 // AnalyzerObsSpan flags observability spans that can leak: a span opened by
-// `obs.Start(...)`, `<span>.StartChild(...)`, or the two-value
-// `trace.Start(ctx, ...)` whose End() is not guaranteed on every return
-// path. A leaked span is silent data loss for the metrics registry and the
-// trace tree — the stage's duration, byte, and item attributes are recorded
-// only by End, so a missed path under-reports exactly the executions that
-// took the unusual exit (usually the error path).
+// `trace.Start(ctx, ...)` — the one span constructor — whose End() is not
+// guaranteed on every return path. A leaked span is silent data loss for
+// the metrics registry and the trace tree — the stage's duration, byte, and
+// item attributes are recorded only by End, so a missed path under-reports
+// exactly the executions that took the unusual exit (usually the error
+// path).
 //
 // The rule is intentionally lexical rather than flow-sensitive:
 //
-//   - a dropped result (`obs.Start("x")` or `trace.Start(ctx, "x")` as a
-//     statement, or the span assigned to `_`) is always a finding — the
-//     span can never be ended;
+//   - a dropped result (`trace.Start(ctx, "x")` as a statement, or the span
+//     assigned to `_`) is always a finding — the span can never be ended;
 //   - `defer sp.End()` anywhere in the function covers every exit;
 //   - otherwise each return statement (and the fall-off end of the function)
 //     after the Start must have an explicit `sp.End()` call lexically
@@ -34,7 +33,7 @@ import (
 // inside a parallel.For closure must be ended inside that closure.
 var AnalyzerObsSpan = &Analyzer{
 	Name: "obsspan",
-	Doc:  "obs/trace span without End() on every return path, or orphaned from its trace",
+	Doc:  "trace span without End() on every return path, or orphaned from its trace",
 	Run:  runObsSpan,
 }
 
@@ -70,36 +69,10 @@ func spanWalk(body *ast.BlockStmt, visit func(ast.Node)) {
 	})
 }
 
-// isSpanStart recognizes the two span constructors syntactically:
-// obs.Start(...) — a call through an identifier named obs — and any
-// .StartChild(...) call. Type information is deliberately not consulted so
-// the rule also fires in packages the loader cannot resolve.
-func isSpanStart(call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Start":
-		id, ok := ast.Unparen(sel.X).(*ast.Ident)
-		return ok && id.Name == "obs"
-	case "StartChild":
-		return true
-	}
-	return false
-}
-
-func spanStartName(call *ast.CallExpr) string {
-	sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if sel.Sel.Name == "Start" {
-		return "obs.Start"
-	}
-	return "StartChild"
-}
-
-// isTraceStart recognizes the two-value span constructor
-// `trace.Start(ctx, name)` — a Start call through an identifier named
-// trace. Like isSpanStart it is purely syntactic.
+// isTraceStart recognizes the span constructor `trace.Start(ctx, name)` — a
+// Start call through an identifier named trace. Type information is
+// deliberately not consulted so the rule also fires in packages the loader
+// cannot resolve.
 func isTraceStart(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Start" {
@@ -182,44 +155,28 @@ func checkSpanScope(p *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 			if !ok {
 				return
 			}
-			if isSpanStart(call) {
-				p.Reportf(call.Pos(), "result of %s dropped; the span can never be ended", spanStartName(call))
-			}
 			if isTraceStart(call) {
 				checkOrphan(call)
 				p.Reportf(call.Pos(), "result of trace.Start dropped; the span can never be ended")
 			}
 		case *ast.AssignStmt:
-			if len(n.Rhs) != 1 {
+			if len(n.Lhs) != 2 || len(n.Rhs) != 1 {
 				return
 			}
 			call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
+			if !ok || !isTraceStart(call) {
+				return
+			}
+			checkOrphan(call)
+			id, ok := n.Lhs[1].(*ast.Ident)
 			if !ok {
 				return
 			}
-			switch {
-			case len(n.Lhs) == 1 && isSpanStart(call):
-				id, ok := n.Lhs[0].(*ast.Ident)
-				if !ok {
-					return
-				}
-				if id.Name == "_" {
-					p.Reportf(call.Pos(), "result of %s assigned to _; the span can never be ended", spanStartName(call))
-					return
-				}
-				spans = append(spans, spanVar{name: id.Name, pos: call.Pos()})
-			case len(n.Lhs) == 2 && isTraceStart(call):
-				checkOrphan(call)
-				id, ok := n.Lhs[1].(*ast.Ident)
-				if !ok {
-					return
-				}
-				if id.Name == "_" {
-					p.Reportf(call.Pos(), "span from trace.Start assigned to _; the span can never be ended")
-					return
-				}
-				spans = append(spans, spanVar{name: id.Name, pos: call.Pos()})
+			if id.Name == "_" {
+				p.Reportf(call.Pos(), "span from trace.Start assigned to _; the span can never be ended")
+				return
 			}
+			spans = append(spans, spanVar{name: id.Name, pos: call.Pos()})
 		}
 	})
 

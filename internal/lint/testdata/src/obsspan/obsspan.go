@@ -1,6 +1,6 @@
-// Package obsspan exercises the obsspan rule: spans opened by obs.Start,
-// StartChild, or the two-value trace.Start must be ended on every return
-// path, and trace.Start must not detach from a context already in reach.
+// Package obsspan exercises the obsspan rule: spans opened by trace.Start
+// must be ended on every return path, and trace.Start must not detach from
+// a context already in reach.
 package obsspan
 
 import (
@@ -10,24 +10,25 @@ import (
 
 var errFail = errors.New("fail")
 
-// Minimal stand-in for the real lrm/internal/obs API. The rule is
-// syntactic — a call through an identifier named obs with selector Start
-// triggers it — so the fixture stays stdlib-only.
+// Minimal stand-in for lrm/internal/obs/trace. The rule is syntactic — a
+// Start call through an identifier named trace triggers it — so the
+// fixture stays stdlib-only. Start takes a context and returns (ctx, span).
 type span struct{}
 
-func (s *span) End()                         {}
-func (s *span) StartChild(name string) *span { return s }
-func (s *span) SetBytes(in, out int64)       {}
+func (s *span) End()                   {}
+func (s *span) SetBytes(in, out int64) {}
 
-type registry struct{}
+type tracer struct{}
 
-func (registry) Start(name string) *span { return &span{} }
+func (tracer) Start(ctx context.Context, name string) (context.Context, *span) {
+	return ctx, &span{}
+}
 
-var obs registry
+var trace tracer
 
 // goodDefer ends its span via defer: every exit is covered.
-func goodDefer(fail bool) error {
-	sp := obs.Start("good.defer")
+func goodDefer(ctx context.Context, fail bool) error {
+	_, sp := trace.Start(ctx, "good.defer")
 	defer sp.End()
 	if fail {
 		return errFail
@@ -36,8 +37,8 @@ func goodDefer(fail bool) error {
 }
 
 // goodExplicit ends the span lexically before each exit.
-func goodExplicit(fail bool) error {
-	sp := obs.Start("good.explicit")
+func goodExplicit(ctx context.Context, fail bool) error {
+	_, sp := trace.Start(ctx, "good.explicit")
 	if fail {
 		sp.End()
 		return errFail
@@ -47,8 +48,8 @@ func goodExplicit(fail bool) error {
 }
 
 // badEarlyReturn leaks the span on the error path.
-func badEarlyReturn(fail bool) error {
-	sp := obs.Start("bad.early") // want "span sp may leak"
+func badEarlyReturn(ctx context.Context, fail bool) error {
+	_, sp := trace.Start(ctx, "bad.early") // want "span sp may leak"
 	if fail {
 		return errFail
 	}
@@ -57,36 +58,36 @@ func badEarlyReturn(fail bool) error {
 }
 
 // badFallOff leaks the span when control falls off the end of the body.
-func badFallOff() {
-	sp := obs.Start("bad.falloff") // want "span sp may leak"
+func badFallOff(ctx context.Context) {
+	_, sp := trace.Start(ctx, "bad.falloff") // want "span sp may leak"
 	_ = sp
 }
 
-// badDropped discards the span result outright.
-func badDropped() {
-	obs.Start("bad.dropped") // want "result of obs.Start dropped"
+// badDropped discards both results outright.
+func badDropped(ctx context.Context) {
+	trace.Start(ctx, "bad.dropped") // want "result of trace.Start dropped"
 }
 
-// badBlank assigns the span to the blank identifier.
-func badBlank() {
-	_ = obs.Start("bad.blank") // want "assigned to _"
+// badBlank discards the span half of the pair; it can never be ended.
+func badBlank(ctx context.Context) {
+	_, _ = trace.Start(ctx, "bad.blank") // want "assigned to _"
 }
 
 // goodChild ends its child before the parent's defer fires.
-func goodChild() {
-	sp := obs.Start("good.child")
+func goodChild(ctx context.Context) {
+	ctx, sp := trace.Start(ctx, "good.child")
 	defer sp.End()
-	cs := sp.StartChild("good.child.inner")
+	_, cs := trace.Start(ctx, "good.child.inner")
 	cs.SetBytes(1, 2)
 	cs.End()
 }
 
 // badChild leaks the child span on the early return; the parent's defer
 // does not cover it.
-func badChild(fail bool) error {
-	sp := obs.Start("bad.child.parent")
+func badChild(ctx context.Context, fail bool) error {
+	ctx, sp := trace.Start(ctx, "bad.child.parent")
 	defer sp.End()
-	cs := sp.StartChild("bad.child.inner") // want "span cs may leak"
+	_, cs := trace.Start(ctx, "bad.child.inner") // want "span cs may leak"
 	if fail {
 		return errFail
 	}
@@ -96,62 +97,20 @@ func badChild(fail bool) error {
 
 // closureScopes: function literals are separate scopes, so a span opened
 // inside a closure must be ended inside that closure.
-func closureScopes() {
-	sp := obs.Start("closure.outer")
+func closureScopes(ctx context.Context) {
+	ctx, sp := trace.Start(ctx, "closure.outer")
 	defer sp.End()
 	run(func() {
-		inner := obs.Start("closure.inner") // want "span inner may leak"
+		_, inner := trace.Start(ctx, "closure.inner") // want "span inner may leak"
 		_ = inner
 	})
 	run(func() {
-		inner := obs.Start("closure.ok")
+		_, inner := trace.Start(ctx, "closure.ok")
 		defer inner.End()
 	})
 }
 
 func run(f func()) { f() }
-
-// Minimal stand-in for lrm/internal/obs/trace: Start takes a context and
-// returns (ctx, span), the two-value shape the trace half of the rule
-// matches on.
-type tracer struct{}
-
-func (tracer) Start(ctx context.Context, name string) (context.Context, *span) {
-	return ctx, &span{}
-}
-
-var trace tracer
-
-// goodTraceDefer ends the two-value span via defer.
-func goodTraceDefer(ctx context.Context, fail bool) error {
-	ctx, sp := trace.Start(ctx, "good.trace")
-	defer sp.End()
-	_ = ctx
-	if fail {
-		return errFail
-	}
-	return nil
-}
-
-// badTraceEarly leaks the two-value span on the error path.
-func badTraceEarly(ctx context.Context, fail bool) error {
-	_, sp := trace.Start(ctx, "bad.trace.early") // want "span sp may leak"
-	if fail {
-		return errFail
-	}
-	sp.End()
-	return nil
-}
-
-// badTraceBlank discards the span half of the pair; it can never be ended.
-func badTraceBlank(ctx context.Context) {
-	_, _ = trace.Start(ctx, "bad.trace.blank") // want "assigned to _"
-}
-
-// badTraceDropped discards both results outright.
-func badTraceDropped(ctx context.Context) {
-	trace.Start(ctx, "bad.trace.dropped") // want "result of trace.Start dropped"
-}
 
 // badOrphanParam has a context parameter in hand but starts the span from
 // context.Background(), detaching it from the caller's trace.

@@ -37,8 +37,10 @@ func TestStartDebugServesAndStops(t *testing.T) {
 		return string(body)
 	}
 
-	// The registry always carries at least the process-wide metrics once
-	// anything registered; the exposition content-type is the contract here.
+	// Register one metric so the exposition is non-empty regardless of
+	// which other packages this test binary links; the exposition
+	// content-type is the contract here.
+	GetCounter("test.debug.served")
 	if body := get("/metrics"); body == "" {
 		t.Error("/metrics returned an empty exposition")
 	}

@@ -1,25 +1,29 @@
 // Package obs is the repository's zero-dependency observability core: a
 // metrics registry (atomic counters, gauges, and fixed-bucket histograms
-// with Snapshot/Reset), lightweight span tracing for pipeline stages
-// (span.go), and text exposition in Prometheus and expvar-compatible JSON
-// formats (expo.go, http.go). Only the standard library is used.
+// with Snapshot/Reset), the per-stage metric bundles that pipeline spans
+// feed (stage.go), and text exposition in Prometheus and expvar-compatible
+// JSON formats (expo.go, http.go). Only the standard library is used.
+// Stages are recorded through the trace subpackage: trace.Start is the one
+// span constructor, and with tracing off it records only the stage bundle.
 //
 // # The no-op fast path
 //
 // Observability is off by default. Every instrumentation entry point is
 // gated on a single atomic load:
 //
-//	sp := obs.Start("sz.quantize") // one atomic load, returns nil when off
-//	defer sp.End()                 // nil receiver: no-op
+//	ctx, sp := trace.Start(ctx, "sz.quantize") // one atomic load; (ctx, nil) when off
+//	defer sp.End()                             // nil receiver: no-op
 //
 // Span methods are nil-receiver-safe, so instrumented code pays exactly one
-// atomic bool load per Start call (and per obs.Enabled() guard) when
+// atomic load per Start call (and per obs.Enabled() guard) when
 // observability is disabled — no allocation, no time.Now, no registry
 // traffic. Hot loops must hoist the guard: instrument at stage granularity
 // (one span around a kernel), or snapshot Enabled() into a local once per
-// shard and accumulate into plain locals, flushing to counters at the end.
-// The overhead guard test (overhead_test.go) pins the disabled cost of the
-// instrumented compression paths below 2% of stage runtime.
+// shard and accumulate into plain locals, flushing through StageAdd at the
+// end. The overhead guards (overhead_test.go for the guarded obs probes,
+// trace/overhead_test.go for those plus the trace lifecycles) pin the
+// disabled cost of the instrumented compression paths below 2% of stage
+// runtime.
 //
 // # Registry model
 //
@@ -202,6 +206,31 @@ type HistSnapshot struct {
 	// Exemplars holds one entry per bucket (aligned with Counts); buckets
 	// that never saw an exemplar are nil.
 	Exemplars []*Exemplar `json:"exemplars,omitempty"`
+}
+
+// BucketQuantile returns the bucket upper bound at quantile q of per-bucket
+// counts (len(bounds)+1 entries, the last being +Inf) whose sum is total.
+// A quantile landing in the +Inf bucket reports the last finite bound — the
+// conventional conservative clamp — and empty bounds report 0.
+func BucketQuantile(bounds, counts []int64, total int64, q float64) float64 {
+	rank := int64(q * float64(total))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	for i, c := range counts {
+		cum += c
+		if cum >= rank {
+			if i < len(bounds) {
+				return float64(bounds[i])
+			}
+			break
+		}
+	}
+	if len(bounds) == 0 {
+		return 0
+	}
+	return float64(bounds[len(bounds)-1])
 }
 
 // Snapshot copies the histogram's current state.

@@ -94,62 +94,6 @@ func TestResetKeepsRegistrations(t *testing.T) {
 	}
 }
 
-func TestSpanDisabledIsNil(t *testing.T) {
-	prev := SetEnabled(false)
-	t.Cleanup(func() { SetEnabled(prev) })
-	sp := Start("test.disabled")
-	if sp != nil {
-		t.Fatal("Start must return nil when disabled")
-	}
-	// The whole lifecycle must be nil-safe.
-	child := sp.StartChild("test.disabled.child")
-	child.SetBytes(1, 2)
-	child.AddItems(3)
-	child.End()
-	sp.SetBytes(4, 5)
-	sp.End()
-	if sp.Parent() != nil || child.Parent() != nil {
-		t.Fatal("nil spans must have nil parents")
-	}
-}
-
-func TestSpanRecordsStageMetrics(t *testing.T) {
-	withObs(t)
-	sp := Start("test.stage")
-	if sp == nil {
-		t.Fatal("Start returned nil while enabled")
-	}
-	child := sp.StartChild("test.stage.child")
-	if child.Parent() != sp {
-		t.Fatal("child does not point at parent")
-	}
-	child.AddItems(7)
-	child.End()
-	sp.SetBytes(100, 40)
-	sp.End()
-
-	snap := Snapshot()
-	if got := snap.Counters["stage.test.stage.calls"]; got != 1 {
-		t.Fatalf("calls = %d, want 1", got)
-	}
-	if got := snap.Counters["stage.test.stage.bytes_in"]; got != 100 {
-		t.Fatalf("bytes_in = %d, want 100", got)
-	}
-	if got := snap.Counters["stage.test.stage.bytes_out"]; got != 40 {
-		t.Fatalf("bytes_out = %d, want 40", got)
-	}
-	if got := snap.Counters["stage.test.stage.child.items"]; got != 7 {
-		t.Fatalf("child items = %d, want 7", got)
-	}
-	if snap.Counters["stage.test.stage.ns_total"] < 0 {
-		t.Fatal("negative span duration")
-	}
-	h, ok := snap.Histograms["stage.test.stage.ns"]
-	if !ok || h.Count != 1 {
-		t.Fatalf("duration histogram missing or count != 1: %+v", h)
-	}
-}
-
 func TestStageAdd(t *testing.T) {
 	withObs(t)
 	StageAdd("test.accum", 1000, 4)
@@ -277,9 +221,7 @@ func TestConcurrentRecording(t *testing.T) {
 				c.Inc()
 				g.SetMax(int64(i))
 				h.Observe(int64(i))
-				sp := Start("test.conc.span")
-				sp.AddItems(1)
-				sp.End()
+				StageObserve("test.conc.span", int64(i), 0, 0, 1, "")
 			}
 		}()
 	}

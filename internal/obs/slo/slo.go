@@ -243,28 +243,8 @@ func (t *Tracker) windowLocked(now time.Time, name string, dur time.Duration) Wi
 	ws.AvailabilityBurn = errFrac / (1 - t.obj.Availability)
 	// The latency objective budgets 1% of requests over the threshold.
 	ws.LatencyBurn = slowFrac / 0.01
-	ws.P99Ms = windowP99Ms(t.bounds, lat, ws.Requests)
+	ws.P99Ms = obs.BucketQuantile(t.bounds, lat, ws.Requests, 0.99) / 1e6
 	return ws
-}
-
-// windowP99Ms returns the p99 latency estimate (bucket upper bound) in
-// milliseconds for the windowed latency histogram.
-func windowP99Ms(bounds []int64, lat []int64, total int64) float64 {
-	rank := int64(0.99 * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range lat {
-		cum += c
-		if cum >= rank {
-			if i < len(bounds) {
-				return float64(bounds[i]) / 1e6
-			}
-			break
-		}
-	}
-	return float64(bounds[len(bounds)-1]) / 1e6
 }
 
 // publish pushes the report's burn rates into the obs gauges.

@@ -1,8 +1,11 @@
-// Disabled-overhead guard for the trace layer, the PR-4 promise extended:
-// with both observability switches off a trace.Start costs one atomic load
-// and returns (ctx, nil), so instrumenting the hot paths with spans and
-// pprof labels must stay under 2% of real stage time. Modeled the same way
-// as internal/obs's guard so it holds under -race and on slow machines.
+// Disabled-overhead guard: with both observability switches off a
+// trace.Start costs one atomic load and returns (ctx, nil), and every other
+// probe sits behind an obs.Enabled() check, so instrumenting the
+// compression hot paths must be effectively free when nobody is looking.
+// The promise is pinned as a ratio — the modeled disabled-mode cost of the
+// call sites one Compress executes must stay below 2% of the measured
+// stage time — so it holds under -race and on slow machines, where both
+// sides of the ratio inflate together.
 package trace_test
 
 import (
@@ -11,9 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"lrm/internal/compress"
+	"lrm/internal/compress/sz"
 	"lrm/internal/compress/zfp"
 	"lrm/internal/grid"
 	"lrm/internal/obs"
+	"lrm/internal/obs/quality"
 	"lrm/internal/obs/trace"
 	"lrm/internal/parallel"
 )
@@ -42,6 +48,22 @@ func disabledLifecycleNs() float64 {
 	return float64(time.Since(start).Nanoseconds()) / iters
 }
 
+// disabledQualityNs measures the disabled cost of one quality-telemetry
+// probe in the guard shape core.CompressChunkedCtx uses: an Enabled() check
+// in front of quality.Observe, so a disabled probe is one atomic load and
+// the Event literal is never built. The zfp shards' Enabled() snapshots
+// have the same shape.
+func disabledQualityNs() float64 {
+	const iters = 200_000
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if obs.Enabled() {
+			quality.Observe(quality.Event{Source: "overhead.probe"})
+		}
+	}
+	return float64(time.Since(start).Nanoseconds()) / iters
+}
+
 func overheadField() *grid.Field {
 	f := grid.New(128, 128)
 	for i := range f.Data {
@@ -59,38 +81,52 @@ func TestTraceDisabledOverheadBelowTwoPercent(t *testing.T) {
 	})
 
 	lifecycleNs := disabledLifecycleNs()
+	qualityNs := disabledQualityNs()
 	f := overheadField()
-	codec := zfp.MustNew(16)
-	compress := func() {
-		if _, err := codec.Compress(context.Background(), f, parallel.Config{Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	compress() // warm up before timing
 
-	const runs = 5
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		compress()
-	}
-	stageNs := float64(time.Since(start).Nanoseconds()) / runs
-
-	// One zfp.compress executes the root span plus a shard span per block
-	// row; 16 full lifecycles (each including a WithLabels pair the codec
-	// path doesn't even perform) over-counts the real call sites.
+	// Per-Compress disabled call-site budgets, counted generously: sz runs
+	// a root span and three stage spans; zfp runs a root span plus a shard
+	// span and one Enabled() snapshot per shard. 16 full lifecycles (each
+	// including a WithLabels pair the codec paths don't even perform) and
+	// 8 guarded probes (one quality.Observe per chunk plus one per request,
+	// or one Enabled() snapshot per shard) over-count the real call sites.
 	const lifecyclesPerCompress = 16
-	overhead := lifecyclesPerCompress * lifecycleNs
-	ratio := overhead / stageNs
-	t.Logf("zfp.compress: stage %.0f ns, disabled trace cost %.1f ns (%.4f%%)",
-		stageNs, overhead, 100*ratio)
-	if ratio >= 0.02 {
-		t.Errorf("disabled trace overhead %.2f%% exceeds the 2%% budget (lifecycle %.1f ns, stage %.0f ns)",
-			100*ratio, lifecycleNs, stageNs)
+	const probesPerCompress = 8
+
+	cases := []struct {
+		name  string
+		codec compress.Codec
+	}{
+		{"sz.compress", sz.MustNew(sz.Abs, 1e-4)},
+		{"zfp.compress", zfp.MustNew(16)},
+	}
+	for _, tc := range cases {
+		run := func() {
+			if _, err := tc.codec.Compress(context.Background(), f, parallel.Config{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm up before timing
+		const runs = 5
+		start := time.Now()
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		stageNs := float64(time.Since(start).Nanoseconds()) / runs
+
+		overhead := lifecyclesPerCompress*lifecycleNs + probesPerCompress*qualityNs
+		ratio := overhead / stageNs
+		t.Logf("%s: stage %.0f ns, disabled obs cost %.1f ns (%.4f%%)",
+			tc.name, stageNs, overhead, 100*ratio)
+		if ratio >= 0.02 {
+			t.Errorf("%s: disabled instrumentation overhead %.2f%% exceeds the 2%% budget (lifecycle %.1f ns, probe %.1f ns, stage %.0f ns)",
+				tc.name, 100*ratio, lifecycleNs, qualityNs, stageNs)
+		}
 	}
 }
 
 // BenchmarkDisabledTraceLifecycle reports the raw disabled cost — the
-// number the "one atomic load" claim cashes out to for the trace layer.
+// number the "one atomic load" claim cashes out to.
 func BenchmarkDisabledTraceLifecycle(b *testing.B) {
 	pm := obs.SetEnabled(false)
 	pt := trace.SetEnabled(false)

@@ -6,23 +6,20 @@
 // error — exportable as Chrome trace_event JSON (WriteChromeTrace,
 // Perfetto-loadable) or browsable at /debug/traces next to /metrics.
 //
-// # Relationship to plain obs spans
+// # Metrics-only mode
 //
-// A trace span is a superset of an obs.Span: End feeds the same
-// stage.<name>.{ns,ns_total,calls,bytes_in,bytes_out,items} metric bundle
-// whenever metrics are enabled, and additionally stamps the latency
-// histogram's bucket with the span's trace ID as an exemplar, so a fat
-// bucket in /metrics links to a concrete retained trace. Instrumented code
-// migrates from
+// Start is the one way to record a pipeline stage. With metrics on and
+// tracing off it returns the caller's ctx and a span that retains no
+// trace: End only feeds the stage.<name>.{ns,ns_total,calls,bytes_in,
+// bytes_out,items} bundle (obs.StageObserve). With tracing on, End feeds
+// the same bundle, stamps the latency histogram's bucket with the span's
+// trace ID as an exemplar — so a fat bucket in /metrics links to a
+// concrete retained trace — and appends the span to its trace:
 //
-//	sp := obs.Start("core.compress")   // metrics only
-//
-// to
-//
-//	ctx, sp := trace.Start(ctx, "core.compress") // metrics + causal tree
+//	ctx, sp := trace.Start(ctx, "core.compress")
 //	defer sp.End()
 //
-// and child stages started from ctx attach under the parent automatically,
+// Child stages started from ctx attach under the parent automatically,
 // including across the worker pool (a task closure captures the
 // submitting goroutine's ctx, so chunk shards nest under their chunk span
 // rather than orphaning).
@@ -155,9 +152,9 @@ func NewContext(ctx context.Context, sp *Span) context.Context {
 // parents onto the span in ctx (a fresh trace is opened when there is
 // none) and the returned context carries the new span, so nested stages —
 // including tasks submitted to the worker pool with the returned ctx —
-// attach under it. When only metrics are enabled the span records the
-// stage bundle exactly like obs.Start. When both switches are off Start is
-// one atomic load and returns (ctx, nil) untouched.
+// attach under it. When only metrics are enabled the span records only the
+// stage bundle and ctx is returned untouched. When both switches are off
+// Start is one atomic load and returns (ctx, nil) untouched.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	st := obs.State()
 	if st == 0 {

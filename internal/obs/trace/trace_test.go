@@ -63,6 +63,68 @@ func TestDisabledStartReturnsNilSpan(t *testing.T) {
 	}
 }
 
+// TestMetricsOnlySpanRecordsStageBundle pins the mode every pipeline stage
+// runs in under -stats: metrics on, tracing off. Start must hand back the
+// caller's ctx and a live span whose End feeds the whole stage bundle once
+// and retains no trace.
+func TestMetricsOnlySpanRecordsStageBundle(t *testing.T) {
+	pm := obs.SetEnabled(true)
+	pt := SetEnabled(false)
+	obs.Reset()
+	Reset()
+	t.Cleanup(func() {
+		obs.Reset()
+		Reset()
+		obs.SetEnabled(pm)
+		SetEnabled(pt)
+	})
+
+	ctx := context.Background()
+	got, sp := Start(ctx, "metrics.only")
+	if got != ctx {
+		t.Error("metrics-only Start must return the caller's ctx")
+	}
+	if sp == nil {
+		t.Fatal("metrics-only Start returned a nil span")
+	}
+	if sp.TraceID() != "" || sp.SpanID() != 0 {
+		t.Errorf("metrics-only span carries trace identity %q/%d", sp.TraceID(), sp.SpanID())
+	}
+	sp.SetBytes(100, 40)
+	sp.AddItems(3)
+	sp.AddItems(4)
+	time.Sleep(time.Millisecond) // a duration the histogram cannot miss
+	sp.End()
+
+	snap := obs.Snapshot()
+	c := snap.Counters
+	if got := c["stage.metrics.only.calls"]; got != 1 {
+		t.Errorf("calls = %d, want 1", got)
+	}
+	if got := c["stage.metrics.only.bytes_in"]; got != 100 {
+		t.Errorf("bytes_in = %d, want 100", got)
+	}
+	if got := c["stage.metrics.only.bytes_out"]; got != 40 {
+		t.Errorf("bytes_out = %d, want 40", got)
+	}
+	if got := c["stage.metrics.only.items"]; got != 7 {
+		t.Errorf("items = %d, want 7", got)
+	}
+	h, ok := snap.Histograms["stage.metrics.only.ns"]
+	if !ok || h.Count != 1 {
+		t.Fatalf("duration histogram missing or count != 1: %+v", h)
+	}
+	if ns := c["stage.metrics.only.ns_total"]; ns < int64(time.Millisecond) || h.Sum != ns {
+		t.Errorf("ns_total = %d, histogram sum = %d: want the same duration of at least 1ms", ns, h.Sum)
+	}
+	if traces := Snapshot(); len(traces) != 0 {
+		t.Errorf("metrics-only span retained %d traces, want 0", len(traces))
+	}
+	if got := c["trace.finished"]; got != 0 {
+		t.Errorf("trace.finished = %d, want 0", got)
+	}
+}
+
 func TestSpanTreeNesting(t *testing.T) {
 	withTracing(t)
 	ctx, root := Start(context.Background(), "t.root")

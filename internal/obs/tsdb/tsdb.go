@@ -246,31 +246,7 @@ func (s *Store) windowP99(name string, h obs.HistSnapshot) (float64, bool) {
 	if total == 0 {
 		return 0, false
 	}
-	return bucketQuantile(h.Bounds, deltas, total, 0.99), true
-}
-
-// bucketQuantile returns the bucket upper bound at quantile q of counts
-// over ascending bounds (the last bucket is +Inf and reports the last
-// finite bound — the conventional conservative clamp).
-func bucketQuantile(bounds []int64, counts []int64, total int64, q float64) float64 {
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			if i < len(bounds) {
-				return float64(bounds[i])
-			}
-			break
-		}
-	}
-	if len(bounds) == 0 {
-		return 0
-	}
-	return float64(bounds[len(bounds)-1])
+	return obs.BucketQuantile(h.Bounds, deltas, total, 0.99), true
 }
 
 // record appends one sample, creating the series if the cap allows.

@@ -50,9 +50,6 @@ func init() { register("pca", reconstructPCA) }
 
 // Reduce implements Model.
 func (p PCA) Reduce(f *grid.Field) (*Rep, error) {
-	sp := obs.Start("reduce.pca.fit")
-	defer sp.End()
-	sp.AddItems(int64(f.Len()))
 	if err := checkFinite(f); err != nil {
 		return nil, err
 	}
