@@ -32,9 +32,10 @@ invariants:
 faultsweep:
 	$(GO) test -run 'TestSweepCorpus|TestPartialDecodeMetricsUnderSweep' -count=1 ./internal/faultinject
 
-# Concurrent packages under the race detector.
+# Concurrent packages under the race detector. This is the one race list:
+# verify.sh and the CI verify job both run `make race`.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/mpi/... ./internal/core/... ./internal/sim/laplace/... ./internal/sim/heat3d/... ./internal/compress/... ./internal/huffman/... ./internal/faultinject/... ./internal/linalg/... ./internal/serve/... ./cmd/lrmserve/...
+	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/mpi/... ./internal/core/... ./internal/sim/laplace/... ./internal/sim/heat3d/... ./internal/compress/... ./internal/huffman/... ./internal/faultinject/... ./internal/linalg/... ./internal/reduce/... ./internal/serve/... ./cmd/lrmserve/... ./cmd/lrmbench/...
 
 # Trace recorder race-stress in isolation: concurrent Start/End against
 # Snapshot/export/Reset, repeated so interleavings vary.

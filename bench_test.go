@@ -445,11 +445,11 @@ func TestHuffmanEncodeAllocBudget(t *testing.T) {
 		}
 		syms[i] = v
 	}
-	if out := huffman.Encode(syms); len(out) == 0 {
+	if out := huffman.Encode(syms, 1); len(out) == 0 {
 		t.Fatal("empty encode")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if out := huffman.Encode(syms); len(out) == 0 {
+		if out := huffman.Encode(syms, 1); len(out) == 0 {
 			t.Fatal("empty encode")
 		}
 	})
@@ -463,7 +463,7 @@ func TestHuffmanDecodeAllocBudget(t *testing.T) {
 	for i := range syms {
 		syms[i] = 32768 + i%5
 	}
-	enc := huffman.Encode(syms)
+	enc := huffman.Encode(syms, 1)
 	if _, err := huffman.Decode(enc); err != nil {
 		t.Fatal(err)
 	}

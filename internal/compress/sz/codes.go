@@ -13,7 +13,7 @@ import (
 // cost only a few bits each. The count and pack stages shard across the
 // worker pool without changing the output bytes.
 func encodeCodes(codes []int, workers int) []byte {
-	return huffman.EncodeParallel(codes, workers)
+	return huffman.Encode(codes, workers)
 }
 
 // decodeCodes reverses encodeCodes and validates the expected count. The

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"lrm/internal/compress"
 	"lrm/internal/grid"
@@ -166,33 +167,19 @@ func (c *Codec) AbsErrorBound(f *grid.Field) (float64, bool) {
 	return c.effectiveBound(f), true
 }
 
-// hasNaNOrInf scans for unsupported values, sharding across the pool for
-// large inputs. The answer is a pure predicate, so scan order is free.
+// hasNaNOrInf scans for unsupported values, one pool shard per worker.
+// The answer is a pure predicate, so scan order is free.
 func hasNaNOrInf(data []float64, workers int) bool {
-	if workers <= 1 || len(data) < minWavefrontPoints {
-		for _, v := range data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		return false
-	}
-	shards := parallel.Shards(workers, len(data))
-	found := make([]bool, shards)
-	parallel.ForShard(workers, len(data), func(sh, lo, hi int) {
+	var found atomic.Bool
+	parallel.ForShard(workers, len(data), func(_, lo, hi int) {
 		for _, v := range data[lo:hi] {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				found[sh] = true
+				found.Store(true)
 				return
 			}
 		}
 	})
-	for _, f := range found {
-		if f {
-			return true
-		}
-	}
-	return false
+	return found.Load()
 }
 
 // lorenzoPredict predicts point i of data given dims, using only indices
@@ -326,10 +313,10 @@ func quantizePoint(data, decoded []float64, dims []int, eb float64, pred4 predic
 // parallel.PutInts once consumed.
 //
 // Multi-dimensional domains run the rank-specialized row kernels
-// (kernels.go) — serially in raster order, or as a tiled wavefront
-// (wavefront.go) sweeping the same rows. Every point sees identical
-// operands either way, so codes, decoded, and the exact pool match the
-// scalar per-point scan bit for bit. The adaptive curve-fit predictor is
+// (kernels.go) in a tiled wavefront sweep (wavefront.go), which at one
+// worker is the raster scan. Every point sees identical operands at any
+// tile count, so codes, decoded, and the exact pool match the scalar
+// per-point scan bit for bit. The adaptive curve-fit predictor is
 // 1-D only and keeps the scalar loop; multi-D curve-fit streams use the
 // Lorenzo kernels, exactly as curveFitPredict falls back to lorenzoPredict.
 func quantizeCore(data []float64, dims []int, eb float64, decoded []float64, curveFit bool, workers int) (codes []int, exact []float64) {
@@ -342,13 +329,9 @@ func quantizeCore(data []float64, dims []int, eb float64, decoded []float64, cur
 	case len(dims) == 1:
 		quantizeRow1(data, decoded, codes, eb)
 	default:
-		if !wavefrontRows(dims, workers, func(k, j, x0, x1 int) {
+		sweepRows(dims, workers, func(k, j, x0, x1 int) {
 			quantizeRows(data, decoded, codes, dims, eb, k, j, x0, x1)
-		}) {
-			serialRows(dims, func(k, j, x0, x1 int) {
-				quantizeRows(data, decoded, codes, dims, eb, k, j, x0, x1)
-			})
-		}
+		})
 	}
 	// Collect misses in raster order — the serial pool order.
 	for idx, code := range codes {
@@ -362,7 +345,7 @@ func quantizeCore(data []float64, dims []int, eb float64, decoded []float64, cur
 // dequantizeCore reverses quantizeCore. A raster pre-pass validates every
 // code and places the exact values in serial pool order (reproducing the
 // scalar error and pool-consumption order); misses are then fixed points
-// of the recurrence, so the row kernels — serial or wavefront — only apply
+// of the recurrence, so the row kernels of the wavefront sweep only apply
 // the prediction to the remaining points.
 func dequantizeCore(codes []int, dims []int, eb float64, exact []float64, curveFit bool, workers int) ([]float64, error) {
 	out := make([]float64, len(codes))
@@ -395,13 +378,9 @@ func dequantizeCore(codes []int, dims []int, eb float64, exact []float64, curveF
 	case len(dims) == 1:
 		dequantRow1(out, codes, eb)
 	default:
-		if !wavefrontRows(dims, workers, func(k, j, x0, x1 int) {
+		sweepRows(dims, workers, func(k, j, x0, x1 int) {
 			dequantRows(out, codes, dims, eb, k, j, x0, x1)
-		}) {
-			serialRows(dims, func(k, j, x0, x1 int) {
-				dequantRows(out, codes, dims, eb, k, j, x0, x1)
-			})
-		}
+		})
 	}
 	return out, nil
 }

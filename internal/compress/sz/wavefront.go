@@ -22,14 +22,14 @@ import (
 // 1-D data has a strictly sequential dependency chain (and the adaptive
 // curve-fit predictor is 1-D only), so rank 1 always runs serially.
 
-// minWavefrontPoints gates the wavefront: below this the per-diagonal
-// fork/join barriers cost more than the quantization work.
-const minWavefrontPoints = 1 << 14
-
 // wavefrontTiles picks the tile-grid extent along a dimension of length n:
-// about two tiles per worker for pipeline fill, but never tiles shorter
-// than 4 points, and never more tiles than points.
+// one tile for a single worker, which makes the sweep the raster scan, and
+// otherwise about two tiles per worker for pipeline fill, but never tiles
+// shorter than 4 points.
 func wavefrontTiles(n, workers int) int {
+	if workers <= 1 {
+		return 1
+	}
 	g := 2 * workers
 	if g > n/4 {
 		g = n / 4
@@ -42,8 +42,7 @@ func wavefrontTiles(n, workers int) int {
 
 // rowFn processes the contiguous point run [x0,x1) of row (k, j); k is 0
 // for rank-2 domains. All strictly-lower-index neighbours of every point
-// in the run are complete when the callback fires, so serial raster sweeps
-// and wavefront tile sweeps drive the identical kernels.
+// in the run are complete when the callback fires, at any tile count.
 type rowFn func(k, j, x0, x1 int)
 
 // wavefront2 sweeps an (n0, n1) domain in anti-diagonal tile order,
@@ -73,58 +72,23 @@ func wavefront2(n0, n1, workers int, fn func(i0, i1lo, i1hi int)) {
 	}
 }
 
-// wavefrontRows sweeps the whole domain as row runs, scheduling row(k, j,
-// x0, x1) so every point's strictly-lower-index neighbours are already
-// processed. Rank 2 tiles (y, x), so rows arrive as x-segments; rank 3
-// tiles (z, y) with full x rows inside a tile, which keeps the inner loop
-// contiguous. Returns false when the domain does not warrant (or support)
-// the wavefront; the caller must then sweep rows serially.
-func wavefrontRows(dims []int, workers int, row rowFn) bool {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	if workers <= 1 || n < minWavefrontPoints {
-		return false
-	}
-	switch len(dims) {
-	case 2:
-		ny, nx := dims[0], dims[1]
-		if wavefrontTiles(ny, workers) < 2 || wavefrontTiles(nx, workers) < 2 {
-			return false
-		}
-		wavefront2(ny, nx, workers, func(y, xlo, xhi int) {
+// sweepRows sweeps the whole rank-2 or rank-3 domain as row runs in
+// wavefront tile order, so every point's strictly-lower-index neighbours
+// are processed before row(k, j, x0, x1) reaches it. Rank 2 tiles (y, x),
+// so rows arrive as x-segments; rank 3 tiles (z, y) with full x rows inside
+// a tile, which keeps the inner loop contiguous. One worker gives a 1×1
+// tile grid: the plain raster scan on the calling goroutine.
+func sweepRows(dims []int, workers int, row rowFn) {
+	if len(dims) == 2 {
+		wavefront2(dims[0], dims[1], workers, func(y, xlo, xhi int) {
 			row(0, y, xlo, xhi)
 		})
-		return true
-	case 3:
-		nz, ny, nx := dims[0], dims[1], dims[2]
-		if wavefrontTiles(nz, workers) < 2 || wavefrontTiles(ny, workers) < 2 {
-			return false
-		}
-		wavefront2(nz, ny, workers, func(z, ylo, yhi int) {
-			for y := ylo; y < yhi; y++ {
-				row(z, y, 0, nx)
-			}
-		})
-		return true
-	default:
-		return false
-	}
-}
-
-// serialRows sweeps every row of a rank-2 or rank-3 domain in raster order.
-func serialRows(dims []int, row rowFn) {
-	nx := dims[len(dims)-1]
-	if len(dims) == 2 {
-		for j := 0; j < dims[0]; j++ {
-			row(0, j, 0, nx)
-		}
 		return
 	}
-	for k := 0; k < dims[0]; k++ {
-		for j := 0; j < dims[1]; j++ {
-			row(k, j, 0, nx)
+	nx := dims[2]
+	wavefront2(dims[0], dims[1], workers, func(z, ylo, yhi int) {
+		for y := ylo; y < yhi; y++ {
+			row(z, y, 0, nx)
 		}
-	}
+	})
 }

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"lrm/internal/compress"
 	"lrm/internal/grid"
+	"lrm/internal/obs"
 	"lrm/internal/parallel"
 )
 
@@ -56,5 +58,46 @@ func TestParallelByteIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestParallelDecodeFallsBackUnderAllocCap pins the one schedule choice zfp
+// decode keeps: the parallel schedule buffers every parsed block, which for
+// a degenerate shape is far larger than the field. A {256,1,1} field is 64
+// rank-3 blocks of 64 coefficients holding 4 samples each, so its 32 KiB
+// parsed-block buffer exceeds an 8 KiB decode cap that its 2 KiB field fits
+// under. Decode at Workers: 4 must then fall back to the per-block schedule
+// — no pool tasks — and equal the Workers: 1 decode.
+func TestParallelDecodeFallsBackUnderAllocCap(t *testing.T) {
+	pm := obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(pm) })
+	f := grid.New(256, 1, 1)
+	for i := range f.Data {
+		f.Data[i] = math.Sin(float64(i) / 9)
+	}
+	c := MustNew(16)
+	ctx := context.Background()
+	stream, err := c.Compress(ctx, f, parallel.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Decompress(ctx, stream, parallel.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	prev := compress.SetDecodeAllocCap(8 << 10)
+	t.Cleanup(func() { compress.SetDecodeAllocCap(prev) })
+	tasks := obs.GetCounter("parallel.tasks")
+	t0 := tasks.Value()
+	got, err := c.Decompress(ctx, stream, parallel.Config{Workers: 4, MinShardBytes: -1})
+	if err != nil {
+		t.Fatalf("decode under the cap: %v", err)
+	}
+	if dt := tasks.Value() - t0; dt != 0 {
+		t.Errorf("decode under the cap ran %d pool tasks, want the per-block schedule (0)", dt)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("fallback decode differs from Workers: 1")
 	}
 }

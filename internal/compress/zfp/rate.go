@@ -151,34 +151,9 @@ func (c *Codec) compressRate(ctx context.Context, f *grid.Field, workers int) ([
 
 	bs := blocks(f.Dims)
 	var w bitstream.Writer
-	if workers <= 1 || len(bs) < minParallelBlocks {
-		_, sp := trace.Start(ctx, "zfp.shard_encode")
-		sp.AddItems(int64(len(bs)))
-		err := c.encodeRateBlocks(f, bs, budget, &w)
-		sp.SetError(err)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		shards := parallel.Shards(workers, len(bs))
-		ws := make([]bitstream.Writer, shards)
-		errs := make([]error, shards)
-		parallel.ForShard(workers, len(bs), func(s, lo, hi int) {
-			_, sp := trace.Start(ctx, "zfp.shard_encode")
-			sp.AddItems(int64(hi - lo))
-			errs[s] = c.encodeRateBlocks(f, bs[lo:hi], budget, &ws[s])
-			sp.SetError(errs[s])
-			sp.End()
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for i := range ws {
-			w.AppendWriter(&ws[i])
-		}
+	enc := func(bs []blockShape, w *bitstream.Writer) error { return c.encodeRateBlocks(f, bs, budget, w) }
+	if err := encodeShards(ctx, bs, &w, workers, enc); err != nil {
+		return nil, err
 	}
 
 	out := compress.EncodeDimsHeader(f.Dims)
@@ -400,23 +375,6 @@ func decompressRate(ctx context.Context, dims []int, rest []byte, workers int) (
 		return nil, err
 	}
 	bs := blocks(dims)
-
-	if workers <= 1 || len(bs) < minParallelBlocks {
-		s := newBlockScratch(size)
-		defer s.release()
-		_, sp := trace.Start(ctx, "zfp.shard_decode")
-		defer sp.End()
-		sp.AddItems(int64(len(bs)))
-		r := bitstream.NewReader(payload)
-		for _, b := range bs {
-			if err := decodeRateBlock(r, rate, rank, s); err != nil {
-				sp.SetError(err)
-				return nil, err
-			}
-			scatter(f, b, s.vals)
-		}
-		return f, nil
-	}
 
 	shards := parallel.Shards(workers, len(bs))
 	errs := make([]error, shards)

@@ -79,10 +79,6 @@ const fixedPointBits = 60
 // intprec is the total number of negabinary bit planes per coefficient.
 const intprec = 64
 
-// minParallelBlocks is the block count below which forking the pool costs
-// more than the encode itself; smaller fields stay on the calling goroutine.
-const minParallelBlocks = 16
-
 // New returns a codec that keeps precision bit planes per block (the
 // paper's "16 bits of precision" corresponds to New(16)).
 func New(precision int) (*Codec, error) {
@@ -765,7 +761,8 @@ func (c *Codec) Compress(ctx context.Context, f *grid.Field, cfg parallel.Config
 		return out, nil
 	}
 	var w bitstream.Writer
-	if err := c.encodeShards(ctx, f, blocks(f.Dims), &w, workers); err != nil {
+	enc := func(bs []blockShape, w *bitstream.Writer) error { return c.encodeBlocks(f, bs, w) }
+	if err := encodeShards(ctx, blocks(f.Dims), &w, workers, enc); err != nil {
 		sp.SetError(err)
 		return nil, err
 	}
@@ -784,28 +781,24 @@ func (c *Codec) Compress(ctx context.Context, f *grid.Field, cfg parallel.Config
 	return out, nil
 }
 
-// encodeShards fans the block list out over the worker pool. Every shard
-// encodes into a private bitstream; the shards are then concatenated at
-// bit granularity in shard order, which reproduces the serial stream
-// exactly — block i's bits always land at the same offset. A
-// zfp.shard_encode span is opened per shard on both paths, so traces show
-// the shard structure even when the pool budget forces serial execution.
-func (c *Codec) encodeShards(ctx context.Context, f *grid.Field, bs []blockShape, w *bitstream.Writer, workers int) error {
-	if workers <= 1 || len(bs) < minParallelBlocks {
-		_, sp := trace.Start(ctx, "zfp.shard_encode")
-		sp.AddItems(int64(len(bs)))
-		err := c.encodeBlocks(f, bs, w)
-		sp.SetError(err)
-		sp.End()
-		return err
-	}
+// encodeShards cuts the block list into parallel.Shards(workers, len(bs))
+// shards and encodes each with enc on the worker pool, under one
+// zfp.shard_encode span per shard. Shard 0 writes straight into w; every
+// other shard encodes into a private bitstream appended to w in shard
+// order at bit granularity, which reproduces the one-shard stream exactly
+// — block i's bits always land at the same offset.
+func encodeShards(ctx context.Context, bs []blockShape, w *bitstream.Writer, workers int, enc func([]blockShape, *bitstream.Writer) error) error {
 	shards := parallel.Shards(workers, len(bs))
-	ws := make([]bitstream.Writer, shards)
+	tail := make([]bitstream.Writer, max(shards-1, 0))
 	errs := make([]error, shards)
 	parallel.ForShard(workers, len(bs), func(s, lo, hi int) {
+		sw := w
+		if s > 0 {
+			sw = &tail[s-1]
+		}
 		_, sp := trace.Start(ctx, "zfp.shard_encode")
 		sp.AddItems(int64(hi - lo))
-		errs[s] = c.encodeBlocks(f, bs[lo:hi], &ws[s])
+		errs[s] = enc(bs[lo:hi], sw)
 		sp.SetError(errs[s])
 		sp.End()
 	})
@@ -814,8 +807,8 @@ func (c *Codec) encodeShards(ctx context.Context, f *grid.Field, bs []blockShape
 			return err
 		}
 	}
-	for i := range ws {
-		w.AppendWriter(&ws[i])
+	for i := range tail {
+		w.AppendWriter(&tail[i])
 	}
 	return nil
 }
@@ -1118,8 +1111,8 @@ func reconstructBlock(f *grid.Field, b blockShape, nb []uint64, emax, rank int, 
 	scatter(f, b, s.vals)
 }
 
-// emptyEmax marks an all-zero block in the parsed-block buffers of the
-// parallel decode path; it cannot collide with a real biased exponent.
+// emptyEmax is parseBlock's exponent for an all-zero block; it cannot
+// collide with a real biased exponent.
 const emptyEmax = math.MinInt32
 
 // Decompress implements compress.Codec. Failures wrap the
@@ -1188,11 +1181,11 @@ func (c *Codec) decompress(ctx context.Context, data []byte, cfg parallel.Config
 	size := 1 << (2 * uint(rank))
 	bs := blocks(dims)
 	workers := cfg.WorkersFor(8 * int64(f.Len()))
-	if workers > 1 && len(bs) >= minParallelBlocks {
-		// The parallel path buffers every parsed block's coefficients at
-		// once; degenerate shapes (many mostly-padding blocks) can make that
-		// buffer exceed the decode cap even when the field itself fits, so
-		// fall back to the serial per-block scratch rather than failing.
+	if workers > 1 {
+		// The parallel schedule buffers every parsed block's coefficients
+		// at once; degenerate shapes (many mostly-padding blocks) can make
+		// that buffer exceed the decode cap even when the field itself
+		// fits, so fall back to the per-block scratch rather than failing.
 		nbElems := uint64(len(bs)) * uint64(size)
 		if compress.CheckedAlloc("zfp: parsed blocks", nbElems, nbElems, 8) == nil {
 			return c.decompressParallel(ctx, f, bs, r, mode, precision, tolerance, rank, size, workers)
@@ -1204,10 +1197,38 @@ func (c *Codec) decompress(ctx context.Context, data []byte, cfg parallel.Config
 	return f, nil
 }
 
-// decodeSerial runs the interleaved parse + reconstruct loop on the calling
-// goroutine under a single zfp.shard_decode span, mirroring the shard spans
-// of the parallel path so chunked traces expose the decode structure at any
-// worker budget.
+// parseBlock reads block b's nonempty flag, biased exponent and bit planes
+// from the stream into nb and returns the block exponent, or emptyEmax for
+// an all-zero block, which codes no planes. Block boundaries are only
+// discovered by parsing, so this step is bit-serial on both schedules.
+func parseBlock(r *bitstream.Reader, b blockShape, nb []uint64, size int, mode byte, precision uint, tolerance float64) (int, error) {
+	if invariant.Enabled {
+		for d := 0; d < 3; d++ {
+			invariant.InRange(b.size[d], 1, 5, "zfp: decode block extent")
+		}
+	}
+	nonEmpty, err := r.ReadBit()
+	if err != nil {
+		return 0, fmt.Errorf("zfp: truncated stream: %w", err)
+	}
+	if nonEmpty == 0 {
+		return emptyEmax, nil
+	}
+	e, err := r.ReadBits(15)
+	if err != nil {
+		return 0, fmt.Errorf("zfp: truncated exponent: %w", err)
+	}
+	emax := int(e) - 16384
+	if err := decodePlanes(r, nb, size, kminFor(mode, precision, tolerance, emax)); err != nil {
+		return 0, fmt.Errorf("zfp: truncated plane: %w", err)
+	}
+	return emax, nil
+}
+
+// decodeSerial is the one-worker schedule: it interleaves parse and
+// reconstruct per block, so it needs only one block of scratch. It runs
+// under a single zfp.shard_decode span, mirroring the shard spans of the
+// parallel schedule so traces expose the decode structure at any budget.
 func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape, r *bitstream.Reader, mode byte, precision uint, tolerance float64, rank, size int) (err error) {
 	_, sp := trace.Start(ctx, "zfp.shard_decode")
 	defer sp.End()
@@ -1220,36 +1241,23 @@ func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape
 	var planeNs, invNs, nBlocks int64
 	var t0 time.Time
 	for _, b := range bs {
-		if invariant.Enabled {
-			for d := 0; d < 3; d++ {
-				invariant.InRange(b.size[d], 1, 5, "zfp: decode block extent")
-			}
+		if rec {
+			t0 = time.Now()
 		}
-		nonEmpty, rerr := r.ReadBit()
-		if rerr != nil {
-			return fmt.Errorf("zfp: truncated stream: %w", rerr)
+		emax, err := parseBlock(r, b, s.nb, size, mode, precision, tolerance)
+		if err != nil {
+			return err
 		}
-		if nonEmpty == 0 {
+		if emax == emptyEmax {
 			for i := range s.vals {
 				s.vals[i] = 0
 			}
 			scatter(f, b, s.vals)
 			continue
 		}
-		e, rerr := r.ReadBits(15)
-		if rerr != nil {
-			return fmt.Errorf("zfp: truncated exponent: %w", rerr)
-		}
-		emax := int(e) - 16384
-		if rec {
-			nBlocks++
-			t0 = time.Now()
-		}
-		if derr := decodePlanes(r, s.nb, size, kminFor(mode, precision, tolerance, emax)); derr != nil {
-			return fmt.Errorf("zfp: truncated plane: %w", derr)
-		}
 		if rec {
 			now := time.Now()
+			nBlocks++
 			planeNs += now.Sub(t0).Nanoseconds()
 			t0 = now
 		}
@@ -1266,11 +1274,10 @@ func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape
 }
 
 // decompressParallel splits decoding in two stages: the bit-serial stream
-// parse (block boundaries are only discovered by decoding, so this stage
-// cannot fan out) collects every block's exponent and negabinary
-// coefficients, then the pool runs the independent inverse transforms and
-// scatters. Scatter regions are disjoint by construction, so workers never
-// write the same sample.
+// parse collects every block's exponent and negabinary coefficients into a
+// field-sized buffer, then the pool runs the independent inverse
+// transforms and scatters. Scatter regions are disjoint by construction,
+// so workers never write the same sample.
 func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []blockShape, r *bitstream.Reader, mode byte, precision uint, tolerance float64, rank, size, workers int) (*grid.Field, error) {
 	nbAll := parallel.Uint64s(len(bs) * size)
 	defer parallel.PutUint64s(nbAll)
@@ -1281,33 +1288,16 @@ func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []bloc
 	var planeNs, nBlocks int64
 	var t0 time.Time
 	for bi, b := range bs {
-		if invariant.Enabled {
-			for d := 0; d < 3; d++ {
-				invariant.InRange(b.size[d], 1, 5, "zfp: decode block extent")
-			}
-		}
-		nonEmpty, err := r.ReadBit()
-		if err != nil {
-			return nil, fmt.Errorf("zfp: truncated stream: %w", err)
-		}
-		if nonEmpty == 0 {
-			emaxs[bi] = emptyEmax
-			continue
-		}
-		e, err := r.ReadBits(15)
-		if err != nil {
-			return nil, fmt.Errorf("zfp: truncated exponent: %w", err)
-		}
-		emax := int(e) - 16384
-		emaxs[bi] = emax
 		if rec {
-			nBlocks++
 			t0 = time.Now()
 		}
-		if err := decodePlanes(r, nbAll[bi*size:(bi+1)*size], size, kminFor(mode, precision, tolerance, emax)); err != nil {
-			return nil, fmt.Errorf("zfp: truncated plane: %w", err)
+		emax, err := parseBlock(r, b, nbAll[bi*size:(bi+1)*size], size, mode, precision, tolerance)
+		if err != nil {
+			return nil, err
 		}
-		if rec {
+		emaxs[bi] = emax
+		if rec && emax != emptyEmax {
+			nBlocks++
 			planeNs += time.Since(t0).Nanoseconds()
 		}
 	}

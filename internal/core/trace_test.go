@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"lrm/internal/compress/sz"
 	"lrm/internal/compress/zfp"
 	"lrm/internal/grid"
+	"lrm/internal/huffman"
 	"lrm/internal/obs"
 	"lrm/internal/obs/trace"
 	"lrm/internal/parallel"
@@ -201,6 +203,50 @@ func TestParallelConfigReachesCodecs(t *testing.T) {
 	}
 	if n := countSpans(t, "core.compress_chunked", "zfp.shard_encode"); n <= 2 {
 		t.Errorf("chunked compress with MinShardBytes -1 ran %d zfp.shard_encode spans, want > 2", n)
+	}
+
+	// WorkersFor is the kernels' only size cutover: with it disabled even
+	// tiny inputs — a 33x47 sz field, ten zfp blocks, 100 Huffman symbols —
+	// must fork the pool and still match the Workers: 1 bytes.
+	f2 := grid.New(33, 47)
+	for i := range f2.Data {
+		f2.Data[i] = math.Sin(float64(i) / 11)
+	}
+	f1 := grid.New(37)
+	for i := range f1.Data {
+		f1.Data[i] = math.Cos(float64(i) / 5)
+	}
+	syms := make([]int, 100)
+	for i := range syms {
+		syms[i] = i * i % 7
+	}
+	small := []struct {
+		name string
+		run  func(parallel.Config) ([]byte, error)
+	}{
+		{"sz 33x47", func(p parallel.Config) ([]byte, error) { return sz.MustNew(sz.Abs, 1e-4).Compress(ctx, f2, p) }},
+		{"zfp 37", func(p parallel.Config) ([]byte, error) { return zfp.MustNew(16).Compress(ctx, f1, p) }},
+		{"huffman 100", func(p parallel.Config) ([]byte, error) {
+			return huffman.Encode(syms, p.WorkersFor(8*int64(len(syms)))), nil
+		}},
+	}
+	tasks := obs.GetCounter("parallel.tasks")
+	for _, tc := range small {
+		want, err := tc.run(parallel.Config{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s at Workers: 1: %v", tc.name, err)
+		}
+		t0 := tasks.Value()
+		got, err := tc.run(cfg)
+		if err != nil {
+			t.Fatalf("%s at %+v: %v", tc.name, cfg, err)
+		}
+		if dt := tasks.Value() - t0; dt <= 1 {
+			t.Errorf("%s at %+v ran %d parallel.tasks, want > 1", tc.name, cfg, dt)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s at %+v: stream differs from Workers: 1", tc.name, cfg)
+		}
 	}
 }
 

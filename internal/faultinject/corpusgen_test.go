@@ -56,7 +56,7 @@ func buildCorpus(t *testing.T) map[string][]byte {
 	for i := range symbols {
 		symbols[i] = (i*i)%23 - 11
 	}
-	out["huffman.bin"] = huffman.Encode(symbols)
+	out["huffman.bin"] = huffman.Encode(symbols, 1)
 
 	direct, err := core.CompressCtx(context.Background(), f, core.Options{DataCodec: zfp.MustNew(12)})
 	if err != nil {

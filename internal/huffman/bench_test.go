@@ -53,7 +53,7 @@ func BenchmarkEncode(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * len(symbols)))
 			for i := 0; i < b.N; i++ {
-				encodeSink = Encode(symbols)
+				encodeSink = Encode(symbols, 1)
 			}
 		})
 	}
@@ -62,7 +62,7 @@ func BenchmarkEncode(b *testing.B) {
 func BenchmarkDecode(b *testing.B) {
 	for _, bs := range benchStreams {
 		symbols := bs.syms(bs.n)
-		data := Encode(symbols)
+		data := Encode(symbols, 1)
 		b.Run(bs.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * len(symbols)))

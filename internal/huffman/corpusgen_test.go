@@ -32,7 +32,7 @@ func TestGenerateCorpus(t *testing.T) {
 		}
 		syms[i] = v
 	}
-	enc := Encode(syms)
+	enc := Encode(syms, 1)
 	seeds["seed-skewed"] = enc
 	seeds["seed-truncated-header"] = enc[:3]
 	seeds["seed-truncated-payload"] = enc[:len(enc)-4]
@@ -43,7 +43,7 @@ func TestGenerateCorpus(t *testing.T) {
 	// Fibonacci counts force codes deeper than the table, exercising the
 	// overflow walk.
 	deep := fibSymbols(24)
-	dEnc := Encode(deep)
+	dEnc := Encode(deep, 1)
 	seeds["seed-deepcodes"] = dEnc
 	seeds["seed-deepcodes-truncated"] = dEnc[:len(dEnc)*2/3]
 	seeds["seed-garbage"] = []byte("\x00\x01\x02\xff\xfe\xfd not a huffman stream")
@@ -53,7 +53,7 @@ func TestGenerateCorpus(t *testing.T) {
 
 	// Payloads of thousands of symbols reach the multi-symbol fast loop, so
 	// mutations land inside it rather than only in the per-symbol tail.
-	sz := Encode(goldenSkew(4096))
+	sz := Encode(goldenSkew(4096), 1)
 	seeds["seed-fast-skewed"] = sz
 	mut = append([]byte(nil), sz...)
 	mut[len(mut)/2] ^= 0x08
@@ -63,7 +63,7 @@ func TestGenerateCorpus(t *testing.T) {
 	deepFast := fibSymbols(20)
 	rng := rand.New(rand.NewSource(1))
 	rng.Shuffle(len(deepFast), func(i, j int) { deepFast[i], deepFast[j] = deepFast[j], deepFast[i] })
-	seeds["seed-fast-deepcodes"] = Encode(deepFast)
+	seeds["seed-fast-deepcodes"] = Encode(deepFast, 1)
 
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {

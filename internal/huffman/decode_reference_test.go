@@ -181,15 +181,15 @@ func TestDecodeMatchesReference(t *testing.T) {
 				syms[i] = rng.Intn(1 << 16)
 			}
 		}
-		inputs = append(inputs, Encode(syms))
+		inputs = append(inputs, Encode(syms, 1))
 	}
 	// Deep trees: codes longer than tableBits (24 Fibonacci symbols reach
 	// depth ~23), so valid payloads hit the overflow walk.
 	deep := fibSymbols(24)
-	if got := Encode(deep); true {
+	if got := Encode(deep, 1); true {
 		inputs = append(inputs, got)
 	}
-	inputs = append(inputs, Encode(fibSymbols(16)))
+	inputs = append(inputs, Encode(fibSymbols(16), 1))
 
 	// Fault injection: truncations and bit flips of every valid stream.
 	var faults [][]byte
@@ -250,7 +250,7 @@ func fastRegionInputs(rng *rand.Rand) [][]byte {
 	for _, n := range []int{multiMinSymbols - 1, multiMinSymbols, multiMinSymbols + 1,
 		multiMinSymbols + fastTailSymbols - 1, multiMinSymbols + fastTailSymbols,
 		multiMinSymbols + fastTailSymbols + 1, 4096, 1 << 15} {
-		valid = append(valid, Encode(skewed(n)))
+		valid = append(valid, Encode(skewed(n), 1))
 	}
 	// Mostly 1-bit codes: one more symbol moves the payload's end by about
 	// one bit, so eight streams end at every bit offset of a byte.
@@ -261,14 +261,14 @@ func fastRegionInputs(rng *rand.Rand) [][]byte {
 				syms[i] = 1 + i%3
 			}
 		}
-		valid = append(valid, Encode(syms))
+		valid = append(valid, Encode(syms, 1))
 	}
 	// Long codes scattered through a long payload: the Fibonacci alphabet
 	// shuffled, so codes past tableBits start at arbitrary bit offsets
 	// inside the fast region.
 	deep := fibSymbols(20)
 	rng.Shuffle(len(deep), func(i, j int) { deep[i], deep[j] = deep[j], deep[i] })
-	valid = append(valid, Encode(deep))
+	valid = append(valid, Encode(deep, 1))
 
 	out := append([][]byte(nil), valid...)
 	for _, enc := range valid {
@@ -311,7 +311,7 @@ func fastRegionInputs(rng *rand.Rand) [][]byte {
 		for i := range wide {
 			wide[i] = i % nsyms
 		}
-		enc := Encode(wide)
+		enc := Encode(wide, 1)
 		mut := append([]byte(nil), enc...)
 		mut[len(mut)-len(mut)/8] ^= 0x10
 		out = append(out, enc, enc[:len(enc)-1], mut)
@@ -356,7 +356,7 @@ func TestDecodeDeepCodesRoundTrip(t *testing.T) {
 	if maxLen <= tableBits {
 		t.Fatalf("fixture too shallow: max code length %d ≤ tableBits %d", maxLen, tableBits)
 	}
-	dec, err := Decode(Encode(syms))
+	dec, err := Decode(Encode(syms, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,14 @@ import "testing"
 // `go test` already exercises both decoders — the multi-symbol fast loop
 // included — over the fault-injection corpus.
 func FuzzDecode(f *testing.F) {
-	f.Add(Encode([]int{1, 2, 3, 1, 1, 2}))
-	f.Add(Encode([]int{-5}))
-	f.Add(Encode(nil))
+	f.Add(Encode([]int{1, 2, 3, 1, 1, 2}, 1))
+	f.Add(Encode([]int{-5}, 1))
+	f.Add(Encode(nil, 1))
 	big := make([]int, 500)
 	for i := range big {
 		big[i] = i % 7
 	}
-	f.Add(Encode(big))
+	f.Add(Encode(big, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if out, err := Decode(data); err == nil {
 			if len(out) > 1<<26 {
@@ -37,7 +37,7 @@ func FuzzRoundTrip(f *testing.F) {
 		for i, b := range raw {
 			symbols[i] = int(int8(b)) // signed symbols exercise varint paths
 		}
-		dec, err := Decode(Encode(symbols))
+		dec, err := Decode(Encode(symbols, 1))
 		if err != nil {
 			t.Fatalf("round trip decode failed: %v", err)
 		}

@@ -37,7 +37,7 @@ func TestGoldenStreams(t *testing.T) {
 	for n, want := range huffmanGoldenStreams {
 		syms := goldenSkew(n)
 		for _, workers := range []int{1, 8} {
-			enc := EncodeParallel(syms, workers)
+			enc := Encode(syms, workers)
 			s := sha256.Sum256(enc)
 			if got := fmt.Sprintf("%x", s[:8]); got != want {
 				t.Errorf("skew-%d workers=%d: stream hash %s, want golden %s", n, workers, got, want)

@@ -79,10 +79,6 @@ const lookupsPerWindow = (64 - 7) / tableBits
 // window: every lookup stores three symbols.
 const fastTailSymbols = 3 * lookupsPerWindow
 
-// minParallelSymbols gates the sharded paths: below this, pool fork/join
-// overhead swamps the counting and packing work.
-const minParallelSymbols = 4096
-
 // treeNode is one slab entry of the Huffman tree. All nodes live in a single
 // slice and refer to children by index, so building a tree costs O(1)
 // allocations instead of one per node.
@@ -136,21 +132,9 @@ func histogram(symbols []int, workers int) (hist []symCount, dense []int, base i
 	return hist, nil, 0
 }
 
-// minMax scans for the smallest and largest symbol, sharding the scan when
-// the input is large enough to pay for the fork.
+// minMax scans for the smallest and largest symbol, one pool shard per
+// worker, and reduces the per-shard extremes after the join.
 func minMax(symbols []int, workers int) (int, int) {
-	if workers <= 1 || len(symbols) < minParallelSymbols {
-		lo, hi := symbols[0], symbols[0]
-		for _, s := range symbols[1:] {
-			if s < lo {
-				lo = s
-			}
-			if s > hi {
-				hi = s
-			}
-		}
-		return lo, hi
-	}
 	shards := parallel.Shards(workers, len(symbols))
 	los := make([]int, shards)
 	his := make([]int, shards)
@@ -179,19 +163,10 @@ func minMax(symbols []int, workers int) (int, int) {
 }
 
 // denseCounts counts into a span-sized arena array indexed by symbol-lo.
-// Per-shard tables merge by addition, so the totals are exactly the serial
-// counts no matter how shards interleave.
+// Shard 0 counts straight into that array and every other shard into a
+// private arena table merged by addition, so the totals are exactly the
+// one-shard counts no matter how shards interleave.
 func denseCounts(symbols []int, lo, span, workers int) []int {
-	total := parallel.Ints(span)
-	for i := range total {
-		total[i] = 0
-	}
-	if workers <= 1 || len(symbols) < minParallelSymbols {
-		for _, s := range symbols {
-			total[s-lo]++
-		}
-		return total
-	}
 	shards := parallel.Shards(workers, len(symbols))
 	tables := make([][]int, shards)
 	parallel.ForShard(workers, len(symbols), func(sh, a, b int) {
@@ -204,7 +179,8 @@ func denseCounts(symbols []int, lo, span, workers int) []int {
 		}
 		tables[sh] = t
 	})
-	for _, t := range tables {
+	total := tables[0]
+	for _, t := range tables[1:] {
 		for i, c := range t {
 			total[i] += c
 		}
@@ -450,14 +426,11 @@ func (t *codeTable) pack(w *bitstream.Writer, symbols []int) {
 	}
 }
 
-// Encode compresses symbols into a self-describing byte stream, serially.
-func Encode(symbols []int) []byte { return EncodeParallel(symbols, 1) }
-
-// EncodeParallel is Encode over a worker pool. Output is byte-identical to
-// Encode for every worker count: the histogram merge is additive, the tree
-// build depends only on the totals, and shard payloads concatenate in
-// shard order.
-func EncodeParallel(symbols []int, workers int) []byte {
+// Encode compresses symbols into a self-describing byte stream on a pool
+// of workers. Output is byte-identical for every worker count: the
+// histogram merge is additive, the tree build depends only on the totals,
+// and shard payloads concatenate in shard order.
+func Encode(symbols []int, workers int) []byte {
 	hist, counts, base := histogram(symbols, workers)
 	sl := codeLengths(hist)
 	codes := canonicalize(sl)
@@ -474,26 +447,28 @@ func EncodeParallel(symbols []int, workers int) []byte {
 	if counts != nil {
 		defer parallel.PutInts(counts)
 	}
+	// Presize the payload buffer: the exact bit total is a histogram dot
+	// product, so pack's append-growth and the shard concatenation below
+	// both land in a single allocation.
+	var totalBits int
+	for _, e := range hist {
+		totalBits += e.count * int(table.entry(e.symbol)&63)
+	}
 	var w bitstream.Writer
-	if workers <= 1 || len(symbols) < minParallelSymbols {
-		// Presize the payload buffer: the exact bit total is a histogram
-		// dot product, which turns pack's repeated append-growth into a
-		// single allocation.
-		var totalBits int
-		for _, e := range hist {
-			totalBits += e.count * int(table.entry(e.symbol)&63)
+	w.Grow(totalBits)
+	// Shard 0 packs straight into w; the other shards pack into private
+	// writers appended in shard order.
+	shards := parallel.Shards(workers, len(symbols))
+	tail := make([]bitstream.Writer, max(shards-1, 0))
+	parallel.ForShard(workers, len(symbols), func(sh, a, b int) {
+		sw := &w
+		if sh > 0 {
+			sw = &tail[sh-1]
 		}
-		w.Grow(totalBits)
-		table.pack(&w, symbols)
-	} else {
-		shards := parallel.Shards(workers, len(symbols))
-		ws := make([]bitstream.Writer, shards)
-		parallel.ForShard(workers, len(symbols), func(sh, a, b int) {
-			table.pack(&ws[sh], symbols[a:b])
-		})
-		for i := range ws {
-			w.AppendWriter(&ws[i])
-		}
+		table.pack(sw, symbols[a:b])
+	})
+	for i := range tail {
+		w.AppendWriter(&tail[i])
 	}
 	payload := w.Bytes()
 

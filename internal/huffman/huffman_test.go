@@ -9,7 +9,7 @@ import (
 
 func roundTrip(t *testing.T, symbols []int) []byte {
 	t.Helper()
-	enc := Encode(symbols)
+	enc := Encode(symbols, 1)
 	dec, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -76,7 +76,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i, v := range raw {
 			symbols[i] = int(v)
 		}
-		enc := Encode(symbols)
+		enc := Encode(symbols, 1)
 		dec, err := Decode(enc)
 		if err != nil {
 			return false
@@ -112,7 +112,7 @@ func TestDecodeGarbage(t *testing.T) {
 }
 
 func TestDecodeTruncatedPayload(t *testing.T) {
-	enc := Encode([]int{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4})
+	enc := Encode([]int{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4}, 1)
 	for cut := 1; cut < 4; cut++ {
 		if _, err := Decode(enc[:len(enc)-cut]); err == nil {
 			// Truncating may still decode if the lost bits were padding;
@@ -126,8 +126,8 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	symbols := []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	a := Encode(symbols)
-	b := Encode(symbols)
+	a := Encode(symbols, 1)
+	b := Encode(symbols, 1)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("encoding is not deterministic")
 	}

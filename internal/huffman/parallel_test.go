@@ -7,7 +7,7 @@ import (
 )
 
 // TestEncodeParallelByteIdentity: the sharded count/pack must reproduce the
-// serial stream exactly for any worker count, across alphabet shapes that
+// one-worker stream exactly for any worker count, across alphabet shapes that
 // hit both the dense and the map histogram/code-table paths.
 func TestEncodeParallelByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -34,17 +34,13 @@ func TestEncodeParallelByteIdentity(t *testing.T) {
 	cases["wideSparse"] = ws
 
 	for name, symbols := range cases {
-		want := EncodeParallel(symbols, 1)
+		want := Encode(symbols, 1)
 		for _, w := range []int{2, 3, 8, 16} {
-			got := EncodeParallel(symbols, w)
+			got := Encode(symbols, w)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: workers=%d stream differs from serial (%d vs %d bytes)",
 					name, w, len(got), len(want))
 			}
-		}
-		// And Encode (the serial entry point) is literally workers=1.
-		if !bytes.Equal(Encode(symbols), want) {
-			t.Fatalf("%s: Encode differs from EncodeParallel(.., 1)", name)
 		}
 		dec, err := Decode(want)
 		if err != nil {

@@ -15,7 +15,7 @@ func TestDecodeEveryPrefix(t *testing.T) {
 	for i := range symbols {
 		symbols[i] = (i*7)%31 - 15
 	}
-	enc := Encode(symbols)
+	enc := Encode(symbols, 1)
 	for n := 0; n < len(enc); n++ {
 		_, err := Decode(enc[:n])
 		if err == nil {

@@ -1,11 +1,16 @@
 // Package parallel provides the bounded fork/join worker pool and scratch
 // buffer arenas behind the codec kernels and the chunked container.
 //
-// Two properties shape the API:
+// Three properties shape the API:
 //
 //   - Workers == 1 (or a degenerate range) runs the loop inline on the
 //     calling goroutine, with no pool, no channels and no extra
 //     allocation: it IS the serial execution, not an emulation of it.
+//     Kernels therefore keep no serial twin of a sharded loop.
+//   - Config.WorkersFor is the only size cutover. A codec resolves its
+//     worker count from it once per input and passes that count to every
+//     kernel, which runs one ForShard (or For) loop and has no size gate
+//     of its own.
 //   - Work is partitioned deterministically. ForShard always cuts [0, n)
 //     into the same contiguous ranges for a given (workers, n), so
 //     encoders that write one private bitstream per shard and concatenate

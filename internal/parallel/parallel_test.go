@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"lrm/internal/obs"
 )
 
 func TestConfigResolve(t *testing.T) {
@@ -49,8 +51,13 @@ func TestForEveryIndexOnce(t *testing.T) {
 }
 
 // TestForSerialIsInline checks the documented Workers<=1 contract: the loop
-// runs on the calling goroutine in index order.
+// runs on the calling goroutine in index order, and ForShard at one worker
+// is a single inline fn(0, 0, n) call that never reaches the pool — the
+// one-shard case of every codec kernel is its serial code.
 func TestForSerialIsInline(t *testing.T) {
+	pm := obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(pm) })
+
 	var order []int
 	For(1, 10, func(i int) { order = append(order, i) }) // no sync: must be inline
 	for i, v := range order {
@@ -60,6 +67,16 @@ func TestForSerialIsInline(t *testing.T) {
 	}
 	if len(order) != 10 {
 		t.Fatalf("serial For visited %d of 10 indices", len(order))
+	}
+
+	pooled := obsTaskNs.Snapshot().Count
+	var calls [][3]int
+	ForShard(1, 1000, func(s, lo, hi int) { calls = append(calls, [3]int{s, lo, hi}) }) // no sync: must be inline
+	if len(calls) != 1 || calls[0] != [3]int{0, 0, 1000} {
+		t.Fatalf("ForShard(1, 1000) made calls %v, want one fn(0, 0, 1000)", calls)
+	}
+	if d := obsTaskNs.Snapshot().Count - pooled; d != 0 {
+		t.Fatalf("ForShard(1, 1000) recorded %d pooled parallel.task.ns samples, want 0", d)
 	}
 }
 

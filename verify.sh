@@ -42,8 +42,9 @@ step go test -tags invariants ./internal/compress/... ./internal/reduce/... ./in
 step go test -run 'TestSweepCorpus|TestPartialDecodeMetricsUnderSweep' -count=1 ./internal/faultinject
 
 if [ "${1:-}" != "quick" ]; then
-	# Concurrent packages under the race detector.
-	step go test -race ./internal/obs/... ./internal/parallel/... ./internal/mpi/... ./internal/core/... ./internal/sim/laplace/... ./internal/sim/heat3d/... ./internal/compress/... ./internal/huffman/... ./internal/faultinject/... ./internal/linalg/... ./internal/serve/... ./cmd/lrmserve/...
+	# Concurrent packages under the race detector (the Makefile holds the
+	# one package list).
+	step make race
 	# Trace race-stress: concurrent Start/End/Snapshot/export/Reset on the
 	# trace recorder specifically, repeated so interleavings vary.
 	step go test -race -run TestConcurrentTraceStress -count=2 ./internal/obs/trace
