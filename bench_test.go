@@ -114,7 +114,7 @@ func benchModel(b *testing.B, m reduce.Model) {
 		b.SetBytes(int64(8 * f.Len()))
 		for i := 0; i < b.N; i++ {
 			var err error
-			rep, err = m.Reduce(f)
+			rep, err = m.Fit(context.Background(), f, parallel.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func benchModel(b *testing.B, m reduce.Model) {
 	b.Run("reconstruct", func(b *testing.B) {
 		b.SetBytes(int64(8 * f.Len()))
 		for i := 0; i < b.N; i++ {
-			if _, err := reduce.Reconstruct(rep); err != nil {
+			if _, err := rep.Reconstruct(context.Background(), parallel.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -205,7 +205,7 @@ func BenchmarkAblationPCABlocked(b *testing.B) {
 			m := reduce.PCA{BlockCols: bc}
 			b.SetBytes(int64(8 * f.Len()))
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Reduce(f); err != nil {
+				if _, err := m.Fit(context.Background(), f, parallel.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -221,7 +221,7 @@ func BenchmarkAblationWaveletTheta(b *testing.B) {
 			var bytes int
 			m := reduce.Wavelet{Theta: theta}
 			for i := 0; i < b.N; i++ {
-				rep, err := m.Reduce(f)
+				rep, err := m.Fit(context.Background(), f, parallel.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -344,7 +344,7 @@ func BenchmarkRandSVDvsExact(b *testing.B) {
 		m := reduce.SVD{}
 		b.SetBytes(int64(8 * f.Len()))
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Reduce(f); err != nil {
+			if _, err := m.Fit(context.Background(), f, parallel.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -353,7 +353,7 @@ func BenchmarkRandSVDvsExact(b *testing.B) {
 		m := reduce.SVD{MaxK: 8, Randomized: true, Seed: 1}
 		b.SetBytes(int64(8 * f.Len()))
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Reduce(f); err != nil {
+			if _, err := m.Fit(context.Background(), f, parallel.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -376,7 +376,7 @@ func BenchmarkAblationWaveletDecomposition(b *testing.B) {
 			m := reduce.Wavelet{Nonstandard: ns}
 			var bytes int
 			for i := 0; i < b.N; i++ {
-				rep, err := m.Reduce(f)
+				rep, err := m.Fit(context.Background(), f, parallel.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -41,6 +41,7 @@ func main() {
 }
 
 func run(compressMode, decompressMode, selectMode bool, model, codec, dims string, args []string) error {
+	ctx := context.Background()
 	modeCount := 0
 	for _, m := range []bool{compressMode, decompressMode, selectMode} {
 		if m {
@@ -61,7 +62,7 @@ func run(compressMode, decompressMode, selectMode bool, model, codec, dims strin
 		if err != nil {
 			return err
 		}
-		f, err := core.DecompressCtx(context.Background(), archive)
+		f, err := core.DecompressCtx(ctx, archive)
 		if err != nil {
 			return err
 		}
@@ -83,7 +84,7 @@ func run(compressMode, decompressMode, selectMode bool, model, codec, dims strin
 		if err != nil {
 			return err
 		}
-		res, err := core.CompressCtx(context.Background(), f, opts)
+		res, err := core.CompressCtx(ctx, f, opts)
 		if err != nil {
 			return err
 		}
@@ -106,7 +107,7 @@ func run(compressMode, decompressMode, selectMode bool, model, codec, dims strin
 		if err != nil {
 			return err
 		}
-		best, results, err := core.SelectModel(f, core.DefaultCandidates(), opts)
+		best, results, err := core.SelectModel(ctx, f, core.DefaultCandidates(), opts)
 		if err != nil {
 			return err
 		}

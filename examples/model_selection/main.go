@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := core.Options{DataCodec: data, DeltaCodec: delta}
+	ctx := context.Background()
 
 	fmt.Printf("%-14s", "dataset")
 	for _, c := range core.DefaultCandidates() {
@@ -30,7 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		best, results, err := core.SelectModel(pair.Full, core.DefaultCandidates(), opts)
+		best, results, err := core.SelectModel(ctx, pair.Full, core.DefaultCandidates(), opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -46,11 +46,12 @@ type Options struct {
 	// DeltaCodec compresses the delta. nil falls back to DataCodec. The
 	// paper uses a looser bound here (Section V-B).
 	DeltaCodec compress.Codec
-	// Parallel is the execution budget passed to every codec call: the
-	// worker-pool size plus the size-aware shard cutover. The zero value
-	// selects the defaults (GOMAXPROCS workers, DefaultMinShardBytes);
-	// Workers == 1 reproduces the exact serial execution. Archives are
-	// byte-identical at every setting.
+	// Parallel is the execution budget passed to every codec call and to
+	// the model's Fit and Reconstruct: the worker-pool size plus the
+	// size-aware shard cutover. The zero value selects the defaults
+	// (GOMAXPROCS workers, DefaultMinShardBytes); Workers == 1 reproduces
+	// the exact serial execution. Archives are byte-identical at every
+	// setting.
 	Parallel parallel.Config
 }
 
@@ -84,9 +85,10 @@ const (
 )
 
 // CompressCtx runs the pipeline on f. The pipeline's spans (core.compress
-// and its reduce/rep_store/delta children, plus whatever the codecs open)
-// parent onto the span carried by ctx. ctx carries observability only:
-// archives are byte-identical whether or not it holds a span.
+// and its reduce/rep_store/delta children, plus whatever the model and the
+// codecs open) parent onto the span carried by ctx. ctx carries
+// observability only: archives are byte-identical whether or not it holds
+// a span.
 func CompressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, error) {
 	ctx, sp := trace.Start(ctx, "core.compress")
 	defer sp.End()
@@ -129,8 +131,8 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 	}
 
 	// Reduction phase.
-	_, rs := trace.Start(ctx, "core.reduce")
-	rep, err := opts.Model.Reduce(f)
+	rsCtx, rs := trace.Start(ctx, "core.reduce")
+	rep, err := opts.Model.Fit(rsCtx, f, opts.Parallel)
 	rs.SetError(err)
 	rs.End()
 	if err != nil {
@@ -150,7 +152,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	recon, err := reduce.Reconstruct(storedRep)
+	recon, err := storedRep.Reconstruct(ctx, opts.Parallel)
 	if err != nil {
 		return nil, fmt.Errorf("core: reconstruct stored rep: %w", err)
 	}
@@ -287,12 +289,13 @@ func storeRepValues(ctx context.Context, rep *reduce.Rep, codec compress.Codec, 
 // DecompressOpts configures decompression. The zero value matches
 // DecompressCtx: default worker pool, fail-fast on any chunk error.
 type DecompressOpts struct {
-	// Parallel is the execution budget shared by chunk-level concurrency
-	// and codec-internal kernels, mirroring Options.Parallel on the
-	// compression side: the chunked container splits Workers among chunks
-	// and passes the rest of the config (MinShardBytes) to every codec
-	// call unchanged. The zero value selects the defaults; Workers == 1
-	// reproduces the serial execution.
+	// Parallel is the execution budget shared by chunk-level concurrency,
+	// codec-internal kernels and the model's Reconstruct, mirroring
+	// Options.Parallel on the compression side: the chunked container
+	// splits Workers among chunks and passes the rest of the config
+	// (MinShardBytes) to every codec and reconstruct call unchanged. The
+	// zero value selects the defaults; Workers == 1 reproduces the serial
+	// execution.
 	Parallel parallel.Config
 }
 
@@ -413,7 +416,7 @@ func decompressSingle(ctx context.Context, archive []byte, cfg parallel.Config) 
 			}
 			rep.Values = vf.Data
 		}
-		recon, err := reduce.Reconstruct(rep)
+		recon, err := rep.Reconstruct(ctx, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: reconstruct: %w", compress.Classify(err))
 		}

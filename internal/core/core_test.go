@@ -207,7 +207,7 @@ func TestPaperCodecs(t *testing.T) {
 func TestSelectModelPicksAWinner(t *testing.T) {
 	f := heatField(t)
 	data, delta, _ := PaperCodecs("zfp")
-	best, results, err := SelectModel(f, DefaultCandidates(), Options{DataCodec: data, DeltaCodec: delta})
+	best, results, err := SelectModel(context.Background(), f, DefaultCandidates(), Options{DataCodec: data, DeltaCodec: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSelectModelPicksAWinner(t *testing.T) {
 }
 
 func TestSelectModelRequiresCodec(t *testing.T) {
-	if _, _, err := SelectModel(grid.New(4), DefaultCandidates(), Options{}); err == nil {
+	if _, _, err := SelectModel(context.Background(), grid.New(4), DefaultCandidates(), Options{}); err == nil {
 		t.Fatal("expected codec-required error")
 	}
 }

@@ -39,8 +39,9 @@ type SelectionResult struct {
 // single reduced model wins on every dataset, so try each candidate and
 // pick the one with the best compression ratio. Candidates that fail
 // (e.g. a model that cannot handle the field's shape) are skipped and
-// reported in the results.
-func SelectModel(f *grid.Field, candidates []Candidate, opts Options) (best Candidate, results []SelectionResult, err error) {
+// reported in the results. Every trial compression parents its spans onto
+// ctx.
+func SelectModel(ctx context.Context, f *grid.Field, candidates []Candidate, opts Options) (best Candidate, results []SelectionResult, err error) {
 	if opts.DataCodec == nil {
 		return Candidate{}, nil, fmt.Errorf("core: DataCodec is required")
 	}
@@ -49,7 +50,7 @@ func SelectModel(f *grid.Field, candidates []Candidate, opts Options) (best Cand
 	for _, cand := range candidates {
 		o := opts
 		o.Model = cand.Model
-		res, cerr := CompressCtx(context.TODO(), f, o)
+		res, cerr := CompressCtx(ctx, f, o)
 		if cerr != nil {
 			results = append(results, SelectionResult{Label: cand.Label, Err: cerr})
 			continue

@@ -43,7 +43,7 @@ func TestSVDArchivePinned(t *testing.T) {
 // not move.
 func TestSelectModelPinned(t *testing.T) {
 	f := heatField(t)
-	best, results, err := SelectModel(f, DefaultCandidates(), Options{DataCodec: sz.MustNew(sz.Abs, 1e-4)})
+	best, results, err := SelectModel(context.Background(), f, DefaultCandidates(), Options{DataCodec: sz.MustNew(sz.Abs, 1e-4)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"lrm/internal/obs"
 	"lrm/internal/obs/trace"
 	"lrm/internal/parallel"
+	"lrm/internal/reduce"
 )
 
 // withFullObs enables both observability switches for one test and restores
@@ -142,6 +143,13 @@ func TestChunkedTraceNesting(t *testing.T) {
 // root (the last one, if several are retained).
 func countSpans(t *testing.T, root, name string) int {
 	t.Helper()
+	return countSpansUnder(t, root, "", name)
+}
+
+// countSpansUnder is countSpans restricted to spans whose parent span is
+// named parent ("" matches any parent).
+func countSpansUnder(t *testing.T, root, parent, name string) int {
+	t.Helper()
 	var tr *trace.Trace
 	for _, cand := range trace.Snapshot() {
 		if cand.Root == root {
@@ -151,13 +159,52 @@ func countSpans(t *testing.T, root, name string) int {
 	if tr == nil {
 		t.Fatalf("no %s trace retained", root)
 	}
+	names := map[uint64]string{}
+	for _, s := range tr.Spans {
+		names[s.SpanID] = s.Name
+	}
 	n := 0
 	for _, s := range tr.Spans {
-		if s.Name == name {
+		if s.Name == name && (parent == "" || names[s.ParentID] == parent) {
 			n++
 		}
 	}
 	return n
+}
+
+// TestReduceKernelSpansNest pins where the model's kernel spans sit: Fit's
+// reduce.covariance, reduce.eigen and reduce.svd under core.reduce, and
+// Reconstruct's reduce.reconstruct directly under core.compress (between
+// core.rep_store and core.delta) and under core.decompress.
+func TestReduceKernelSpansNest(t *testing.T) {
+	withFullObs(t)
+	f := heatField(t)
+	for _, tc := range []struct {
+		model   reduce.Model
+		kernels []string
+	}{
+		{reduce.PCA{}, []string{"reduce.covariance", "reduce.eigen"}},
+		{reduce.SVD{}, []string{"reduce.svd"}},
+	} {
+		trace.Reset()
+		res, err := CompressCtx(context.Background(), f, Options{Model: tc.model, DataCodec: zfp.MustNew(16)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecompressCtx(context.Background(), res.Archive); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range tc.kernels {
+			if n := countSpansUnder(t, "core.compress", "core.reduce", k); n != 1 {
+				t.Errorf("%s: %d %s spans under core.reduce, want 1", tc.model.Name(), n, k)
+			}
+		}
+		for _, root := range []string{"core.compress", "core.decompress"} {
+			if n := countSpansUnder(t, root, root, "reduce.reconstruct"); n != 1 {
+				t.Errorf("%s: %d reduce.reconstruct spans under %s, want 1", tc.model.Name(), n, root)
+			}
+		}
+	}
 }
 
 // TestParallelConfigReachesCodecs checks that the whole parallel.Config,
@@ -246,6 +293,48 @@ func TestParallelConfigReachesCodecs(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s at %+v: stream differs from Workers: 1", tc.name, cfg)
+		}
+	}
+
+	// The reduce layer takes the same budget: a 12³ PCA or SVD fit and
+	// reconstruct forks at MinShardBytes -1 (the covariance and the
+	// randomized SVD's products included) and matches Workers: 1 bit for bit.
+	f3 := grid.New(12, 12, 12)
+	for i := range f3.Data {
+		f3.Data[i] = math.Sin(float64(i)/13) + math.Cos(float64(i)/150)
+	}
+	pooled := obs.GetHistogram("parallel.task.ns", nil)
+	for _, m := range []reduce.Model{reduce.PCA{}, reduce.SVD{}, reduce.SVD{MaxK: 4, Randomized: true, Seed: 3}} {
+		fitAndRebuild := func(p parallel.Config) ([]byte, error) {
+			rep, err := m.Fit(ctx, f3, p)
+			if err != nil {
+				return nil, err
+			}
+			recon, err := rep.Reconstruct(ctx, p)
+			if err != nil {
+				return nil, err
+			}
+			vals, err := grid.FromData(rep.Values, len(rep.Values))
+			if err != nil {
+				return nil, err
+			}
+			out := append([]byte(nil), rep.Meta...)
+			return append(append(out, vals.Bytes()...), recon.Bytes()...), nil
+		}
+		want, err := fitAndRebuild(parallel.Config{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s at Workers: 1: %v", m.Name(), err)
+		}
+		p0 := pooled.Snapshot().Count
+		got, err := fitAndRebuild(cfg)
+		if err != nil {
+			t.Fatalf("%s at %+v: %v", m.Name(), cfg, err)
+		}
+		if dp := pooled.Snapshot().Count - p0; dp < 2 {
+			t.Errorf("%s at %+v ran %d pooled tasks, want at least 2", m.Name(), cfg, dp)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s at %+v: rep or reconstruction differs from Workers: 1", m.Name(), cfg)
 		}
 	}
 }

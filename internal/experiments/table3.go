@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"time"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 	"lrm/internal/reduce"
 )
 
@@ -57,7 +59,7 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 			var rep *reduce.Rep
 			for trial := 0; trial < 2; trial++ {
 				start := time.Now()
-				r, err := model.Reduce(f)
+				r, err := model.Fit(context.Background(), f, parallel.Config{})
 				if err != nil {
 					return nil, fmt.Errorf("table3 %s %dx%d: %w", model.Name(), m, n, err)
 				}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"lrm/internal/parallel"
 )
 
 // eigenSymReference is the original At/Set cyclic Jacobi, kept verbatim as
@@ -108,7 +110,7 @@ func eigenSymReference(a *Matrix) (eigenvalues []float64, eigenvectors *Matrix, 
 
 // gram returns b·bᵀ, symmetric positive semi-definite.
 func gram(b *Matrix) *Matrix {
-	g, _ := b.Mul(b.T())
+	g, _ := b.Mul(b.T(), parallel.Config{})
 	return g
 }
 
@@ -211,9 +213,9 @@ func TestEigenSymMatchesReferenceBitwise(t *testing.T) {
 		{"graded-30", withSpectrum(rng, graded)},
 		{"repeated-24", withSpectrum(rng, repeated)},
 		{"identity-9", Identity(9)},
-		{"cov-ramp-1600x40", CovarianceWorkers(rampMatrix(1600, 40), 1)},
-		{"cov-smooth-4096x64", CovarianceWorkers(smoothMatrix(4096, 64), 1)},
-		{"cov-rand-300x64", CovarianceWorkers(randMatrix(rng, 300, 64), 1)},
+		{"cov-ramp-1600x40", Covariance(rampMatrix(1600, 40), parallel.Config{Workers: 1})},
+		{"cov-smooth-4096x64", Covariance(smoothMatrix(4096, 64), parallel.Config{Workers: 1})},
+		{"cov-rand-300x64", Covariance(randMatrix(rng, 300, 64), parallel.Config{Workers: 1})},
 		{"gram-70", gram(randMatrix(rng, 70, 70))},
 		{"indefinite-70", symmetricPart(randMatrix(rng, 70, 70))},
 	}
@@ -240,7 +242,7 @@ func TestEigenSymMatchesReferenceBitwise(t *testing.T) {
 // matricizations.
 func BenchmarkEigenSym(b *testing.B) {
 	for _, s := range []struct{ rows, cols int }{{4096, 64}, {1600, 40}} {
-		cov := CovarianceWorkers(smoothMatrix(s.rows, s.cols), 1)
+		cov := Covariance(smoothMatrix(s.rows, s.cols), parallel.Config{Workers: 1})
 		b.Run(fmt.Sprintf("cov%dx%d", s.rows, s.cols), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"lrm/internal/parallel"
 )
 
 func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
@@ -42,7 +44,7 @@ func TestMatrixBasics(t *testing.T) {
 func TestMulAgainstHand(t *testing.T) {
 	a, _ := MatrixFromData([]float64{1, 2, 3, 4}, 2, 2)
 	b, _ := MatrixFromData([]float64{5, 6, 7, 8}, 2, 2)
-	c, err := a.Mul(b)
+	c, err := a.Mul(b, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestMulAgainstHand(t *testing.T) {
 			t.Fatalf("Mul[%d]=%v, want %v", i, c.Data[i], v)
 		}
 	}
-	if _, err := a.Mul(NewMatrix(3, 3)); err == nil {
+	if _, err := a.Mul(NewMatrix(3, 3), parallel.Config{}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
@@ -64,7 +66,7 @@ func TestMulIdentityQuick(t *testing.T) {
 		rows := 1 + r.Intn(8)
 		cols := 1 + r.Intn(8)
 		m := randomMatrix(rng, rows, cols)
-		p, err := m.Mul(Identity(cols))
+		p, err := m.Mul(Identity(cols), parallel.Config{})
 		if err != nil {
 			return false
 		}
@@ -117,7 +119,7 @@ func TestCovarianceKnown(t *testing.T) {
 		3, 6,
 		4, 8,
 	}, 4, 2)
-	cov := Covariance(m)
+	cov := Covariance(m, parallel.Config{})
 	// var(col0) = 5/3; cov = 10/3; var(col1) = 20/3 (sample, n-1).
 	if math.Abs(cov.At(0, 0)-5.0/3) > 1e-12 ||
 		math.Abs(cov.At(0, 1)-10.0/3) > 1e-12 ||
@@ -176,7 +178,7 @@ func TestEigenSymRandomReconstruction(t *testing.T) {
 		n := 5 + trial*7
 		b := randomMatrix(rng, n, n)
 		// a = b bᵀ is symmetric positive semi-definite.
-		a, err := b.Mul(b.T())
+		a, err := b.Mul(b.T(), parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +193,7 @@ func TestEigenSymRandomReconstruction(t *testing.T) {
 			}
 		}
 		// Orthogonality: VᵀV = I.
-		vtv, _ := vecs.T().Mul(vecs)
+		vtv, _ := vecs.T().Mul(vecs, parallel.Config{})
 		if d := vtv.MaxAbsDiff(Identity(n)); d > 1e-8 {
 			t.Fatalf("VᵀV deviates from I by %v", d)
 		}
@@ -200,8 +202,8 @@ func TestEigenSymRandomReconstruction(t *testing.T) {
 		for i, v := range vals {
 			lam.Set(i, i, v)
 		}
-		tmp, _ := vecs.Mul(lam)
-		rec, _ := tmp.Mul(vecs.T())
+		tmp, _ := vecs.Mul(lam, parallel.Config{})
+		rec, _ := tmp.Mul(vecs.T(), parallel.Config{})
 		if d := rec.MaxAbsDiff(a); d > 1e-7*(a.FrobeniusNorm()+1) {
 			t.Fatalf("n=%d: eigen reconstruction error %v", n, d)
 		}
@@ -257,7 +259,7 @@ func svdChecks(t *testing.T, a *Matrix) {
 		}
 	}
 	// Full reconstruction.
-	rec, err := Reconstruct(r.U, r.S, r.V)
+	rec, err := Reconstruct(r.U, r.S, r.V, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +267,7 @@ func svdChecks(t *testing.T, a *Matrix) {
 		t.Fatalf("SVD reconstruction error %v (%dx%d)", d, a.Rows, a.Cols)
 	}
 	// V orthogonal.
-	vtv, _ := r.V.T().Mul(r.V)
+	vtv, _ := r.V.T().Mul(r.V, parallel.Config{})
 	if d := vtv.MaxAbsDiff(Identity(r.V.Cols)); d > 1e-8 {
 		t.Fatalf("VᵀV deviates from I by %v", d)
 	}
@@ -285,7 +287,7 @@ func TestSVDLowRankTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	u := randomMatrix(rng, 12, 2)
 	v := randomMatrix(rng, 2, 7)
-	a, _ := u.Mul(v)
+	a, _ := u.Mul(v, parallel.Config{})
 	r, err := SVD(a)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +298,7 @@ func TestSVDLowRankTruncation(t *testing.T) {
 		}
 	}
 	uk, sk, vk := r.Truncate(2)
-	rec, err := Reconstruct(uk, sk, vk)
+	rec, err := Reconstruct(uk, sk, vk, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +329,7 @@ func TestRankForEnergy(t *testing.T) {
 }
 
 func TestReconstructShapeMismatch(t *testing.T) {
-	if _, err := Reconstruct(NewMatrix(2, 2), []float64{1}, NewMatrix(2, 2)); err == nil {
+	if _, err := Reconstruct(NewMatrix(2, 2), []float64{1}, NewMatrix(2, 2), parallel.Config{}); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }

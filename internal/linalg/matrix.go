@@ -4,7 +4,9 @@
 //
 // Everything is written for correctness and clarity at the matrix sizes the
 // paper exercises (matricized fields with a few hundred columns); no BLAS
-// is used, stdlib only.
+// is used, stdlib only. The sharded kernels size their pool from the
+// caller's parallel.Config (WorkersFor at 8 bytes per multiply-add), and
+// their bits do not depend on the worker count.
 package linalg
 
 import (
@@ -13,10 +15,6 @@ import (
 
 	"lrm/internal/parallel"
 )
-
-// minParallelFlops gates the sharded kernels: below roughly this many
-// multiply-adds the pool fork/join costs more than the arithmetic.
-const minParallelFlops = 1 << 17
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -64,26 +62,18 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// Mul returns m · b. Large products shard by output row across the worker
-// pool; every row keeps the serial per-element accumulation order, so the
-// result is bitwise identical at any worker count.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	return m.MulWorkers(b, parallel.DefaultWorkers())
-}
-
-// MulWorkers is Mul with an explicit worker count (1 = serial).
-func (m *Matrix) MulWorkers(b *Matrix, workers int) (*Matrix, error) {
+// Mul returns m · b, sharded by output row on cfg's budget. Every row keeps
+// the serial per-element accumulation order, so the result is bitwise
+// identical at any worker count.
+func (m *Matrix) Mul(b *Matrix, cfg parallel.Config) (*Matrix, error) {
 	if m.Cols != b.Rows {
 		return nil, fmt.Errorf("linalg: cannot multiply %dx%d by %dx%d", m.Rows, m.Cols, b.Rows, b.Cols)
 	}
 	out := NewMatrix(m.Rows, b.Cols)
-	if workers > 1 && m.Rows > 1 && m.Rows*m.Cols*b.Cols >= minParallelFlops {
-		parallel.ForShard(workers, m.Rows, func(_, lo, hi int) {
-			mulRows(m, b, out, lo, hi)
-		})
-	} else {
-		mulRows(m, b, out, 0, m.Rows)
-	}
+	workers := cfg.WorkersFor(8 * int64(m.Rows) * int64(m.Cols) * int64(b.Cols))
+	parallel.ForShard(workers, m.Rows, func(_, lo, hi int) {
+		mulRows(m, b, out, lo, hi)
+	})
 	return out, nil
 }
 
@@ -184,18 +174,12 @@ func CenterColumns(m *Matrix, means []float64) {
 }
 
 // Covariance returns the Cols×Cols sample covariance matrix of the columns
-// of m (columns are variables, rows are observations). m is not modified.
-// Large inputs shard across the worker pool by output row; each cov entry
-// accumulates its observation terms in ascending row order exactly as the
-// serial loop does (including the va == 0 skip, which also keeps -0.0
-// accumulators intact), so the result is bitwise identical at any worker
-// count.
-func Covariance(m *Matrix) *Matrix {
-	return CovarianceWorkers(m, parallel.DefaultWorkers())
-}
-
-// CovarianceWorkers is Covariance with an explicit worker count (1 = serial).
-func CovarianceWorkers(m *Matrix, workers int) *Matrix {
+// of m (columns are variables, rows are observations), sharded on cfg's
+// budget. m is not modified. Each cov entry accumulates its observation
+// terms in ascending row order (skipping zero left factors, which also
+// keeps -0.0 accumulators intact), so the result is bitwise identical at
+// any worker count.
+func Covariance(m *Matrix, cfg parallel.Config) *Matrix {
 	means := ColumnMeans(m)
 	n := m.Cols
 	cov := NewMatrix(n, n)
@@ -203,47 +187,27 @@ func CovarianceWorkers(m *Matrix, workers int) *Matrix {
 	if m.Rows < 2 {
 		denom = 1
 	}
-	if workers > 1 && n > 1 && m.Rows*n*n/2 >= minParallelFlops {
-		// Center once (elementwise, order-free), then accumulate each
-		// upper-triangle row a on its own: the inner i-ascending sum per
-		// (a, b) matches the serial interleaved order term for term.
-		centered := make([]float64, m.Rows*n)
-		parallel.ForShard(workers, m.Rows, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				src := m.Data[i*n : (i+1)*n]
-				dst := centered[i*n : (i+1)*n]
-				for j := range src {
-					dst[j] = src[j] - means[j]
-				}
-			}
-		})
-		// Row a costs Rows·(n−a) multiply-adds, so equal bands of rows
-		// would leave the first worker most of the work (about 75% at two
-		// workers). Rows are handed out one at a time through For's shared
-		// cursor instead, heaviest first.
-		parallel.For(workers, n, func(a int) {
-			covTriangleRow(cov.Data[a*n+a:(a+1)*n], centered[a:], n, m.Rows)
-		})
-	} else {
-		// Accumulate upper triangle row-by-row.
-		row := make([]float64, n)
-		for i := 0; i < m.Rows; i++ {
+	workers := cfg.WorkersFor(8 * (int64(m.Rows) * int64(n) * int64(n) / 2))
+	// Center once (elementwise, order-free), then accumulate each
+	// upper-triangle row a on its own: the inner i-ascending sum per
+	// (a, b) is the same sequence of additions at any worker count.
+	centered := make([]float64, m.Rows*n)
+	parallel.ForShard(workers, m.Rows, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			src := m.Data[i*n : (i+1)*n]
+			dst := centered[i*n : (i+1)*n]
 			for j := range src {
-				row[j] = src[j] - means[j]
-			}
-			for a := 0; a < n; a++ {
-				va := row[a]
-				if va == 0 {
-					continue
-				}
-				crow := cov.Data[a*n : (a+1)*n]
-				for b := a; b < n; b++ {
-					crow[b] += va * row[b]
-				}
+				dst[j] = src[j] - means[j]
 			}
 		}
-	}
+	})
+	// Row a costs Rows·(n−a) multiply-adds, so equal bands of rows would
+	// leave the first worker most of the work (about 75% at two workers).
+	// Rows are handed out one at a time through For's shared cursor
+	// instead, heaviest first.
+	parallel.For(workers, n, func(a int) {
+		covTriangleRow(cov.Data[a*n+a:(a+1)*n], centered[a:], n, m.Rows)
+	})
 	for a := 0; a < n; a++ {
 		for b := a; b < n; b++ {
 			v := cov.At(a, b) / denom

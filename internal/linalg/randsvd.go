@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"lrm/internal/parallel"
 )
 
 // QR computes a thin QR factorisation of a (m >= n required) by modified
@@ -66,8 +68,9 @@ func QR(a *Matrix) (q, r *Matrix, err error) {
 // future work).
 //
 // The seed makes the factorisation deterministic, which the compression
-// pipeline requires for reproducible archives. a is not modified.
-func RandSVD(a *Matrix, k, oversample, powerIters int, seed int64) (*SVDResult, error) {
+// pipeline requires for reproducible archives; its products run on cfg's
+// budget and are bitwise identical at any worker count. a is not modified.
+func RandSVD(a *Matrix, k, oversample, powerIters int, seed int64, cfg parallel.Config) (*SVDResult, error) {
 	if a.Rows == 0 || a.Cols == 0 {
 		return nil, errors.New("linalg: RandSVD of empty matrix")
 	}
@@ -75,7 +78,7 @@ func RandSVD(a *Matrix, k, oversample, powerIters int, seed int64) (*SVDResult, 
 		return nil, fmt.Errorf("linalg: RandSVD rank %d", k)
 	}
 	if a.Rows < a.Cols {
-		r, err := RandSVD(a.T(), k, oversample, powerIters, seed)
+		r, err := RandSVD(a.T(), k, oversample, powerIters, seed, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +99,7 @@ func RandSVD(a *Matrix, k, oversample, powerIters int, seed int64) (*SVDResult, 
 	for i := range omega.Data {
 		omega.Data[i] = rng.NormFloat64()
 	}
-	y, err := a.Mul(omega)
+	y, err := a.Mul(omega, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +111,7 @@ func RandSVD(a *Matrix, k, oversample, powerIters int, seed int64) (*SVDResult, 
 		if err != nil {
 			return nil, err
 		}
-		z, err := at.Mul(q)
+		z, err := at.Mul(q, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +119,7 @@ func RandSVD(a *Matrix, k, oversample, powerIters int, seed int64) (*SVDResult, 
 		if err != nil {
 			return nil, err
 		}
-		y, err = a.Mul(qz)
+		y, err = a.Mul(qz, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +130,7 @@ func RandSVD(a *Matrix, k, oversample, powerIters int, seed int64) (*SVDResult, 
 	}
 
 	// B = Qᵀ A is small (l x n); factor it exactly.
-	b, err := q.T().Mul(a)
+	b, err := q.T().Mul(a, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +139,7 @@ func RandSVD(a *Matrix, k, oversample, powerIters int, seed int64) (*SVDResult, 
 		return nil, err
 	}
 	// U = Q * U_b.
-	u, err := q.Mul(small.U)
+	u, err := q.Mul(small.U, cfg)
 	if err != nil {
 		return nil, err
 	}

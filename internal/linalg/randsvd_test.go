@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"lrm/internal/parallel"
 )
 
 func TestQRReconstructionAndOrthogonality(t *testing.T) {
@@ -15,12 +17,12 @@ func TestQRReconstructionAndOrthogonality(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Q R = A.
-		qr, _ := q.Mul(r)
+		qr, _ := q.Mul(r, parallel.Config{})
 		if d := qr.MaxAbsDiff(a); d > 1e-10 {
 			t.Fatalf("%v: QR reconstruction error %v", shape, d)
 		}
 		// QᵀQ = I.
-		qtq, _ := q.T().Mul(q)
+		qtq, _ := q.T().Mul(q, parallel.Config{})
 		if d := qtq.MaxAbsDiff(Identity(q.Cols)); d > 1e-10 {
 			t.Fatalf("%v: Q not orthonormal (%v)", shape, d)
 		}
@@ -67,12 +69,12 @@ func TestRandSVDExactOnLowRank(t *testing.T) {
 	// Exactly rank-3 matrix.
 	u := randomMatrix(rng, 60, 3)
 	v := randomMatrix(rng, 3, 24)
-	a, _ := u.Mul(v)
-	res, err := RandSVD(a, 3, 5, 1, 7)
+	a, _ := u.Mul(v, parallel.Config{})
+	res, err := RandSVD(a, 3, 5, 1, 7, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Reconstruct(res.U, res.S, res.V)
+	rec, err := Reconstruct(res.U, res.S, res.V, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +94,11 @@ func TestRandSVDMatchesExactLeadingValues(t *testing.T) {
 	for j := range exact.S {
 		exact.S[j] *= math.Pow(0.5, float64(j))
 	}
-	b, err := Reconstruct(exact.U, exact.S, exact.V)
+	b, err := Reconstruct(exact.U, exact.S, exact.V, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := RandSVD(b, 5, 8, 2, 11)
+	approx, err := RandSVD(b, 5, 8, 2, 11, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +117,12 @@ func TestRandSVDWideMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	u := randomMatrix(rng, 2, 10)
 	v := randomMatrix(rng, 10, 40)
-	uv, _ := u.Mul(v) // 2x40, rank <= 2
-	res, err := RandSVD(uv, 2, 4, 1, 5)
+	uv, _ := u.Mul(v, parallel.Config{}) // 2x40, rank <= 2
+	res, err := RandSVD(uv, 2, 4, 1, 5, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Reconstruct(res.U, res.S, res.V)
+	rec, err := Reconstruct(res.U, res.S, res.V, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +134,11 @@ func TestRandSVDWideMatrix(t *testing.T) {
 func TestRandSVDDeterministicBySeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomMatrix(rng, 30, 12)
-	r1, err := RandSVD(a, 4, 4, 1, 99)
+	r1, err := RandSVD(a, 4, 4, 1, 99, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RandSVD(a, 4, 4, 1, 99)
+	r2, err := RandSVD(a, 4, 4, 1, 99, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +150,10 @@ func TestRandSVDDeterministicBySeed(t *testing.T) {
 }
 
 func TestRandSVDValidation(t *testing.T) {
-	if _, err := RandSVD(&Matrix{}, 2, 2, 1, 0); err == nil {
+	if _, err := RandSVD(&Matrix{}, 2, 2, 1, 0, parallel.Config{}); err == nil {
 		t.Fatal("expected empty-matrix rejection")
 	}
-	if _, err := RandSVD(NewMatrix(4, 4), 0, 2, 1, 0); err == nil {
+	if _, err := RandSVD(NewMatrix(4, 4), 0, 2, 1, 0, parallel.Config{}); err == nil {
 		t.Fatal("expected rank-0 rejection")
 	}
 }
@@ -159,7 +161,7 @@ func TestRandSVDValidation(t *testing.T) {
 func TestRandSVDRankClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randomMatrix(rng, 10, 4)
-	res, err := RandSVD(a, 99, 10, 0, 1)
+	res, err := RandSVD(a, 99, 10, 0, 1, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

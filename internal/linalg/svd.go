@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"sort"
+
+	"lrm/internal/parallel"
 )
 
 // SVDResult holds a thin singular value decomposition A = U · diag(S) · Vᵀ,
@@ -234,23 +236,31 @@ func leadingCols(a *Matrix, k int) *Matrix {
 	return out
 }
 
-// Reconstruct returns U·diag(S)·Vᵀ from possibly truncated factors.
-func Reconstruct(u *Matrix, s []float64, v *Matrix) (*Matrix, error) {
-	if u.Cols != len(s) || v.Cols != len(s) {
+// Reconstruct returns U·diag(S)·Vᵀ from possibly truncated factors, sharded
+// by output row on cfg's budget. Each row keeps the serial accumulation
+// order (skipping zero U·S factors), so the result is bitwise identical at
+// any worker count.
+func Reconstruct(u *Matrix, s []float64, v *Matrix, cfg parallel.Config) (*Matrix, error) {
+	k := len(s)
+	if u.Cols != k || v.Cols != k {
 		return nil, errors.New("linalg: factor shape mismatch")
 	}
 	out := NewMatrix(u.Rows, v.Rows)
-	for i := 0; i < u.Rows; i++ {
-		for k := 0; k < len(s); k++ {
-			f := u.At(i, k) * s[k]
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < v.Rows; j++ {
-				out.Data[i*out.Cols+j] += f * v.At(j, k)
+	n := out.Cols
+	parallel.ForShard(cfg.WorkersFor(8*int64(u.Rows)*int64(n)*int64(k)), u.Rows, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			row := out.Data[r*n : (r+1)*n]
+			for j, sj := range s {
+				f := u.Data[r*k+j] * sj
+				if f == 0 {
+					continue
+				}
+				for i := range row {
+					row[i] += f * v.Data[i*k+j]
+				}
 			}
 		}
-	}
+	})
 	return out, nil
 }
 

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"lrm/internal/parallel"
 )
 
 // svdReference is the original row-major one-sided Jacobi SVD, kept
@@ -129,7 +131,7 @@ func rampMatrix(rows, cols int) *Matrix {
 func rankTwoMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	u := randomMatrix(rng, rows, 2)
 	v := randomMatrix(rng, 2, cols)
-	a, _ := u.Mul(v)
+	a, _ := u.Mul(v, parallel.Config{})
 	return a
 }
 
@@ -216,7 +218,7 @@ func TestRandSVDPinned(t *testing.T) {
 	for _, c := range cases {
 		rng := rand.New(rand.NewSource(c.seed))
 		a := randMatrix(rng, c.rows, c.cols)
-		r, err := RandSVD(a, c.k, c.over, c.power, c.seed)
+		r, err := RandSVD(a, c.k, c.over, c.power, c.seed, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +260,7 @@ func svdFactorsCheck(t *testing.T, a *Matrix) *SVDResult {
 			}
 		}
 	}
-	rec, err := Reconstruct(r.U, r.S, r.V)
+	rec, err := Reconstruct(r.U, r.S, r.V, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,6 @@
 // Package parallel provides the bounded fork/join worker pool and scratch
-// buffer arenas behind the codec kernels and the chunked container.
+// buffer arenas behind the codec kernels, the reduced-model and linear
+// algebra kernels, and the chunked container.
 //
 // Three properties shape the API:
 //
@@ -9,8 +10,9 @@
 //     Kernels therefore keep no serial twin of a sharded loop.
 //   - Config.WorkersFor is the only size cutover. A codec resolves its
 //     worker count from it once per input and passes that count to every
-//     kernel, which runs one ForShard (or For) loop and has no size gate
-//     of its own.
+//     kernel; a linear algebra kernel resolves it from its multiply-add
+//     count (8 bytes each). Each kernel runs one ForShard (or For) loop
+//     and has no size gate of its own.
 //   - Work is partitioned deterministically. ForShard always cuts [0, n)
 //     into the same contiguous ranges for a given (workers, n), so
 //     encoders that write one private bitstream per shard and concatenate
@@ -39,13 +41,15 @@ var (
 	obsTaskNs     = obs.GetHistogram("parallel.task.ns", nil)
 )
 
-// Config selects the degree of parallelism for a compression run. The zero
-// value means "use DefaultWorkers()"; Workers == 1 forces fully serial
-// execution on the calling goroutine.
+// Config selects the degree of parallelism for a compression run: the
+// codecs, the reduced models and the linear algebra under them all take
+// their worker count from it. The zero value means one worker per
+// schedulable CPU; Workers == 1 forces fully serial execution on the
+// calling goroutine.
 type Config struct {
 	// Workers is the maximum number of concurrently running worker
-	// goroutines. 0 defaults to DefaultWorkers(); negative values are
-	// treated as 1.
+	// goroutines. 0 defaults to GOMAXPROCS; negative values are treated
+	// as 1.
 	Workers int
 	// MinShardBytes is the smallest per-shard input (in bytes of the data
 	// being cut) worth forking the pool for: WorkersFor reduces the
@@ -66,7 +70,7 @@ const DefaultMinShardBytes = 512 << 10
 // Resolve returns the effective worker count for the config.
 func (c Config) Resolve() int {
 	if c.Workers == 0 {
-		return DefaultWorkers()
+		return runtime.GOMAXPROCS(0)
 	}
 	if c.Workers < 1 {
 		return 1
@@ -107,12 +111,6 @@ func (c Config) WorkersFor(totalBytes int64) int {
 		w = int(per)
 	}
 	return w
-}
-
-// DefaultWorkers is the pool size used when no explicit worker count is
-// configured: one worker per schedulable CPU.
-func DefaultWorkers() int {
-	return runtime.GOMAXPROCS(0)
 }
 
 // For runs fn(i) for every i in [0, n), using at most `workers` concurrent

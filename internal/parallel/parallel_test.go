@@ -9,8 +9,8 @@ import (
 )
 
 func TestConfigResolve(t *testing.T) {
-	if got := (Config{}).Resolve(); got != DefaultWorkers() {
-		t.Fatalf("zero config resolved to %d, want DefaultWorkers()=%d", got, DefaultWorkers())
+	if got := (Config{}).Resolve(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("zero config resolved to %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
 	if got := (Config{Workers: -3}).Resolve(); got != 1 {
 		t.Fatalf("negative workers resolved to %d, want 1", got)
@@ -19,12 +19,6 @@ func TestConfigResolve(t *testing.T) {
 		if got := (Config{Workers: w}).Resolve(); got != w {
 			t.Fatalf("Workers=%d resolved to %d", w, got)
 		}
-	}
-}
-
-func TestDefaultWorkers(t *testing.T) {
-	if got := DefaultWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("DefaultWorkers() = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
 }
 

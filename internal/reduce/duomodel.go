@@ -1,10 +1,12 @@
 package reduce
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 // DuoModel is the paper's prior-work baseline (Fig. 2c): the reduced model
@@ -31,8 +33,8 @@ func (d DuoModel) factor() int {
 
 func init() { register("duomodel", reconstructDuoModel) }
 
-// Reduce implements Model: block-average downsample.
-func (d DuoModel) Reduce(f *grid.Field) (*Rep, error) {
+// Fit implements Model: block-average downsample.
+func (d DuoModel) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Rep, error) {
 	if err := checkFinite(f); err != nil {
 		return nil, err
 	}
@@ -71,7 +73,7 @@ func (d DuoModel) Reduce(f *grid.Field) (*Rep, error) {
 	}, nil
 }
 
-func reconstructDuoModel(rep *Rep) (*grid.Field, error) {
+func reconstructDuoModel(rep *Rep, _ parallel.Config) (*grid.Field, error) {
 	pos := 0
 	rank64, n := binary.Uvarint(rep.Meta)
 	if n <= 0 || rank64 == 0 || rank64 > 3 {

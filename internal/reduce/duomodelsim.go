@@ -1,10 +1,12 @@
 package reduce
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 )
 
 // DuoModelSim is the faithful DuoModel variant: the reduced model is the
@@ -26,8 +28,8 @@ type DuoModelSim struct {
 // Name implements Model.
 func (d DuoModelSim) Name() string { return "duomodel(sim)" }
 
-// Reduce implements Model: store the provided coarse-run output.
-func (d DuoModelSim) Reduce(f *grid.Field) (*Rep, error) {
+// Fit implements Model: store the provided coarse-run output.
+func (d DuoModelSim) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Rep, error) {
 	if d.Coarse == nil {
 		return nil, fmt.Errorf("duomodel(sim): no coarse model output provided")
 	}

@@ -15,14 +15,25 @@
 // with the compressed delta (original minus reconstruction); because the
 // reconstruction captures the data's latent structure, the delta is far
 // smoother than the original and compresses much better.
+//
+// Model.Fit(ctx, f, cfg) builds a Rep and Rep.Reconstruct(ctx, cfg)
+// inverts it, the codec stage's shape: cfg is the caller's worker budget
+// for the PCA/SVD and linear algebra kernels (reps are byte-identical at
+// every cfg), and ctx parents their spans. Model.Reduce and the package
+// Reconstruct are the same calls on a background ctx and the zero cfg,
+// kept only for lrmbench3/layers.go, which changes only with the
+// benchmark; ROADMAP item 6 deletes them once it moves to Fit.
 package reduce
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"lrm/internal/grid"
 	"lrm/internal/invariant"
+	"lrm/internal/obs/trace"
+	"lrm/internal/parallel"
 )
 
 // Rep is a serialisable reduced representation.
@@ -48,12 +59,34 @@ func (r *Rep) SizeBytes() int { return len(r.Meta) + 8*len(r.Values) }
 type Model interface {
 	// Name identifies the model and its configuration.
 	Name() string
-	// Reduce builds the reduced representation of f.
+	// Fit builds the reduced representation of f, running its kernels on
+	// cfg's budget and opening their spans under ctx.
+	Fit(ctx context.Context, f *grid.Field, cfg parallel.Config) (*Rep, error)
+	// Reduce is Fit on a background ctx and the zero cfg (see the package doc).
 	Reduce(f *grid.Field) (*Rep, error)
 }
 
-// reconstructor rebuilds an approximation of the original field from a Rep.
-type reconstructor func(rep *Rep) (*grid.Field, error)
+// The Reduce wrappers, one per model (see the package doc).
+func (m OneBase) Reduce(f *grid.Field) (*Rep, error)     { return fitDefault(m, f) }
+func (m MultiBase) Reduce(f *grid.Field) (*Rep, error)   { return fitDefault(m, f) }
+func (m DuoModel) Reduce(f *grid.Field) (*Rep, error)    { return fitDefault(m, f) }
+func (m DuoModelSim) Reduce(f *grid.Field) (*Rep, error) { return fitDefault(m, f) }
+func (m PCA) Reduce(f *grid.Field) (*Rep, error)         { return fitDefault(m, f) }
+func (m SVD) Reduce(f *grid.Field) (*Rep, error)         { return fitDefault(m, f) }
+func (m Wavelet) Reduce(f *grid.Field) (*Rep, error)     { return fitDefault(m, f) }
+
+func fitDefault(m Model, f *grid.Field) (*Rep, error) {
+	return m.Fit(context.Background(), f, parallel.Config{})
+}
+
+// Reconstruct is rep.Reconstruct on a background ctx and the zero cfg.
+func Reconstruct(rep *Rep) (*grid.Field, error) {
+	return rep.Reconstruct(context.Background(), parallel.Config{})
+}
+
+// reconstructor rebuilds an approximation of the original field from a Rep
+// on cfg's budget.
+type reconstructor func(rep *Rep, cfg parallel.Config) (*grid.Field, error)
 
 // reconstructors dispatches by the model base name (the part of Rep.Model
 // before any '(').
@@ -76,10 +109,14 @@ func baseName(name string) string {
 	return name
 }
 
-// Reconstruct rebuilds the approximation a Rep describes. It is the inverse
+// Reconstruct rebuilds the approximation rep describes, on cfg's budget,
+// under a reduce.reconstruct span parented by ctx. It is the inverse
 // transformation box of Fig. 5 and is used both when computing the delta at
 // compression time and when rebuilding the original at decompression time.
-func Reconstruct(rep *Rep) (*grid.Field, error) {
+func (rep *Rep) Reconstruct(ctx context.Context, cfg parallel.Config) (f *grid.Field, err error) {
+	_, sp := trace.Start(ctx, "reduce.reconstruct")
+	defer sp.End()
+	defer func() { sp.SetError(err) }()
 	fn, ok := reconstructors[baseName(rep.Model)]
 	if !ok {
 		return nil, fmt.Errorf("reduce: no reconstructor for model %q", rep.Model)
@@ -87,7 +124,7 @@ func Reconstruct(rep *Rep) (*grid.Field, error) {
 	if len(rep.Dims) == 0 {
 		return nil, fmt.Errorf("reduce: rep has no dims")
 	}
-	f, err := fn(rep)
+	f, err = fn(rep, cfg)
 	if invariant.Enabled && err == nil {
 		// Shape invariant at the inverse-transform boundary: every model's
 		// reconstruction must land exactly on the original grid, or the
@@ -135,15 +172,4 @@ func checkFinite(f *grid.Field) error {
 		}
 	}
 	return nil
-}
-
-// Delta returns f minus the reconstruction of rep — the quantity that gets
-// lossily compressed.
-func Delta(f *grid.Field, rep *Rep) (*grid.Field, error) {
-	recon, err := Reconstruct(rep)
-	if err != nil {
-		return nil, err
-	}
-	invariant.SameLen(f.Data, recon.Data, "reduce: delta alignment")
-	return f.Sub(recon)
 }

@@ -1,11 +1,13 @@
 package reduce
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
 	"lrm/internal/grid"
 	"lrm/internal/mpi"
+	"lrm/internal/parallel"
 )
 
 // MultiBase is the paper's multi-base projection model (Fig. 2b): the
@@ -23,8 +25,8 @@ func (m MultiBase) Name() string { return fmt.Sprintf("multi-base(b=%d)", m.Bloc
 
 func init() { register("multi-base", reconstructMultiBase) }
 
-// Reduce implements Model: one mid-slab per sub-domain.
-func (m MultiBase) Reduce(f *grid.Field) (*Rep, error) {
+// Fit implements Model: one mid-slab per sub-domain.
+func (m MultiBase) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Rep, error) {
 	if err := checkFinite(f); err != nil {
 		return nil, err
 	}
@@ -46,7 +48,7 @@ func (m MultiBase) Reduce(f *grid.Field) (*Rep, error) {
 	return &Rep{Model: m.Name(), Dims: append([]int(nil), f.Dims...), Meta: meta, Values: vals}, nil
 }
 
-func reconstructMultiBase(rep *Rep) (*grid.Field, error) {
+func reconstructMultiBase(rep *Rep, _ parallel.Config) (*grid.Field, error) {
 	b64, n := binary.Uvarint(rep.Meta)
 	if n <= 0 || b64 == 0 {
 		return nil, fmt.Errorf("reduce: multi-base meta corrupt")

@@ -1,10 +1,12 @@
 package reduce
 
 import (
+	"context"
 	"fmt"
 
 	"lrm/internal/grid"
 	"lrm/internal/invariant"
+	"lrm/internal/parallel"
 )
 
 // OneBase is the paper's one-base projection model (Fig. 2a, Algorithm 1):
@@ -30,8 +32,8 @@ func slabLen(dims []int) int {
 	return n
 }
 
-// Reduce implements Model: extract the middle slab.
-func (OneBase) Reduce(f *grid.Field) (*Rep, error) {
+// Fit implements Model: extract the middle slab.
+func (OneBase) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Rep, error) {
 	if err := checkFinite(f); err != nil {
 		return nil, err
 	}
@@ -48,7 +50,7 @@ func (OneBase) Reduce(f *grid.Field) (*Rep, error) {
 	return &Rep{Model: "one-base", Dims: append([]int(nil), f.Dims...), Values: vals}, nil
 }
 
-func reconstructOneBase(rep *Rep) (*grid.Field, error) {
+func reconstructOneBase(rep *Rep, _ parallel.Config) (*grid.Field, error) {
 	sl := slabLen(rep.Dims)
 	if len(rep.Values) != sl {
 		return nil, fmt.Errorf("reduce: one-base payload %d != slab %d", len(rep.Values), sl)

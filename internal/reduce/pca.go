@@ -1,12 +1,15 @@
 package reduce
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"lrm/internal/grid"
 	"lrm/internal/linalg"
 	"lrm/internal/obs"
+	"lrm/internal/obs/trace"
 	"lrm/internal/parallel"
 )
 
@@ -48,46 +51,67 @@ func (p PCA) energy() float64 {
 
 func init() { register("pca", reconstructPCA) }
 
-// Reduce implements Model.
-func (p PCA) Reduce(f *grid.Field) (*Rep, error) {
+// Fit implements Model. The unpartitioned fit is the one-block case of the
+// partitioned one: the meta is (m, n, blocks) then (w, k) per block, and
+// the values are each block's means, eigenvectors and scores in turn.
+func (p PCA) Fit(ctx context.Context, f *grid.Field, cfg parallel.Config) (*Rep, error) {
 	if err := checkFinite(f); err != nil {
 		return nil, err
 	}
 	m, n := matShape(f)
+	bc := n
 	if p.BlockCols > 0 && p.BlockCols < n {
-		return p.reduceBlocked(f, m, n)
-	}
-	mat, err := linalg.MatrixFromData(append([]float64(nil), f.Data...), m, n)
-	if err != nil {
-		return nil, err
-	}
-	means, vecs, k, scores, err := pcaFactor(mat, p.energy(), p.MaxK)
-	if err != nil {
-		return nil, err
+		bc = p.BlockCols
 	}
 
 	var meta []byte
 	meta = binary.AppendUvarint(meta, uint64(m))
 	meta = binary.AppendUvarint(meta, uint64(n))
-	meta = binary.AppendUvarint(meta, 1) // one block
-	meta = binary.AppendUvarint(meta, uint64(n))
-	meta = binary.AppendUvarint(meta, uint64(k))
+	meta = binary.AppendUvarint(meta, uint64((n+bc-1)/bc))
 
-	vals := make([]float64, 0, n+n*k+m*k)
-	vals = append(vals, means...)
-	vals = append(vals, vecs...)
-	vals = append(vals, scores...)
+	var vals []float64
+	for lo := 0; lo < n; lo += bc {
+		hi := min(lo+bc, n)
+		w := hi - lo
+		block := linalg.NewMatrix(m, w)
+		for r := 0; r < m; r++ {
+			copy(block.Data[r*w:(r+1)*w], f.Data[r*n+lo:r*n+hi])
+		}
+		means, vecs, k, scores, err := pcaFactor(ctx, block, p.energy(), p.MaxK, cfg)
+		if err != nil {
+			return nil, err
+		}
+		meta = binary.AppendUvarint(meta, uint64(w))
+		meta = binary.AppendUvarint(meta, uint64(k))
+		vals = slices.Grow(vals, len(means)+len(vecs)+len(scores))
+		vals = append(vals, means...)
+		vals = append(vals, vecs...)
+		vals = append(vals, scores...)
+	}
 	return &Rep{Model: p.Name(), Dims: append([]int(nil), f.Dims...), Meta: meta, Values: vals}, nil
+}
+
+// pcaEigen centers mat's columns in place and eigendecomposes their
+// covariance, returning the column means and the descending spectrum with
+// its eigenvectors.
+func pcaEigen(ctx context.Context, mat *linalg.Matrix, cfg parallel.Config) ([]float64, []float64, *linalg.Matrix, error) {
+	means := linalg.ColumnMeans(mat)
+	linalg.CenterColumns(mat, means)
+	_, sp := trace.Start(ctx, "reduce.covariance")
+	cov := linalg.Covariance(mat, cfg) // already centered; means now ~0
+	sp.End()
+	_, sp = trace.Start(ctx, "reduce.eigen")
+	eigvals, eigvecs, err := linalg.EigenSym(cov)
+	sp.SetError(err)
+	sp.End()
+	return means, eigvals, eigvecs, err
 }
 
 // pcaFactor runs the covariance eigen-solve on one column block and returns
 // (means, flattened n x k eigenvectors, k, flattened m x k scores).
-func pcaFactor(mat *linalg.Matrix, energy float64, maxK int) ([]float64, []float64, int, []float64, error) {
+func pcaFactor(ctx context.Context, mat *linalg.Matrix, energy float64, maxK int, cfg parallel.Config) ([]float64, []float64, int, []float64, error) {
 	m, n := mat.Rows, mat.Cols
-	means := linalg.ColumnMeans(mat)
-	linalg.CenterColumns(mat, means)
-	cov := linalg.Covariance(mat) // already centered; means now ~0
-	eigvals, eigvecs, err := linalg.EigenSym(cov)
+	means, eigvals, eigvecs, err := pcaEigen(ctx, mat, cfg)
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
@@ -109,7 +133,7 @@ func pcaFactor(mat *linalg.Matrix, energy float64, maxK int) ([]float64, []float
 	// project independently (each with the serial accumulation order), so
 	// the shards produce bitwise-identical scores at any worker count.
 	scores := make([]float64, m*k)
-	parallel.ForShard(parallel.DefaultWorkers(), m, func(_, lo, hi int) {
+	parallel.ForShard(cfg.WorkersFor(8*int64(m)*int64(n)*int64(k)), m, func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			row := mat.Data[r*n : (r+1)*n]
 			for j := 0; j < k; j++ {
@@ -124,39 +148,7 @@ func pcaFactor(mat *linalg.Matrix, energy float64, maxK int) ([]float64, []float
 	return means, vecs, k, scores, nil
 }
 
-// reduceBlocked is the partitioned-matrix PCA: independent column blocks.
-func (p PCA) reduceBlocked(f *grid.Field, m, n int) (*Rep, error) {
-	bc := p.BlockCols
-	nBlocks := (n + bc - 1) / bc
-
-	var meta []byte
-	meta = binary.AppendUvarint(meta, uint64(m))
-	meta = binary.AppendUvarint(meta, uint64(n))
-	meta = binary.AppendUvarint(meta, uint64(nBlocks))
-
-	var vals []float64
-	for b := 0; b < nBlocks; b++ {
-		lo := b * bc
-		hi := min(lo+bc, n)
-		w := hi - lo
-		block := linalg.NewMatrix(m, w)
-		for r := 0; r < m; r++ {
-			copy(block.Data[r*w:(r+1)*w], f.Data[r*n+lo:r*n+hi])
-		}
-		means, vecs, k, scores, err := pcaFactor(block, p.energy(), p.MaxK)
-		if err != nil {
-			return nil, err
-		}
-		meta = binary.AppendUvarint(meta, uint64(w))
-		meta = binary.AppendUvarint(meta, uint64(k))
-		vals = append(vals, means...)
-		vals = append(vals, vecs...)
-		vals = append(vals, scores...)
-	}
-	return &Rep{Model: p.Name(), Dims: append([]int(nil), f.Dims...), Meta: meta, Values: vals}, nil
-}
-
-func reconstructPCA(rep *Rep) (*grid.Field, error) {
+func reconstructPCA(rep *Rep, cfg parallel.Config) (*grid.Field, error) {
 	pos := 0
 	next := func() (int, error) {
 		v, n := binary.Uvarint(rep.Meta[pos:])
@@ -212,7 +204,7 @@ func reconstructPCA(rep *Rep) (*grid.Field, error) {
 
 		// X_hat = scores * vecs^T + means, written into columns [col, col+w).
 		// Rows reconstruct independently; shards write disjoint output rows.
-		parallel.ForShard(parallel.DefaultWorkers(), m, func(_, lo, hi int) {
+		parallel.ForShard(cfg.WorkersFor(8*int64(m)*int64(w)*int64(k)), m, func(_, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				for i := 0; i < w; i++ {
 					s := means[i]
@@ -238,14 +230,8 @@ func reconstructPCA(rep *Rep) (*grid.Field, error) {
 // principal components of f (Fig. 7). At most maxComponents are returned.
 func PCASpectrum(f *grid.Field, maxComponents int) ([]float64, error) {
 	m, n := matShape(f)
-	mat, err := linalg.MatrixFromData(append([]float64(nil), f.Data...), m, n)
-	if err != nil {
-		return nil, err
-	}
-	means := linalg.ColumnMeans(mat)
-	linalg.CenterColumns(mat, means)
-	cov := linalg.Covariance(mat)
-	eigvals, _, err := linalg.EigenSym(cov)
+	mat := &linalg.Matrix{Rows: m, Cols: n, Data: slices.Clone(f.Data)}
+	_, eigvals, _, err := pcaEigen(context.Background(), mat, parallel.Config{})
 	if err != nil {
 		return nil, err
 	}

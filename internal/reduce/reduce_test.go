@@ -1,13 +1,32 @@
 package reduce
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 	"lrm/internal/stats"
 )
+
+// bg and budget are the context and worker budget the tests fit and
+// reconstruct with; no rep or reconstruction depends on either.
+var (
+	bg     = context.Background()
+	budget = parallel.Config{}
+)
+
+// deltaOf returns f minus rep's reconstruction, the field the pipeline
+// compresses.
+func deltaOf(f *grid.Field, rep *Rep) (*grid.Field, error) {
+	recon, err := rep.Reconstruct(bg, budget)
+	if err != nil {
+		return nil, err
+	}
+	return recon, recon.SubFrom(f)
+}
 
 // zSymmetric3D builds a field whose planes are scaled copies of a common
 // pattern — the structure one-base exploits.
@@ -66,15 +85,15 @@ func TestRoundTripDeltaIsExactForAllModels(t *testing.T) {
 	}
 	for fname, f := range fields {
 		for _, m := range allModels() {
-			rep, err := m.Reduce(f)
+			rep, err := m.Fit(bg, f, budget)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", m.Name(), fname, err)
 			}
-			delta, err := Delta(f, rep)
+			delta, err := deltaOf(f, rep)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", m.Name(), fname, err)
 			}
-			recon, err := Reconstruct(rep)
+			recon, err := rep.Reconstruct(bg, budget)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", m.Name(), fname, err)
 			}
@@ -95,11 +114,11 @@ func TestOneBaseDeltaSmootherThanOriginal(t *testing.T) {
 	// The paper's central claim for Heat3d-like data: the delta's byte
 	// entropy is lower (more compressible) than the original's.
 	f := zSymmetric3D(24)
-	rep, err := OneBase{}.Reduce(f)
+	rep, err := OneBase{}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := Delta(f, rep)
+	delta, err := deltaOf(f, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +142,7 @@ func TestOneBaseDeltaSmootherThanOriginal(t *testing.T) {
 
 func TestOneBaseRepIsMidPlane(t *testing.T) {
 	f := zSymmetric3D(9)
-	rep, _ := OneBase{}.Reduce(f)
+	rep, _ := OneBase{}.Fit(bg, f, budget)
 	mid := f.Plane(4)
 	for i := range mid.Data {
 		if rep.Values[i] != mid.Data[i] {
@@ -137,15 +156,15 @@ func TestOneBaseRepIsMidPlane(t *testing.T) {
 
 func TestMultiBaseUsesMoreStorageButLocalBases(t *testing.T) {
 	f := zSymmetric3D(16)
-	one, _ := OneBase{}.Reduce(f)
-	multi, _ := MultiBase{Blocks: 4}.Reduce(f)
+	one, _ := OneBase{}.Fit(bg, f, budget)
+	multi, _ := MultiBase{Blocks: 4}.Fit(bg, f, budget)
 	if multi.SizeBytes() <= one.SizeBytes() {
 		t.Fatalf("multi-base (%d B) should store more than one-base (%d B)",
 			multi.SizeBytes(), one.SizeBytes())
 	}
 	// Multi-base deltas are locally smaller: sum |delta|.
-	d1, _ := Delta(f, one)
-	dm, _ := Delta(f, multi)
+	d1, _ := deltaOf(f, one)
+	dm, _ := deltaOf(f, multi)
 	sumAbs := func(g *grid.Field) float64 {
 		s := 0.0
 		for _, v := range g.Data {
@@ -160,11 +179,11 @@ func TestMultiBaseUsesMoreStorageButLocalBases(t *testing.T) {
 
 func TestMultiBaseBlockClamping(t *testing.T) {
 	f := zSymmetric3D(4)
-	rep, err := MultiBase{Blocks: 99}.Reduce(f) // more blocks than slabs
+	rep, err := MultiBase{Blocks: 99}.Fit(bg, f, budget) // more blocks than slabs
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Reconstruct(rep); err != nil {
+	if _, err := rep.Reconstruct(bg, budget); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -175,21 +194,21 @@ func TestDuoModelCoarseFactorFallback(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float64(i % 17)
 	}
-	rep, err := DuoModel{Factor: 4}.Reduce(f)
+	rep, err := DuoModel{Factor: 4}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Values) >= f.Len() {
 		t.Fatal("duomodel rep not smaller than data")
 	}
-	if _, err := Reconstruct(rep); err != nil {
+	if _, err := rep.Reconstruct(bg, budget); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDuoModelRejectsTinyFields(t *testing.T) {
 	f := grid.New(3)
-	if _, err := (DuoModel{Factor: 4}).Reduce(f); err == nil {
+	if _, err := (DuoModel{Factor: 4}).Fit(bg, f, budget); err == nil {
 		t.Fatal("expected error for uncoarsenable field")
 	}
 }
@@ -198,11 +217,11 @@ func TestPCALowRankRecovery(t *testing.T) {
 	// Rank-3 data: PCA at 95% energy must capture it almost exactly with
 	// k <= 4 components.
 	f := lowRank2D(64, 20, 3, 2)
-	rep, err := PCA{}.Reduce(f)
+	rep, err := PCA{}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := Reconstruct(rep)
+	recon, err := rep.Reconstruct(bg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +238,8 @@ func TestPCALowRankRecovery(t *testing.T) {
 
 func TestPCAEnergyKnobChangesK(t *testing.T) {
 	f := lowRank2D(48, 24, 10, 3)
-	low, _ := PCA{Energy: 0.5}.Reduce(f)
-	high, _ := PCA{Energy: 0.999}.Reduce(f)
+	low, _ := PCA{Energy: 0.5}.Fit(bg, f, budget)
+	high, _ := PCA{Energy: 0.999}.Fit(bg, f, budget)
 	if low.SizeBytes() >= high.SizeBytes() {
 		t.Fatalf("lower energy should give smaller rep: %d vs %d",
 			low.SizeBytes(), high.SizeBytes())
@@ -229,11 +248,11 @@ func TestPCAEnergyKnobChangesK(t *testing.T) {
 
 func TestPCABlockedMatchesShape(t *testing.T) {
 	f := lowRank2D(40, 30, 4, 4)
-	rep, err := PCA{BlockCols: 8}.Reduce(f)
+	rep, err := PCA{BlockCols: 8}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := Reconstruct(rep)
+	recon, err := rep.Reconstruct(bg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +267,11 @@ func TestPCABlockedMatchesShape(t *testing.T) {
 
 func TestSVDLowRankRecovery(t *testing.T) {
 	f := lowRank2D(64, 20, 2, 5)
-	rep, err := SVD{}.Reduce(f)
+	rep, err := SVD{}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := Reconstruct(rep)
+	recon, err := rep.Reconstruct(bg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +282,11 @@ func TestSVDLowRankRecovery(t *testing.T) {
 
 func TestSVDRank1Data(t *testing.T) {
 	f := lowRank2D(32, 16, 1, 6)
-	rep, err := SVD{}.Reduce(f)
+	rep, err := SVD{}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _ := Reconstruct(rep)
+	recon, _ := rep.Reconstruct(bg, budget)
 	if stats.NRMSE(f.Data, recon.Data) > 1e-6 {
 		t.Fatalf("rank-1 SVD should be near exact, NRMSE %v", stats.NRMSE(f.Data, recon.Data))
 	}
@@ -285,7 +304,7 @@ func TestWaveletSmoothDataSparseRep(t *testing.T) {
 			f.Set2(math.Sin(float64(j)/11)+math.Cos(float64(i)/13), j, i)
 		}
 	}
-	rep, err := Wavelet{}.Reduce(f)
+	rep, err := Wavelet{}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +312,7 @@ func TestWaveletSmoothDataSparseRep(t *testing.T) {
 		t.Fatalf("wavelet rep %d B not sparse for smooth data (%d B raw)",
 			rep.SizeBytes(), 8*f.Len())
 	}
-	recon, err := Reconstruct(rep)
+	recon, err := rep.Reconstruct(bg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +323,14 @@ func TestWaveletSmoothDataSparseRep(t *testing.T) {
 
 func TestWaveletThetaTradeoff(t *testing.T) {
 	f := lowRank2D(32, 32, 5, 7)
-	tight, _ := Wavelet{Theta: 0.01}.Reduce(f)
-	loose, _ := Wavelet{Theta: 0.2}.Reduce(f)
+	tight, _ := Wavelet{Theta: 0.01}.Fit(bg, f, budget)
+	loose, _ := Wavelet{Theta: 0.2}.Fit(bg, f, budget)
 	if loose.SizeBytes() >= tight.SizeBytes() {
 		t.Fatalf("larger theta should shrink rep: %d vs %d",
 			loose.SizeBytes(), tight.SizeBytes())
 	}
-	rt, _ := Reconstruct(tight)
-	rl, _ := Reconstruct(loose)
+	rt, _ := tight.Reconstruct(bg, budget)
+	rl, _ := loose.Reconstruct(bg, budget)
 	if stats.RMSE(f.Data, rt.Data) > stats.RMSE(f.Data, rl.Data) {
 		t.Fatal("smaller theta should reconstruct better")
 	}
@@ -324,11 +343,11 @@ func TestRank1FieldsSupported(t *testing.T) {
 		f.Data[i] = math.Sin(float64(i) / 7)
 	}
 	for _, m := range []Model{PCA{}, SVD{}, Wavelet{}, OneBase{}, DuoModel{Factor: 2}} {
-		rep, err := m.Reduce(f)
+		rep, err := m.Fit(bg, f, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		recon, err := Reconstruct(rep)
+		recon, err := rep.Reconstruct(bg, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -360,17 +379,17 @@ func TestRejectNaN(t *testing.T) {
 	f := grid.New(8, 8)
 	f.Data[5] = math.NaN()
 	for _, m := range allModels() {
-		if _, err := m.Reduce(f); err == nil {
+		if _, err := m.Fit(bg, f, budget); err == nil {
 			t.Fatalf("%s accepted NaN", m.Name())
 		}
 	}
 }
 
 func TestReconstructUnknownModel(t *testing.T) {
-	if _, err := Reconstruct(&Rep{Model: "martian", Dims: []int{4}}); err == nil {
+	if _, err := (&Rep{Model: "martian", Dims: []int{4}}).Reconstruct(bg, budget); err == nil {
 		t.Fatal("expected unknown-model error")
 	}
-	if _, err := Reconstruct(&Rep{Model: "pca(e=0.95)"}); err == nil {
+	if _, err := (&Rep{Model: "pca(e=0.95)"}).Reconstruct(bg, budget); err == nil {
 		t.Fatal("expected no-dims error")
 	}
 }
@@ -378,7 +397,7 @@ func TestReconstructUnknownModel(t *testing.T) {
 func TestReconstructCorruptMeta(t *testing.T) {
 	f := lowRank2D(16, 12, 2, 8)
 	for _, m := range []Model{PCA{}, SVD{}, Wavelet{}, MultiBase{Blocks: 2}, DuoModel{Factor: 2}} {
-		rep, err := m.Reduce(f)
+		rep, err := m.Fit(bg, f, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,14 +405,14 @@ func TestReconstructCorruptMeta(t *testing.T) {
 		bad := *rep
 		if len(rep.Meta) > 0 {
 			bad.Meta = rep.Meta[:len(rep.Meta)/2]
-			if _, err := Reconstruct(&bad); err == nil {
+			if _, err := bad.Reconstruct(bg, budget); err == nil {
 				t.Fatalf("%s: accepted truncated meta", m.Name())
 			}
 		}
 		// Truncate values: must error, not panic.
 		bad2 := *rep
 		bad2.Values = rep.Values[:len(rep.Values)/2]
-		if _, err := Reconstruct(&bad2); err == nil {
+		if _, err := bad2.Reconstruct(bg, budget); err == nil {
 			t.Fatalf("%s: accepted truncated values", m.Name())
 		}
 	}
@@ -449,11 +468,11 @@ func TestSpectra(t *testing.T) {
 
 func TestSVDRandomizedVariant(t *testing.T) {
 	f := lowRank2D(48, 20, 3, 12)
-	exact, err := SVD{MaxK: 3}.Reduce(f)
+	exact, err := SVD{MaxK: 3}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := SVD{MaxK: 3, Randomized: true, Seed: 4}.Reduce(f)
+	rnd, err := SVD{MaxK: 3, Randomized: true, Seed: 4}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,11 +480,11 @@ func TestSVDRandomizedVariant(t *testing.T) {
 	if baseName(rnd.Model) != "svd" {
 		t.Fatalf("base name = %q", baseName(rnd.Model))
 	}
-	re, err := Reconstruct(exact)
+	re, err := exact.Reconstruct(bg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Reconstruct(rnd)
+	rr, err := rnd.Reconstruct(bg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +493,7 @@ func TestSVDRandomizedVariant(t *testing.T) {
 		t.Fatalf("NRMSE exact=%v rand=%v", stats.NRMSE(f.Data, re.Data), stats.NRMSE(f.Data, rr.Data))
 	}
 	// Determinism by seed.
-	rnd2, err := SVD{MaxK: 3, Randomized: true, Seed: 4}.Reduce(f)
+	rnd2, err := SVD{MaxK: 3, Randomized: true, Seed: 4}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +503,7 @@ func TestSVDRandomizedVariant(t *testing.T) {
 		}
 	}
 	// MaxK is mandatory for the randomized path.
-	if _, err := (SVD{Randomized: true}).Reduce(f); err == nil {
+	if _, err := (SVD{Randomized: true}).Fit(bg, f, budget); err == nil {
 		t.Fatal("expected MaxK-required error")
 	}
 }
@@ -498,11 +517,11 @@ func TestWaveletNonstandardVariant(t *testing.T) {
 			f.Set2(math.Exp(-(dx*dx+dy*dy)/64), j, i) // isotropic bump
 		}
 	}
-	std, err := Wavelet{}.Reduce(f)
+	std, err := Wavelet{}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := Wavelet{Nonstandard: true}.Reduce(f)
+	ns, err := Wavelet{Nonstandard: true}.Fit(bg, f, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +530,7 @@ func TestWaveletNonstandardVariant(t *testing.T) {
 	}
 	// Both variants must reconstruct through the shared dispatcher.
 	for _, rep := range []*Rep{std, ns} {
-		recon, err := Reconstruct(rep)
+		recon, err := rep.Reconstruct(bg, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +541,7 @@ func TestWaveletNonstandardVariant(t *testing.T) {
 	// Corrupting the transform-kind field must be rejected, not crash.
 	bad := *ns
 	bad.Meta = append([]byte{9}, ns.Meta[1:]...)
-	if _, err := Reconstruct(&bad); err == nil {
+	if _, err := bad.Reconstruct(bg, budget); err == nil {
 		t.Fatal("expected unknown-kind rejection")
 	}
 }

@@ -1,12 +1,14 @@
 package reduce
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
 	"lrm/internal/grid"
 	"lrm/internal/linalg"
 	"lrm/internal/obs"
+	"lrm/internal/obs/trace"
 	"lrm/internal/parallel"
 )
 
@@ -48,8 +50,8 @@ func (s SVD) energy() float64 {
 
 func init() { register("svd", reconstructSVD) }
 
-// Reduce implements Model.
-func (s SVD) Reduce(f *grid.Field) (*Rep, error) {
+// Fit implements Model.
+func (s SVD) Fit(ctx context.Context, f *grid.Field, cfg parallel.Config) (*Rep, error) {
 	if err := checkFinite(f); err != nil {
 		return nil, err
 	}
@@ -60,15 +62,18 @@ func (s SVD) Reduce(f *grid.Field) (*Rep, error) {
 	if err != nil {
 		return nil, err
 	}
+	if s.Randomized && s.MaxK < 1 {
+		return nil, fmt.Errorf("svd: Randomized requires MaxK >= 1")
+	}
+	_, sp := trace.Start(ctx, "reduce.svd")
 	var res *linalg.SVDResult
 	if s.Randomized {
-		if s.MaxK < 1 {
-			return nil, fmt.Errorf("svd: Randomized requires MaxK >= 1")
-		}
-		res, err = linalg.RandSVD(mat, s.MaxK, 8, 2, s.Seed)
+		res, err = linalg.RandSVD(mat, s.MaxK, 8, 2, s.Seed, cfg)
 	} else {
 		res, err = linalg.SVD(mat)
 	}
+	sp.SetError(err)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +98,7 @@ func (s SVD) Reduce(f *grid.Field) (*Rep, error) {
 	return &Rep{Model: s.Name(), Dims: append([]int(nil), f.Dims...), Meta: meta, Values: vals}, nil
 }
 
-func reconstructSVD(rep *Rep) (*grid.Field, error) {
+func reconstructSVD(rep *Rep, cfg parallel.Config) (*grid.Field, error) {
 	pos := 0
 	next := func() (int, error) {
 		v, n := binary.Uvarint(rep.Meta[pos:])
@@ -125,28 +130,13 @@ func reconstructSVD(rep *Rep) (*grid.Field, error) {
 	if len(rep.Values) != k+m*k+n*k {
 		return nil, fmt.Errorf("svd: payload %d != %d", len(rep.Values), k+m*k+n*k)
 	}
-	sk := rep.Values[:k]
-	uk := rep.Values[k : k+m*k]
-	vk := rep.Values[k+m*k:]
-
-	// Rows of U·S·V^T reconstruct independently with the serial per-row
-	// accumulation order, so sharding is bitwise-exact.
-	out := make([]float64, m*n)
-	parallel.ForShard(parallel.DefaultWorkers(), m, func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			for j := 0; j < k; j++ {
-				f := uk[r*k+j] * sk[j]
-				if f == 0 {
-					continue
-				}
-				row := out[r*n : (r+1)*n]
-				for i := 0; i < n; i++ {
-					row[i] += f * vk[i*k+j]
-				}
-			}
-		}
-	})
-	return grid.FromData(out, rep.Dims...)
+	u := &linalg.Matrix{Rows: m, Cols: k, Data: rep.Values[k : k+m*k]}
+	v := &linalg.Matrix{Rows: n, Cols: k, Data: rep.Values[k+m*k:]}
+	out, err := linalg.Reconstruct(u, rep.Values[:k], v, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return grid.FromData(out.Data, rep.Dims...)
 }
 
 // SVDSpectrum returns the proportion series of the leading singular values

@@ -1,11 +1,13 @@
 package reduce
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 	"lrm/internal/wavelet"
 )
 
@@ -41,8 +43,8 @@ func (w Wavelet) theta() float64 {
 
 func init() { register("wavelet", reconstructWavelet) }
 
-// Reduce implements Model.
-func (w Wavelet) Reduce(f *grid.Field) (*Rep, error) {
+// Fit implements Model.
+func (w Wavelet) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Rep, error) {
 	if err := checkFinite(f); err != nil {
 		return nil, err
 	}
@@ -93,7 +95,7 @@ func (w Wavelet) Reduce(f *grid.Field) (*Rep, error) {
 	}, nil
 }
 
-func reconstructWavelet(rep *Rep) (*grid.Field, error) {
+func reconstructWavelet(rep *Rep, _ parallel.Config) (*grid.Field, error) {
 	pos := 0
 	next := func() (int, error) {
 		v, n := binary.Uvarint(rep.Meta[pos:])

@@ -52,9 +52,9 @@ if [ "${1:-}" != "quick" ]; then
 	# with /debug/profile + /debug/flame scrapes and registry Reset.
 	step go test -race -run TestConcurrentWindowsAndScrapes -count=2 ./internal/obs/profile
 	# One iteration of the kernel micro-benchmarks (exact SVD, Jacobi
-	# EigenSym, 2-D Haar, the SZ Huffman coder) keeps them compiling and
-	# running.
-	step go test -run '^$' -bench 'SVD|EigenSym' -benchtime 1x ./internal/linalg/
+	# EigenSym, covariance, 2-D Haar, the SZ Huffman coder) keeps them
+	# compiling and running.
+	step go test -run '^$' -bench 'SVD|EigenSym|Covariance' -benchtime 1x ./internal/linalg/
 	step go test -run '^$' -bench Haar2D -benchtime 1x ./internal/wavelet/
 	step go test -run '^$' -bench 'Encode|Decode' -benchtime 1x ./internal/huffman/
 	# Trace smoke: one second of the benchmark's traced precond-zfp pass
