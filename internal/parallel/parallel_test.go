@@ -22,6 +22,23 @@ func TestConfigResolve(t *testing.T) {
 	}
 }
 
+// TestDefaultWorkers checks that the default pool size (the zero Config) is
+// one worker per schedulable CPU and follows GOMAXPROCS when it changes,
+// rather than being fixed when the package loads.
+func TestDefaultWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 3, prev} {
+		runtime.GOMAXPROCS(procs)
+		if got := (Config{}).Resolve(); got != procs {
+			t.Fatalf("GOMAXPROCS %d: zero config resolved to %d", procs, got)
+		}
+		if got := (Config{MinShardBytes: -1}).WorkersFor(1); got != procs {
+			t.Fatalf("GOMAXPROCS %d: default-worker WorkersFor with no cutover = %d", procs, got)
+		}
+	}
+}
+
 // TestForEveryIndexOnce checks that For visits each index exactly once at
 // every worker count, including degenerate ones.
 func TestForEveryIndexOnce(t *testing.T) {
