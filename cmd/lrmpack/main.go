@@ -62,7 +62,7 @@ func run(compressMode, decompressMode, selectMode bool, model, codec, dims strin
 		if err != nil {
 			return err
 		}
-		f, err := core.DecompressCtx(ctx, archive)
+		f, err := core.Decompress(ctx, archive, core.DecompressOpts{})
 		if err != nil {
 			return err
 		}
@@ -84,7 +84,7 @@ func run(compressMode, decompressMode, selectMode bool, model, codec, dims strin
 		if err != nil {
 			return err
 		}
-		res, err := core.CompressCtx(ctx, f, opts)
+		res, err := core.Compress(ctx, f, opts)
 		if err != nil {
 			return err
 		}

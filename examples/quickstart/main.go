@@ -47,14 +47,14 @@ func main() {
 	}
 	fmt.Printf("%-28s %10s %12s %12s\n", "method", "ratio", "max error", "RMSE")
 	for _, m := range models {
-		res, err := core.CompressCtx(ctx, field, core.Options{
+		res, err := core.Compress(ctx, field, core.Options{
 			Model: m.model, DataCodec: data, DeltaCodec: delta,
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", m.name, err)
 		}
 		// 4. Round trip and measure the information loss.
-		back, err := core.DecompressCtx(ctx, res.Archive)
+		back, err := core.Decompress(ctx, res.Archive, core.DecompressOpts{})
 		if err != nil {
 			log.Fatalf("%s: decompress: %v", m.name, err)
 		}

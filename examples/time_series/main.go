@@ -34,14 +34,14 @@ func main() {
 	opts := core.Options{Model: reduce.OneBase{}, DataCodec: codec, DeltaCodec: codec}
 	ctx := context.Background()
 
-	series, err := core.CompressSeriesCtx(ctx, snaps, opts)
+	series, err := core.CompressSeries(ctx, snaps, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	independent := 0
 	for _, s := range snaps {
-		res, err := core.CompressCtx(ctx, s, opts)
+		res, err := core.Compress(ctx, s, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func main() {
 	}
 
 	// Verify the round trip stays within the codec tolerance on every frame.
-	decoded, err := core.DecompressSeriesCtx(ctx, series.Archive)
+	decoded, err := core.DecompressSeries(ctx, series.Archive, core.DecompressOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func TestCompressChunkedCtxCancelSkipsRemainingChunks(t *testing.T) {
 	}}
 	opts := Options{DataCodec: probe, Parallel: parallel.Config{Workers: 1}}
 	const chunks = 4
-	_, err := CompressChunkedCtx(ctx, f, opts, chunks)
+	_, err := CompressChunked(ctx, f, opts, chunks)
 	assertCanceled(t, err)
 	if got := probe.callCount(); got != 1 {
 		t.Errorf("codec ran %d times after cancellation; want 1 (remaining %d chunks must be skipped)",
@@ -139,13 +139,13 @@ func TestCompressChunkedCtxCancelSkipsRemainingChunks(t *testing.T) {
 func TestCompressChunkedCtxUncanceledIdentical(t *testing.T) {
 	f := cancelField(t)
 	opts := Options{DataCodec: compress.NewFlate(6), Parallel: parallel.Config{Workers: 1}}
-	plain, err := CompressChunkedCtx(context.Background(), f, opts, 4)
+	plain, err := CompressChunked(context.Background(), f, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	traced, err := CompressChunkedCtx(ctx, f, opts, 4)
+	traced, err := CompressChunked(ctx, f, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestDecompressChunkedCtxCancelSkipsRemainingChunks(t *testing.T) {
 	probe := &cancelProbe{inner: compress.NewFlate(6)}
 	opts := Options{DataCodec: probe, Parallel: parallel.Config{Workers: 1}}
 	const chunks = 4
-	res, err := CompressChunkedCtx(context.Background(), f, opts, chunks)
+	res, err := CompressChunked(context.Background(), f, opts, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDecompressChunkedCtxCancelSkipsRemainingChunks(t *testing.T) {
 				cancel()
 			}
 		})
-		_, err := DecompressWithOptsCtx(ctx, res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
+		_, err := Decompress(ctx, res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
 		assertCanceled(t, err)
 		if got := probeDecodeCalls(); got != 1 {
 			t.Errorf("decoder ran %d times after cancellation; want 1", got)
@@ -192,7 +192,7 @@ func TestDecompressChunkedCtxCancelSkipsRemainingChunks(t *testing.T) {
 				cancel()
 			}
 		})
-		_, err := DecompressChunkedPartialWithOptsCtx(ctx, res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
+		_, _, err := decodePartial(ctx, res.Archive, parallel.Config{Workers: 1})
 		assertCanceled(t, err)
 		if got := probeDecodeCalls(); got != 1 {
 			t.Errorf("decoder ran %d times after cancellation; want 1", got)
@@ -203,7 +203,7 @@ func TestDecompressChunkedCtxCancelSkipsRemainingChunks(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		setProbeDecodeHook(nil)
-		_, err := DecompressWithOptsCtx(ctx, res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
+		_, err := Decompress(ctx, res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
 		assertCanceled(t, err)
 		if got := probeDecodeCalls(); got != 0 {
 			t.Errorf("decoder ran %d times under a pre-canceled context; want 0", got)
@@ -212,7 +212,7 @@ func TestDecompressChunkedCtxCancelSkipsRemainingChunks(t *testing.T) {
 
 	// The archive is intact: with a live context the same bytes round-trip.
 	setProbeDecodeHook(nil)
-	back, err := DecompressWithOptsCtx(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
+	back, err := Decompress(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
 	if err != nil {
 		t.Fatalf("uncanceled decode of the same archive failed: %v", err)
 	}

@@ -29,7 +29,7 @@ var (
 // chunkedMagic marks the multi-chunk container format.
 const chunkedMagic = "LRMC"
 
-// CompressChunkedCtx splits the field into `chunks` slabs along the leading
+// CompressChunked splits the field into `chunks` slabs along the leading
 // dimension and compresses them concurrently on the shared bounded worker
 // pool — the N-to-N per-rank compression pattern of the paper's Table IV
 // runs, where every MPI rank compresses its own subdomain independently.
@@ -53,7 +53,7 @@ const chunkedMagic = "LRMC"
 // compress.ErrCanceled plus the context's own sentinel. Chunks already in
 // flight finish, so cancellation never changes the bytes of a completed
 // archive — an uncanceled run is byte-identical at any worker count.
-func CompressChunkedCtx(ctx context.Context, f *grid.Field, opts Options, chunks int) (*Result, error) {
+func CompressChunked(ctx context.Context, f *grid.Field, opts Options, chunks int) (*Result, error) {
 	ctx, sp := trace.Start(ctx, "core.compress_chunked")
 	defer sp.End()
 	if opts.DataCodec == nil {
@@ -112,7 +112,7 @@ func CompressChunkedCtx(ctx context.Context, f *grid.Field, opts Options, chunks
 			outs[c] = chunkOut{err: err}
 			return
 		}
-		res, err := CompressCtx(cctx, sub, inner)
+		res, err := Compress(cctx, sub, inner)
 		csp.SetError(err)
 		outs[c] = chunkOut{res: res, err: err}
 		if res != nil {
@@ -155,10 +155,7 @@ func CompressChunkedCtx(ctx context.Context, f *grid.Field, opts Options, chunks
 	var buf bytes.Buffer
 	buf.WriteString(chunkedMagic)
 	writeUvarint(&buf, uint64(chunks))
-	buf.WriteByte(byte(len(f.Dims)))
-	for _, d := range f.Dims {
-		writeUvarint(&buf, uint64(d))
-	}
+	buf.Write(compress.EncodeDimsHeader(f.Dims))
 	total := &Result{OriginalBytes: 8 * f.Len()}
 	for c, o := range outs {
 		if o.err != nil {
@@ -189,39 +186,68 @@ func CompressChunkedCtx(ctx context.Context, f *grid.Field, opts Options, chunks
 // stored CRC fields. internal/serve keys its decompressed-response cache
 // on it.
 func ChunkCRCs(archive []byte) (dims []int, crcs []uint32, ok bool) {
-	r := &reader{buf: archive}
-	if string(r.take(4)) != chunkedMagic {
+	fr, err := frameChunked(archive)
+	if err != nil || fr.framingErr != nil || fr.trailing != 0 {
 		return nil, nil, false
 	}
-	chunks := int(r.uvarint())
-	rank := int(r.byte())
-	// Every record costs at least two bytes (CRC uvarint + length uvarint),
-	// so a chunk count beyond the archive length is a varint bomb: refuse it
-	// before it sizes the crcs allocation.
-	if r.err != nil || rank < 1 || rank > 3 || chunks < 1 || chunks > len(archive) {
-		return nil, nil, false
+	crcs = make([]uint32, fr.chunks)
+	for c, rec := range fr.records {
+		crcs[c] = chunkCRC(c, rec.payload)
 	}
-	dims = make([]int, rank)
-	for i := range dims {
-		v := r.uvarint()
-		if r.err != nil || v == 0 || v > compress.MaxElements {
-			return nil, nil, false
-		}
-		dims[i] = int(v)
+	return fr.dims, crcs, true
+}
+
+// chunkedFrame is an LRMC container split into its records, nothing
+// decoded: the one place that knows the container's layout,
+//
+//	"LRMC" | uvarint chunks | dims header | chunks × (uvarint CRC | uvarint len | payload)
+type chunkedFrame struct {
+	dims   []int
+	chunks int // the header's chunk count
+	// records holds the records that framed, in chunk order. When
+	// framingErr is set, record len(records) is where framing failed and
+	// no later record boundary can be trusted.
+	records    []chunkRecord
+	framingErr error
+	trailing   int // bytes after the last record
+}
+
+type chunkRecord struct {
+	payload []byte
+	crc     uint32 // as stored: checked against chunkCRC, never trusted
+}
+
+// frameChunked parses an LRMC header and frames its records. An error
+// means the header is too damaged to frame any chunk. Every record costs
+// at least two bytes (CRC uvarint + length uvarint), so a chunk count
+// beyond the archive length is a varint bomb: it is refused before
+// anything is sized by it.
+func frameChunked(archive []byte) (*chunkedFrame, error) {
+	r, err := open(archive, chunkedMagic)
+	if err != nil {
+		return nil, err
 	}
-	crcs = make([]uint32, chunks)
-	for c := 0; c < chunks; c++ {
-		r.uvarint() // stored CRC: framing only, deliberately not trusted
+	claimed := r.uvarint()
+	dims := r.dims()
+	if r.err != nil {
+		return nil, fmt.Errorf("core: corrupt chunked header: %w", r.err)
+	}
+	if claimed < 1 || claimed > uint64(len(archive)) || claimed > uint64(dims[0]) {
+		return nil, fmt.Errorf("core: implausible chunk count %d for %d bytes, leading extent %d: %w",
+			claimed, len(archive), dims[0], compress.ErrHeader)
+	}
+	fr := &chunkedFrame{dims: dims, chunks: int(claimed), records: make([]chunkRecord, 0, claimed)}
+	for c := 0; c < fr.chunks; c++ {
+		crc := uint32(r.uvarint())
 		payload := r.bytes()
 		if r.err != nil {
-			return nil, nil, false
+			fr.framingErr = fmt.Errorf("core: truncated chunk %d: %w", c, r.err)
+			return fr, nil
 		}
-		crcs[c] = chunkCRC(c, payload)
+		fr.records = append(fr.records, chunkRecord{payload: payload, crc: crc})
 	}
-	if r.pos != len(r.buf) {
-		return nil, nil, false
-	}
-	return dims, crcs, true
+	fr.trailing = len(r.buf) - r.pos
+	return fr, nil
 }
 
 // chunkCRC is the per-record checksum: CRC32 (IEEE) over the chunk's index
@@ -242,120 +268,67 @@ func innerWorkers(workers, chunks int) int {
 	return max(1, workers/min(workers, chunks))
 }
 
-// chunkedDecode parses and decodes an LRMC archive on the budget cfg. In
-// strict mode (degraded == false) the first failure aborts; in degraded
-// mode every chunk is attempted, failures are reported per chunk, and the
-// surviving chunks' regions are returned (failed regions stay zero). A container header too damaged to frame any chunk fails outright
-// in both modes, as does a canceled ctx — cancellation is checked at every
-// chunk boundary and reported as compress.ErrCanceled, never as a chunk
-// failure.
-func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, degraded bool) (*Partial, error) {
+// chunkedDecode decodes an LRMC archive on the budget cfg. With p == nil
+// (strict mode) the first failure aborts; otherwise (degraded mode) every
+// chunk is attempted, failures and trailing bytes are reported in *p, and
+// the surviving chunks' regions are returned (failed regions stay zero). A
+// container header too damaged to frame any chunk fails outright in both
+// modes, as does a canceled ctx — cancellation is checked at every chunk
+// boundary and reported as compress.ErrCanceled, never as a chunk failure.
+func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, p *Partial) (*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "core.decompress_chunked")
 	defer sp.End()
-	r := &reader{buf: archive}
-	if string(r.take(4)) != chunkedMagic {
-		if len(archive) < 4 {
-			return nil, fmt.Errorf("core: truncated chunked magic: %w", compress.ErrTruncated)
-		}
-		return nil, fmt.Errorf("core: bad chunked magic: %w", compress.ErrHeader)
+	if p != nil {
+		*p = Partial{}
 	}
-	chunks := int(r.uvarint())
-	rank := int(r.byte())
-	if r.err != nil {
-		return nil, fmt.Errorf("core: corrupt chunked header: %w", r.err)
+	fr, err := frameChunked(archive)
+	if err != nil {
+		return nil, err
 	}
-	if rank < 1 || rank > 3 || chunks < 1 {
-		return nil, fmt.Errorf("core: implausible chunked header (rank %d, chunks %d): %w",
-			rank, chunks, compress.ErrHeader)
-	}
-	dims := make([]int, rank)
-	total := uint64(1)
-	for i := range dims {
-		v := r.uvarint()
-		if r.err != nil {
-			return nil, fmt.Errorf("core: corrupt chunked header: %w", r.err)
-		}
-		if v == 0 || v > compress.MaxElements {
-			return nil, fmt.Errorf("core: bad chunked dims: %w", compress.ErrHeader)
-		}
-		dims[i] = int(v)
-		total *= v
-	}
-	// Bound the product, not just each extent: dims like {2^28, 2^28, 2^28}
-	// pass the per-extent check but would demand an absurd allocation (or,
-	// without grid's overflow guard, wrap int and panic downstream).
-	if total > compress.MaxElements {
-		return nil, fmt.Errorf("core: chunked dims %v claim %d elements (max %d): %w",
-			dims, total, compress.MaxElements, compress.ErrHeader)
-	}
-	if chunks > dims[0] {
-		return nil, fmt.Errorf("core: %d chunks exceed leading extent %d: %w",
-			chunks, dims[0], compress.ErrHeader)
-	}
+	dims, chunks := fr.dims, fr.chunks
 
-	// Parse the chunk records. A CRC mismatch poisons only its chunk, but a
-	// framing failure (truncated or unparseable record) poisons every chunk
-	// from that point on: record boundaries are no longer trustable.
-	type record struct {
-		archive []byte
-		err     error
-	}
-	recs := make([]record, chunks)
-	trailing := 0
-	framingOK := true
-	for c := 0; c < chunks && framingOK; c++ {
-		wantCRC := uint32(r.uvarint())
-		chunkArchive := r.bytes()
-		if r.err != nil {
-			err := fmt.Errorf("core: truncated chunk %d: %w", c, r.err)
-			if !degraded {
-				return nil, err
-			}
-			for i := c; i < chunks; i++ {
-				recs[i] = record{err: err}
-			}
-			framingOK = false
-			break
-		}
-		if chunkCRC(c, chunkArchive) != wantCRC {
-			err := fmt.Errorf("core: chunk %d failed CRC validation: %w", c, compress.ErrCorrupt)
-			if !degraded {
-				return nil, err
-			}
-			recs[c] = record{err: err}
+	// A CRC mismatch poisons only its chunk, but a framing failure poisons
+	// every chunk from that point on: record boundaries are no longer
+	// trustable.
+	errs := make([]error, chunks)
+	for c := range errs {
+		switch {
+		case c >= len(fr.records):
+			errs[c] = fr.framingErr
+		case chunkCRC(c, fr.records[c].payload) != fr.records[c].crc:
+			errs[c] = fmt.Errorf("core: chunk %d failed CRC validation: %w", c, compress.ErrCorrupt)
+		default:
 			continue
 		}
-		recs[c] = record{archive: chunkArchive}
-	}
-	if framingOK && r.pos != len(r.buf) {
-		trailing = len(r.buf) - r.pos
-		if !degraded {
-			return nil, fmt.Errorf("core: %d trailing bytes after chunks: %w", trailing, compress.ErrCorrupt)
+		if p == nil {
+			return nil, errs[c]
 		}
+	}
+	if fr.trailing != 0 && p == nil {
+		return nil, fmt.Errorf("core: %d trailing bytes after chunks: %w", fr.trailing, compress.ErrCorrupt)
 	}
 
 	// The output allocation is bounded by what the archive could
 	// legitimately back: SZ's worst double-compressed expansion stays under
 	// 2^16 elements per archive byte by a wide margin.
-	if err := compress.CheckedAlloc("core: chunked field", total, uint64(len(archive))<<16, 8); err != nil {
+	slab := 1
+	for _, d := range dims[1:] {
+		slab *= d
+	}
+	if err := compress.CheckedAlloc("core: chunked field", uint64(dims[0]*slab), uint64(len(archive))<<16, 8); err != nil {
 		return nil, err
 	}
 	out, err := grid.NewChecked(dims...)
 	if err != nil {
 		return nil, fmt.Errorf("core: %v: %w", err, compress.ErrHeader)
 	}
-	slab := 1
-	for _, d := range dims[1:] {
-		slab *= d
-	}
 
-	// Divide the budget like CompressChunkedCtx.
+	// Divide the budget like CompressChunked.
 	workers := cfg.Resolve()
 	inner := cfg
 	inner.Workers = innerWorkers(workers, chunks)
-	errs := make([]error, chunks)
 	parallel.For(workers, chunks, func(c int) {
-		// Same chunk-boundary cancellation contract as CompressChunkedCtx: a
+		// Same chunk-boundary cancellation contract as CompressChunked: a
 		// canceled request stops scheduling chunk decodes instead of running
 		// every remaining record at full CPU.
 		if err := ctx.Err(); err != nil {
@@ -366,15 +339,15 @@ func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, deg
 		defer restore()
 		cctx, csp := trace.Start(ctx, "core.chunk_decode")
 		defer csp.End()
-		if recs[c].err != nil {
-			csp.SetError(recs[c].err)
-			errs[c] = recs[c].err
+		if errs[c] != nil {
+			csp.SetError(errs[c])
 			return
 		}
-		// Chunk records are always single archives (CompressChunkedCtx stores
-		// CompressCtx output); refusing nested containers here keeps a hostile
+		// Chunk records are always single archives (CompressChunked stores
+		// Compress output); refusing nested containers here keeps a hostile
 		// archive from driving recursive header-sized allocations.
-		f, err := decompressSingle(cctx, recs[c].archive, inner)
+		payload := fr.records[c].payload
+		f, err := decompressSingle(cctx, payload, inner)
 		if err != nil {
 			csp.SetError(err)
 			errs[c] = err
@@ -388,11 +361,11 @@ func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, deg
 			return
 		}
 		copy(out.Data[lo*slab:hi*slab], f.Data)
-		csp.SetBytes(int64(len(recs[c].archive)), int64(8*f.Len()))
+		csp.SetBytes(int64(len(payload)), int64(8*f.Len()))
 	})
 
 	// Cancellation outranks both modes: a canceled decode says nothing about
-	// the archive, so returning a half-zeroed Partial (degraded) or blaming a
+	// the archive, so returning a half-zeroed field (degraded) or blaming a
 	// chunk (strict) would misreport client disconnects as data loss.
 	if err := ctx.Err(); err != nil {
 		werr := fmt.Errorf("core: chunked decode: %w: %w", compress.ErrCanceled, err)
@@ -413,12 +386,11 @@ func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, deg
 		obsChunkErrors.Add(failed)
 	}
 
-	p := &Partial{Field: out, Chunks: chunks, Trailing: trailing}
 	for c, err := range errs {
 		if err == nil {
 			continue
 		}
-		if !degraded {
+		if p == nil {
 			werr := fmt.Errorf("core: chunk %d: %w", c, err)
 			sp.SetError(werr)
 			return nil, werr
@@ -426,5 +398,8 @@ func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, deg
 		lo, hi := mpi.Slab1D(dims[0], chunks, c)
 		p.Errors = append(p.Errors, ChunkError{Chunk: c, Lo: lo, Hi: hi, Err: compress.Classify(err)})
 	}
-	return p, nil
+	if p != nil {
+		p.Chunks, p.Trailing = chunks, fr.trailing
+	}
+	return out, nil
 }

@@ -29,12 +29,12 @@ func TestChunkedConcurrentPipelines(t *testing.T) {
 				opts = Options{DataCodec: fpc.MustNew(12)}
 			}
 			chunks := 2 + id%5
-			res, err := CompressChunkedCtx(context.Background(), f, opts, chunks)
+			res, err := CompressChunked(context.Background(), f, opts, chunks)
 			if err != nil {
 				t.Errorf("worker %d: compress: %v", id, err)
 				return
 			}
-			dec, err := DecompressCtx(context.Background(), res.Archive)
+			dec, err := Decompress(context.Background(), res.Archive, DecompressOpts{})
 			if err != nil {
 				t.Errorf("worker %d: decompress: %v", id, err)
 				return
@@ -49,7 +49,7 @@ func TestChunkedConcurrentPipelines(t *testing.T) {
 
 func TestChunkedConcurrentDecompressSharedArchive(t *testing.T) {
 	f := heatField(t)
-	res, err := CompressChunkedCtx(context.Background(), f, Options{Model: reduce.PCA{}, DataCodec: zfp.MustNew(24), DeltaCodec: zfp.MustNew(16)}, 6)
+	res, err := CompressChunked(context.Background(), f, Options{Model: reduce.PCA{}, DataCodec: zfp.MustNew(24), DeltaCodec: zfp.MustNew(16)}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestChunkedConcurrentDecompressSharedArchive(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			dec, err := DecompressCtx(context.Background(), res.Archive)
+			dec, err := Decompress(context.Background(), res.Archive, DecompressOpts{})
 			if err != nil {
 				t.Errorf("reader %d: %v", id, err)
 				return

@@ -84,12 +84,12 @@ const (
 	modePreconditoned = 1
 )
 
-// CompressCtx runs the pipeline on f. The pipeline's spans (core.compress
+// Compress runs the pipeline on f. The pipeline's spans (core.compress
 // and its reduce/rep_store/delta children, plus whatever the model and the
 // codecs open) parent onto the span carried by ctx. ctx carries
 // observability only: archives are byte-identical whether or not it holds
 // a span.
-func CompressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, error) {
+func Compress(ctx context.Context, f *grid.Field, opts Options) (*Result, error) {
 	ctx, sp := trace.Start(ctx, "core.compress")
 	defer sp.End()
 	res, err := compressCtx(ctx, f, opts)
@@ -120,7 +120,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 		writeBytes(&buf, stream)
 		res.Archive = buf.Bytes()
 		if invariant.Enabled {
-			assertEndToEndBound(f, opts.DataCodec, res.Archive)
+			assertEndToEndBound(f, opts.DataCodec, f, res.Archive, opts.Parallel)
 		}
 		return res, nil
 	}
@@ -191,10 +191,7 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 	buf.WriteByte(modePreconditoned)
 	writeString(&buf, compress.CodecFamily(opts.DataCodec.Name()))
 	writeString(&buf, rep.Model)
-	buf.WriteByte(byte(len(rep.Dims)))
-	for _, d := range rep.Dims {
-		writeUvarint(&buf, uint64(d))
-	}
+	buf.Write(compress.EncodeDimsHeader(rep.Dims))
 	writeUvarint(&buf, uint64(len(rep.Meta))) // pre-flate size for exactness
 	writeBytes(&buf, metaStream)
 	writeBytes(&buf, repValStream)
@@ -210,42 +207,27 @@ func compressCtx(ctx context.Context, f *grid.Field, opts Options) (*Result, err
 		// delta codec's error: decompression rebuilds the same stored
 		// reconstruction and adds the decompressed delta, so the bound to
 		// assert against f is the delta codec's bound on the delta field.
-		assertEndToEndBoundEps(f, deltaCodec, delta, res.Archive)
+		assertEndToEndBound(f, deltaCodec, delta, res.Archive, opts.Parallel)
 	}
 	return res, nil
 }
 
-// assertEndToEndBound round-trips a direct archive and asserts the paper's
-// |x − x′| ≤ ε guarantee when the codec declares an absolute bound.
-// Compiled in only with -tags invariants.
-func assertEndToEndBound(f *grid.Field, codec compress.Codec, archive []byte) {
+// assertEndToEndBound round-trips archive on the caller's budget and
+// asserts the paper's |x − x′| ≤ ε guarantee against f, where ε is the
+// absolute bound codec declares on boundOn (f itself for a direct
+// archive). Compiled in only with -tags invariants.
+func assertEndToEndBound(f *grid.Field, codec compress.Codec, boundOn *grid.Field, archive []byte, cfg parallel.Config) {
 	eb, ok := codec.(compress.ErrorBounded)
 	if !ok {
 		return
 	}
-	eps, ok := eb.AbsErrorBound(f)
+	eps, ok := eb.AbsErrorBound(boundOn)
 	if !ok {
 		return
 	}
-	back, err := DecompressCtx(context.TODO(), archive)
+	back, err := Decompress(context.TODO(), archive, DecompressOpts{Parallel: cfg})
 	invariant.Assert(err == nil, "core: invariant round trip failed: %v", err)
 	invariant.ErrorBound(f.Data, back.Data, boundWithSlack(eps, f), "core: end-to-end "+codec.Name())
-}
-
-// assertEndToEndBoundEps is the preconditioned variant: the bound comes
-// from the delta codec evaluated on the delta field.
-func assertEndToEndBoundEps(f *grid.Field, deltaCodec compress.Codec, delta *grid.Field, archive []byte) {
-	eb, ok := deltaCodec.(compress.ErrorBounded)
-	if !ok {
-		return
-	}
-	eps, ok := eb.AbsErrorBound(delta)
-	if !ok {
-		return
-	}
-	back, err := DecompressCtx(context.TODO(), archive)
-	invariant.Assert(err == nil, "core: invariant round trip failed: %v", err)
-	invariant.ErrorBound(f.Data, back.Data, boundWithSlack(eps, f), "core: end-to-end precond "+deltaCodec.Name())
 }
 
 // boundWithSlack widens eps by a few ulps of the field's magnitude: the
@@ -286,8 +268,8 @@ func storeRepValues(ctx context.Context, rep *reduce.Rep, codec compress.Codec, 
 	return stream, &cp, nil
 }
 
-// DecompressOpts configures decompression. The zero value matches
-// DecompressCtx: default worker pool, fail-fast on any chunk error.
+// DecompressOpts configures decompression. The zero value decodes on the
+// default worker pool and fails fast on any chunk error.
 type DecompressOpts struct {
 	// Parallel is the execution budget shared by chunk-level concurrency,
 	// codec-internal kernels and the model's Reconstruct, mirroring
@@ -297,21 +279,29 @@ type DecompressOpts struct {
 	// zero value selects the defaults; Workers == 1 reproduces the serial
 	// execution.
 	Parallel parallel.Config
+	// Partial, when non-nil, selects degraded mode, which only LRMC
+	// archives have: instead of failing on the first bad chunk, Decompress
+	// decodes every chunk that survives CRC validation, zero-fills the
+	// rest, and reports the failures here (the per-rank recovery story of
+	// the paper's Table IV runs: one rank's bad chunk should not discard
+	// every other rank's data). Failed chunks' spans carry their decode
+	// error, so a degraded recovery still lands in the trace ring's
+	// errored pool. Only a container header too damaged to frame any
+	// chunk, a non-LRMC archive, or cancellation is still an error. nil
+	// fails fast.
+	Partial *Partial
 }
 
-// DecompressCtx reverses CompressCtx and CompressChunkedCtx with default
-// options, parenting its spans onto ctx. Archives are fully
-// self-describing; the container magic selects the format. Failures wrap
-// compress.ErrTruncated / compress.ErrCorrupt.
-func DecompressCtx(ctx context.Context, archive []byte) (*grid.Field, error) {
-	return DecompressWithOptsCtx(ctx, archive, DecompressOpts{})
-}
-
-// DecompressWithOptsCtx is DecompressCtx with an explicit worker budget.
-func DecompressWithOptsCtx(ctx context.Context, archive []byte, opts DecompressOpts) (*grid.Field, error) {
+// Decompress reverses Compress and CompressChunked, parenting its spans
+// onto ctx. Archives are fully self-describing; the container magic
+// selects the format. Failures wrap compress.ErrTruncated /
+// compress.ErrCorrupt; a canceled ctx is checked at every chunk boundary
+// and yields compress.ErrCanceled (degraded mode does not apply to
+// cancellation: a client disconnect is not data loss).
+func Decompress(ctx context.Context, archive []byte, opts DecompressOpts) (*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "core.decompress")
 	defer sp.End()
-	f, err := decompress(ctx, archive, opts.Parallel)
+	f, err := decompress(ctx, archive, opts)
 	if err != nil {
 		err = compress.Classify(err)
 		sp.SetError(err)
@@ -321,26 +311,20 @@ func DecompressWithOptsCtx(ctx context.Context, archive []byte, opts DecompressO
 	return f, nil
 }
 
-// decompress dispatches on the container magic.
-func decompress(ctx context.Context, archive []byte, cfg parallel.Config) (*grid.Field, error) {
-	if len(archive) >= 4 && string(archive[:4]) == chunkedMagic {
-		p, err := chunkedDecode(ctx, archive, cfg, false)
-		if err != nil {
-			return nil, err
-		}
-		return p.Field, nil
+// decompress dispatches on the container magic. Degraded mode always
+// takes the LRMC path, whose magic check refuses every other container.
+func decompress(ctx context.Context, archive []byte, opts DecompressOpts) (*grid.Field, error) {
+	if opts.Partial != nil || bytes.HasPrefix(archive, []byte(chunkedMagic)) {
+		return chunkedDecode(ctx, archive, opts.Parallel, opts.Partial)
 	}
-	return decompressSingle(ctx, archive, cfg)
+	return decompressSingle(ctx, archive, opts.Parallel)
 }
 
 // decompressSingle decodes one LRM1 archive.
 func decompressSingle(ctx context.Context, archive []byte, cfg parallel.Config) (*grid.Field, error) {
-	r := &reader{buf: archive}
-	if string(r.take(4)) != magic {
-		if len(archive) < 4 {
-			return nil, fmt.Errorf("core: truncated magic: %w", compress.ErrTruncated)
-		}
-		return nil, fmt.Errorf("core: bad magic: %w", compress.ErrHeader)
+	r, err := open(archive, magic)
+	if err != nil {
+		return nil, err
 	}
 	mode := r.byte()
 	dataCodecName := r.string()
@@ -362,30 +346,7 @@ func decompressSingle(ctx context.Context, archive []byte, cfg parallel.Config) 
 
 	case modePreconditoned:
 		modelName := r.string()
-		rank := int(r.byte())
-		if r.err != nil {
-			return nil, fmt.Errorf("core: corrupt archive: %w", r.err)
-		}
-		if rank < 1 || rank > 3 {
-			return nil, fmt.Errorf("core: bad rank %d: %w", rank, compress.ErrHeader)
-		}
-		dims := make([]int, rank)
-		total := uint64(1)
-		for i := range dims {
-			v := r.uvarint()
-			if r.err != nil {
-				return nil, fmt.Errorf("core: corrupt archive: %w", r.err)
-			}
-			if v == 0 || v > compress.MaxElements {
-				return nil, fmt.Errorf("core: bad dims: %w", compress.ErrHeader)
-			}
-			dims[i] = int(v)
-			total *= v
-		}
-		if total > compress.MaxElements {
-			return nil, fmt.Errorf("core: dims %v claim %d elements (max %d): %w",
-				dims, total, compress.MaxElements, compress.ErrHeader)
-		}
+		dims := r.dims()
 		metaLen := r.uvarint()
 		metaStream := r.bytes()
 		repValStream := r.bytes()
@@ -454,10 +415,24 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(tmp[:n])
 }
 
+// reader walks a container. Its first failure sticks in err: a bare
+// compress.ErrTruncated when the stream ends before the structure it
+// promises, or the dims header's own classified error.
 type reader struct {
 	buf []byte
 	pos int
 	err error
+}
+
+// open checks a container's 4-byte magic and returns a reader past it.
+func open(archive []byte, want string) (*reader, error) {
+	if len(archive) < len(want) {
+		return nil, fmt.Errorf("core: truncated %s magic: %w", want, compress.ErrTruncated)
+	}
+	if string(archive[:len(want)]) != want {
+		return nil, fmt.Errorf("core: bad %s magic: %w", want, compress.ErrHeader)
+	}
+	return &reader{buf: archive, pos: len(want)}, nil
 }
 
 func (r *reader) take(n int) []byte {
@@ -512,3 +487,19 @@ func (r *reader) bytes() []byte {
 }
 
 func (r *reader) string() string { return string(r.bytes()) }
+
+// dims reads a compress.EncodeDimsHeader block: a rank byte plus one
+// uvarint extent per axis, each extent and their product bounded by
+// compress.MaxElements.
+func (r *reader) dims() []int {
+	if r.err != nil {
+		return nil
+	}
+	dims, rest, err := compress.DecodeDimsHeader(r.buf[r.pos:])
+	if err != nil {
+		r.err = err
+		return nil
+	}
+	r.pos = len(r.buf) - len(rest)
+	return dims
+}

@@ -13,6 +13,7 @@ import (
 	"lrm/internal/compress/sz"
 	"lrm/internal/compress/zfp"
 	"lrm/internal/grid"
+	"lrm/internal/parallel"
 	"lrm/internal/reduce"
 )
 
@@ -34,7 +35,7 @@ func chunkedFuzzSeeds(tb testing.TB) [][]byte {
 		{Options{DataCodec: fpc.MustNew(8)}, 4},
 		{Options{Model: reduce.OneBase{}, DataCodec: zfp.MustNew(12)}, 2},
 	} {
-		res, err := CompressChunkedCtx(context.Background(), field, tc.opts, tc.chunks)
+		res, err := CompressChunked(context.Background(), field, tc.opts, tc.chunks)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -60,26 +61,26 @@ func FuzzDecompressChunked(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := DecompressCtx(context.Background(), data); err != nil {
+		if _, err := Decompress(context.Background(), data, DecompressOpts{}); err != nil {
 			if !errors.Is(err, compress.ErrCorrupt) && !errors.Is(err, compress.ErrTruncated) {
 				t.Fatalf("unclassified strict-decode error: %v", err)
 			}
 		}
-		p, err := DecompressChunkedPartialWithOptsCtx(context.Background(), data, DecompressOpts{})
+		pf, p, err := decodePartial(context.Background(), data, parallel.Config{})
 		if err != nil {
 			if !errors.Is(err, compress.ErrCorrupt) && !errors.Is(err, compress.ErrTruncated) {
 				t.Fatalf("unclassified partial-decode error: %v", err)
 			}
 			return
 		}
-		if p.Field == nil {
+		if pf == nil {
 			t.Fatal("partial decode returned nil field without error")
 		}
 		for _, ce := range p.Errors {
 			if !errors.Is(ce.Err, compress.ErrCorrupt) && !errors.Is(ce.Err, compress.ErrTruncated) {
 				t.Fatalf("unclassified chunk error: %v", ce)
 			}
-			if ce.Lo < 0 || ce.Hi > p.Field.Dims[0] || ce.Lo >= ce.Hi {
+			if ce.Lo < 0 || ce.Hi > pf.Dims[0] || ce.Lo >= ce.Hi {
 				t.Fatalf("chunk %d reports bogus row range [%d,%d)", ce.Chunk, ce.Lo, ce.Hi)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -16,7 +17,8 @@ import (
 
 // hostileChunkedArchive builds an LRMC container whose header claims the
 // given dims, with one plausible-looking record so only the dims are
-// hostile.
+// hostile. The dims header is written by hand: the extents are uint64
+// claims, some beyond a 32-bit int.
 func hostileChunkedArchive(dims []uint64) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(chunkedMagic)
@@ -41,15 +43,68 @@ func TestChunkedDimsBomb(t *testing.T) {
 	}
 	for _, dims := range cases {
 		archive := hostileChunkedArchive(dims)
-		f, err := DecompressCtx(context.Background(), archive)
+		f, err := Decompress(context.Background(), archive, DecompressOpts{})
 		if err == nil {
 			t.Fatalf("dims %v: hostile archive accepted (field dims %v)", dims, f.Dims)
 		}
 		if !errors.Is(err, compress.ErrCorrupt) {
 			t.Fatalf("dims %v: error %v does not wrap ErrCorrupt", dims, err)
 		}
-		if _, err := DecompressChunkedPartialWithOptsCtx(context.Background(), archive, DecompressOpts{}); err == nil {
+		if _, _, err := decodePartial(context.Background(), archive, parallel.Config{}); err == nil {
 			t.Fatalf("dims %v: hostile archive accepted in degraded mode", dims)
+		}
+	}
+}
+
+// decodePartial is Decompress in degraded mode on the budget cfg.
+func decodePartial(ctx context.Context, archive []byte, cfg parallel.Config) (*grid.Field, *Partial, error) {
+	p := new(Partial)
+	f, err := Decompress(ctx, archive, DecompressOpts{Parallel: cfg, Partial: p})
+	return f, p, err
+}
+
+// claimedChunksArchive is an LRMC header that claims `chunks` one-row
+// records over a field of that many rows and carries none of them.
+func claimedChunksArchive(chunks int) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(chunkedMagic)
+	writeUvarint(&buf, uint64(chunks))
+	buf.Write(compress.EncodeDimsHeader([]int{chunks}))
+	return buf.Bytes()
+}
+
+// TestChunkedClaimedChunksBounded pins the chunk-count bound: a header may
+// claim no more records than the archive has bytes, and the claim sizes
+// nothing before that check. Without it each claimed chunk cost a 40-byte
+// record up front (41.9 MB for the 2^20 claim), and degraded mode reported
+// the 2^16 claim as 65,536 failed chunks with no error.
+func TestChunkedClaimedChunksBounded(t *testing.T) {
+	ctx := context.Background()
+	serial := parallel.Config{Workers: 1}
+	for _, claimed := range []int{1 << 20, 1 << 16} {
+		archive := claimedChunksArchive(claimed)
+		if len(archive) != 11 {
+			t.Fatalf("archive is %d bytes, want 11", len(archive))
+		}
+		for _, mode := range []struct {
+			name    string
+			partial *Partial
+		}{{"strict", nil}, {"partial", new(Partial)}} {
+			var err error
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			_, err = Decompress(ctx, archive, DecompressOpts{Parallel: serial, Partial: mode.partial})
+			runtime.ReadMemStats(&ms)
+			if alloc := ms.TotalAlloc - before; alloc >= 1<<20 {
+				t.Errorf("%d chunks, %s: decode allocated %d bytes, want < 1 MiB", claimed, mode.name, alloc)
+			}
+			if !errors.Is(err, compress.ErrCorrupt) && !errors.Is(err, compress.ErrTruncated) {
+				t.Errorf("%d chunks, %s: error %v, want ErrCorrupt or ErrTruncated", claimed, mode.name, err)
+			}
+		}
+		if _, _, ok := ChunkCRCs(archive); ok {
+			t.Errorf("%d chunks: ChunkCRCs framed the archive", claimed)
 		}
 	}
 }
@@ -118,7 +173,7 @@ func TestDecompressOptsWorkerBudget(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float64(i)
 	}
-	res, err := CompressChunkedCtx(context.Background(), f, Options{DataCodec: ctrCodec{}}, 4)
+	res, err := CompressChunked(context.Background(), f, Options{DataCodec: ctrCodec{}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +181,7 @@ func TestDecompressOptsWorkerBudget(t *testing.T) {
 	// 8 workers over 4 chunks leaves 2 per chunk's codec, symmetric with
 	// CompressChunked's split.
 	takeCtrBudgets()
-	dec, err := DecompressWithOptsCtx(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 8}})
+	dec, err := Decompress(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +195,7 @@ func TestDecompressOptsWorkerBudget(t *testing.T) {
 	}
 
 	// A serial budget stays serial all the way down.
-	if _, err := DecompressWithOptsCtx(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}}); err != nil {
+	if _, err := Decompress(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range takeCtrBudgets() {
@@ -158,10 +213,7 @@ func buildChunkedArchive(t *testing.T, dims []int, chunkArchives [][]byte) []byt
 	var buf bytes.Buffer
 	buf.WriteString(chunkedMagic)
 	writeUvarint(&buf, uint64(len(chunkArchives)))
-	buf.WriteByte(byte(len(dims)))
-	for _, d := range dims {
-		writeUvarint(&buf, uint64(d))
-	}
+	buf.Write(compress.EncodeDimsHeader(dims))
 	for c, a := range chunkArchives {
 		writeUvarint(&buf, uint64(chunkCRC(c, a)))
 		writeBytes(&buf, a)
@@ -185,7 +237,7 @@ func chunkSlabArchives(t *testing.T, f *grid.Field, chunks int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := CompressCtx(context.Background(), sub, Options{DataCodec: fpc.MustNew(10)})
+		res, err := Compress(context.Background(), sub, Options{DataCodec: fpc.MustNew(10)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,11 +260,16 @@ func TestDecompressChunkedPartial(t *testing.T) {
 	bad[1] = []byte("not an archive")
 	archive := buildChunkedArchive(t, f.Dims, bad)
 
-	if _, err := DecompressCtx(context.Background(), archive); err == nil {
+	if _, err := Decompress(context.Background(), archive, DecompressOpts{}); err == nil {
 		t.Fatal("strict decode accepted a bad chunk")
 	}
+	// Degraded mode exists only for LRMC: a chunk's own LRM1 archive is a
+	// header error under Partial.
+	if _, _, err := decodePartial(context.Background(), archives[0], parallel.Config{}); !errors.Is(err, compress.ErrHeader) {
+		t.Fatalf("LRM1 under Partial: error %v, want ErrHeader", err)
+	}
 
-	p, err := DecompressChunkedPartialWithOptsCtx(context.Background(), archive, DecompressOpts{})
+	pf, p, err := decodePartial(context.Background(), archive, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +284,7 @@ func TestDecompressChunkedPartial(t *testing.T) {
 		t.Fatalf("chunk error %v carries no sentinel", ce)
 	}
 	slab := f.Dims[1]
-	for i, v := range p.Field.Data {
+	for i, v := range pf.Data {
 		row := i / slab
 		switch {
 		case row >= ce.Lo && row < ce.Hi:
@@ -242,12 +299,21 @@ func TestDecompressChunkedPartial(t *testing.T) {
 	}
 
 	// A fully intact archive reports Complete.
-	good, err := DecompressChunkedPartialWithOptsCtx(context.Background(), buildChunkedArchive(t, f.Dims, archives), DecompressOpts{})
+	intact := buildChunkedArchive(t, f.Dims, archives)
+	goodField, good, err := decodePartial(context.Background(), intact, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !good.Complete() || !good.Field.Equal(f, 0) {
+	if !good.Complete() || !goodField.Equal(f, 0) {
 		t.Fatalf("intact archive not complete: %+v", good)
+	}
+	// ...and decodes to exactly what the strict decode returns.
+	strict, err := Decompress(context.Background(), intact, DecompressOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(goodField.Bytes(), strict.Bytes()) {
+		t.Fatal("degraded decode of an intact archive differs from the strict decode")
 	}
 }
 
@@ -261,7 +327,7 @@ func TestDecompressChunkedPartialTruncated(t *testing.T) {
 
 	// Cut inside the last record: framing for chunks 0-1 survives.
 	cut := archive[:len(archive)-3]
-	p, err := DecompressChunkedPartialWithOptsCtx(context.Background(), cut, DecompressOpts{})
+	_, p, err := decodePartial(context.Background(), cut, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,17 +340,17 @@ func TestDecompressChunkedPartialTruncated(t *testing.T) {
 
 	// Trailing garbage is tolerated in degraded mode, an error in strict.
 	trailing := append(append([]byte(nil), archive...), 0xAA, 0xBB)
-	if _, err := DecompressCtx(context.Background(), trailing); err == nil {
+	if _, err := Decompress(context.Background(), trailing, DecompressOpts{}); err == nil {
 		t.Fatal("strict decode accepted trailing bytes")
 	}
-	p, err = DecompressChunkedPartialWithOptsCtx(context.Background(), trailing, DecompressOpts{})
+	pf, p, err := decodePartial(context.Background(), trailing, parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Complete() || p.Trailing != 2 || len(p.Errors) != 0 {
 		t.Fatalf("trailing partial = %+v", p)
 	}
-	if !p.Field.Equal(f, 0) {
+	if !pf.Equal(f, 0) {
 		t.Fatal("trailing bytes corrupted recovered field")
 	}
 }
@@ -305,10 +371,7 @@ func TestChunkedRecordReorderDetected(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(chunkedMagic)
 	writeUvarint(&buf, uint64(chunks))
-	buf.WriteByte(byte(len(f.Dims)))
-	for _, d := range f.Dims {
-		writeUvarint(&buf, uint64(d))
-	}
+	buf.Write(compress.EncodeDimsHeader(f.Dims))
 	for c, a := range swapped {
 		// CRCs as the original writer computed them, moved with the records:
 		// exactly what a splice produces.
@@ -322,7 +385,7 @@ func TestChunkedRecordReorderDetected(t *testing.T) {
 		writeUvarint(&buf, uint64(chunkCRC(orig, a)))
 		writeBytes(&buf, a)
 	}
-	_, err := DecompressCtx(context.Background(), buf.Bytes())
+	_, err := Decompress(context.Background(), buf.Bytes(), DecompressOpts{})
 	if err == nil {
 		t.Fatal("reordered records accepted")
 	}
@@ -330,7 +393,7 @@ func TestChunkedRecordReorderDetected(t *testing.T) {
 		t.Fatalf("reorder error %v does not wrap ErrCorrupt", err)
 	}
 
-	p, err := DecompressChunkedPartialWithOptsCtx(context.Background(), buf.Bytes(), DecompressOpts{})
+	_, p, err := decodePartial(context.Background(), buf.Bytes(), parallel.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,12 +407,12 @@ func TestChunkedEveryPrefixTruncation(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float64(i)
 	}
-	res, err := CompressChunkedCtx(context.Background(), f, Options{DataCodec: fpc.MustNew(10)}, 3)
+	res, err := CompressChunked(context.Background(), f, Options{DataCodec: fpc.MustNew(10)}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(res.Archive); cut++ {
-		_, err := DecompressCtx(context.Background(), res.Archive[:cut])
+		_, err := Decompress(context.Background(), res.Archive[:cut], DecompressOpts{})
 		if err == nil {
 			t.Fatalf("prefix of %d bytes accepted", cut)
 		}

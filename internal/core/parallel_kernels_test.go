@@ -45,7 +45,7 @@ func TestParallelKernelsForkAndStayByteIdentical(t *testing.T) {
 	// decodeArchive is every core archive's decoder.
 	pipeline := func(m reduce.Model) func(parallel.Config) ([]byte, error) {
 		return func(p parallel.Config) ([]byte, error) {
-			res, err := CompressCtx(ctx, f, Options{Model: m, DataCodec: zfp.MustNew(16), Parallel: p})
+			res, err := Compress(ctx, f, Options{Model: m, DataCodec: zfp.MustNew(16), Parallel: p})
 			if err != nil {
 				return nil, err
 			}
@@ -53,7 +53,7 @@ func TestParallelKernelsForkAndStayByteIdentical(t *testing.T) {
 		}
 	}
 	decodeArchive := func(b []byte, p parallel.Config) (*grid.Field, error) {
-		return DecompressWithOptsCtx(ctx, b, DecompressOpts{Parallel: p})
+		return Decompress(ctx, b, DecompressOpts{Parallel: p})
 	}
 	cases := []struct {
 		name       string
@@ -70,7 +70,7 @@ func TestParallelKernelsForkAndStayByteIdentical(t *testing.T) {
 			}},
 		{"chunked-zfp",
 			func(p parallel.Config) ([]byte, error) {
-				res, err := CompressChunkedCtx(ctx, f, Options{DataCodec: zfp.MustNew(16), Parallel: p}, 4)
+				res, err := CompressChunked(ctx, f, Options{DataCodec: zfp.MustNew(16), Parallel: p}, 4)
 				if err != nil {
 					return nil, err
 				}
@@ -137,12 +137,39 @@ func TestParallelKernelsForkAndStayByteIdentical(t *testing.T) {
 			t.Errorf("%s: Workers: 4 decode differs from Workers: 1", tc.name)
 		}
 	}
+	// DecompressSeries decodes on the caller's budget, not the default one:
+	// a 3-frame zfp series runs inline at Workers: 1 and forks at
+	// Workers: 4, with the same frames at both.
+	frames := []*grid.Field{f, f.Clone(), f.Clone()}
+	for i := range frames[1].Data {
+		frames[1].Data[i] *= 1.01
+		frames[2].Data[i] *= 1.02
+	}
+	series, err := CompressSeries(ctx, frames, Options{DataCodec: zfp.MustNew(16), Parallel: serial})
+	if err != nil {
+		t.Fatalf("series: %v", err)
+	}
+	var wantFrames, gotFrames []*grid.Field
+	inline("series decompress", func(p parallel.Config) (err error) {
+		wantFrames, err = DecompressSeries(ctx, series.Archive, DecompressOpts{Parallel: p})
+		return err
+	})
+	forked("series decompress", func(p parallel.Config) (err error) {
+		gotFrames, err = DecompressSeries(ctx, series.Archive, DecompressOpts{Parallel: p})
+		return err
+	})
+	for i := range wantFrames {
+		if !bytes.Equal(gotFrames[i].Bytes(), wantFrames[i].Bytes()) {
+			t.Errorf("series frame %d: Workers: 4 decode differs from Workers: 1", i)
+		}
+	}
+
 	// Two workers over two chunks leave each chunk's pipeline one worker:
 	// the chunk loop's two tasks are the only pooled ones, so no chunk's
 	// PCA forks on its own.
 	chunkedPCA := Options{Model: reduce.PCA{}, DataCodec: zfp.MustNew(16), Parallel: parallel.Config{Workers: 2}}
 	p0 := pooled.Snapshot().Count
-	res, err := CompressChunkedCtx(ctx, f, chunkedPCA, 2)
+	res, err := CompressChunked(ctx, f, chunkedPCA, 2)
 	if err != nil {
 		t.Fatalf("chunked pca: %v", err)
 	}
@@ -150,7 +177,7 @@ func TestParallelKernelsForkAndStayByteIdentical(t *testing.T) {
 		t.Errorf("chunked pca at Workers: 2 over 2 chunks ran %d pooled tasks, want exactly the 2 chunks", dp)
 	}
 	p0 = pooled.Snapshot().Count
-	if _, err := DecompressWithOptsCtx(ctx, res.Archive, DecompressOpts{Parallel: chunkedPCA.Parallel}); err != nil {
+	if _, err := Decompress(ctx, res.Archive, DecompressOpts{Parallel: chunkedPCA.Parallel}); err != nil {
 		t.Fatalf("chunked pca decode: %v", err)
 	}
 	if dp := pooled.Snapshot().Count - p0; dp != 2 {

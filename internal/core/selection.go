@@ -50,7 +50,7 @@ func SelectModel(ctx context.Context, f *grid.Field, candidates []Candidate, opt
 	for _, cand := range candidates {
 		o := opts
 		o.Model = cand.Model
-		res, cerr := CompressCtx(ctx, f, o)
+		res, cerr := Compress(ctx, f, o)
 		if cerr != nil {
 			results = append(results, SelectionResult{Label: cand.Label, Err: cerr})
 			continue

@@ -15,7 +15,7 @@ import (
 // seriesMagic marks the time-series container format.
 const seriesMagic = "LRMS"
 
-// SeriesResult is the outcome of CompressSeriesCtx.
+// SeriesResult is the outcome of CompressSeries.
 type SeriesResult struct {
 	// Archive is the self-describing multi-frame container.
 	Archive []byte
@@ -33,7 +33,7 @@ func (r *SeriesResult) Ratio() float64 {
 	return float64(r.OriginalBytes) / float64(len(r.Archive))
 }
 
-// CompressSeriesCtx compresses a simulation output time series using the
+// CompressSeries compresses a simulation output time series using the
 // previous frame as the reduced model: frame 0 goes through the normal
 // pipeline (with opts.Model, if any), and every later frame stores only its
 // delta against the previous frame's *reconstruction*, compressed with the
@@ -48,11 +48,11 @@ func (r *SeriesResult) Ratio() float64 {
 //
 // Note that even with a lossless delta codec the series is only
 // near-exact, not bit-exact: (f - prev) + prev re-rounds in floating
-// point. Use per-frame CompressCtx when bit-exactness matters.
+// point. Use per-frame Compress when bit-exactness matters.
 //
 // Every frame's pipeline spans nest under one core.compress_series root
 // parented onto ctx.
-func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (res *SeriesResult, err error) {
+func CompressSeries(ctx context.Context, snaps []*grid.Field, opts Options) (res *SeriesResult, err error) {
 	ctx, sp := trace.Start(ctx, "core.compress_series")
 	defer sp.End()
 	defer func() { sp.SetError(err) }()
@@ -75,7 +75,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 	res = &SeriesResult{}
 
 	// Frame 0: the full pipeline.
-	first, err := CompressCtx(ctx, snaps[0], opts)
+	first, err := Compress(ctx, snaps[0], opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: series frame 0: %w", err)
 	}
@@ -84,7 +84,7 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 	res.OriginalBytes += 8 * snaps[0].Len()
 
 	// The rolling reconstruction the decoder will hold.
-	prev, err := DecompressWithOptsCtx(ctx, first.Archive, DecompressOpts{Parallel: opts.Parallel})
+	prev, err := Decompress(ctx, first.Archive, DecompressOpts{Parallel: opts.Parallel})
 	if err != nil {
 		return nil, fmt.Errorf("core: series frame 0 verify: %w", err)
 	}
@@ -118,13 +118,14 @@ func CompressSeriesCtx(ctx context.Context, snaps []*grid.Field, opts Options) (
 	return res, nil
 }
 
-// DecompressSeriesCtx reverses CompressSeriesCtx, returning every frame.
-// Its spans parent onto ctx. Failures wrap compress.ErrTruncated /
-// compress.ErrCorrupt.
-func DecompressSeriesCtx(ctx context.Context, archive []byte) ([]*grid.Field, error) {
+// DecompressSeries reverses CompressSeries on the budget opts.Parallel,
+// returning every frame. Its spans parent onto ctx. Failures wrap
+// compress.ErrTruncated / compress.ErrCorrupt. A series has no degraded
+// mode: it always fails fast and ignores opts.Partial.
+func DecompressSeries(ctx context.Context, archive []byte, opts DecompressOpts) ([]*grid.Field, error) {
 	ctx, sp := trace.Start(ctx, "core.decompress_series")
 	defer sp.End()
-	frames, err := decompressSeries(ctx, archive)
+	frames, err := decompressSeries(ctx, archive, opts.Parallel)
 	if err != nil {
 		err = compress.Classify(err)
 		sp.SetError(err)
@@ -134,13 +135,10 @@ func DecompressSeriesCtx(ctx context.Context, archive []byte) ([]*grid.Field, er
 	return frames, nil
 }
 
-func decompressSeries(ctx context.Context, archive []byte) ([]*grid.Field, error) {
-	r := &reader{buf: archive}
-	if string(r.take(4)) != seriesMagic {
-		if len(archive) < 4 {
-			return nil, fmt.Errorf("core: truncated series magic: %w", compress.ErrTruncated)
-		}
-		return nil, fmt.Errorf("core: bad series magic: %w", compress.ErrHeader)
+func decompressSeries(ctx context.Context, archive []byte, cfg parallel.Config) ([]*grid.Field, error) {
+	r, err := open(archive, seriesMagic)
+	if err != nil {
+		return nil, err
 	}
 	count := int(r.uvarint())
 	deltaCodecName := r.string()
@@ -155,7 +153,6 @@ func decompressSeries(ctx context.Context, archive []byte) ([]*grid.Field, error
 	if err := compress.CheckedAlloc("core: series frames", uint64(count), uint64(len(archive)), 8); err != nil {
 		return nil, err
 	}
-	var cfg parallel.Config // the default budget
 	deltaDecode, err := compress.DecoderFor(deltaCodecName)
 	if err != nil {
 		return nil, err
@@ -166,7 +163,7 @@ func decompressSeries(ctx context.Context, archive []byte) ([]*grid.Field, error
 	if r.err != nil {
 		return nil, fmt.Errorf("core: truncated series frame 0: %w", r.err)
 	}
-	cur, err := decompress(ctx, firstArchive, cfg)
+	cur, err := decompress(ctx, firstArchive, DecompressOpts{Parallel: cfg})
 	if err != nil {
 		return nil, fmt.Errorf("core: series frame 0: %w", err)
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
+	"lrm/internal/compress"
 	"lrm/internal/compress/fpc"
 	"lrm/internal/compress/sz"
 	"lrm/internal/compress/zfp"
@@ -30,11 +32,11 @@ func TestSeriesRoundTripWithinBound(t *testing.T) {
 		DataCodec:  sz.MustNew(sz.Abs, 1e-5),
 		DeltaCodec: sz.MustNew(sz.Abs, 1e-4),
 	}
-	res, err := CompressSeriesCtx(context.Background(), snaps, opts)
+	res, err := CompressSeries(context.Background(), snaps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := DecompressSeriesCtx(context.Background(), res.Archive)
+	frames, err := DecompressSeries(context.Background(), res.Archive, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +61,13 @@ func TestSeriesBeatsIndependentCompression(t *testing.T) {
 	// mode the small deltas need far fewer planes.
 	snaps := heatSeries(t, 16, 40, 8)
 	codec := zfp.MustNewAccuracy(1e-6)
-	series, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: codec})
+	series, err := CompressSeries(context.Background(), snaps, Options{DataCodec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	independent := 0
 	for _, s := range snaps {
-		res, err := CompressCtx(context.Background(), s, Options{DataCodec: codec})
+		res, err := Compress(context.Background(), s, Options{DataCodec: codec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +97,11 @@ func TestSeriesLosslessNearExact(t *testing.T) {
 	// frames (the rolling reconstruction is what gets delta'd against).
 	snaps := heatSeries(t, 12, 30, 4)
 	codec := fpc.MustNew(10)
-	res, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: codec})
+	res, err := CompressSeries(context.Background(), snaps, Options{DataCodec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := DecompressSeriesCtx(context.Background(), res.Archive)
+	frames, err := DecompressSeries(context.Background(), res.Archive, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +117,11 @@ func TestSeriesLosslessNearExact(t *testing.T) {
 
 func TestSeriesSingleFrame(t *testing.T) {
 	snaps := heatSeries(t, 12, 20, 1)
-	res, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: zfp.MustNew(16)})
+	res, err := CompressSeries(context.Background(), snaps, Options{DataCodec: zfp.MustNew(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := DecompressSeriesCtx(context.Background(), res.Archive)
+	frames, err := DecompressSeries(context.Background(), res.Archive, DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,35 +131,39 @@ func TestSeriesSingleFrame(t *testing.T) {
 }
 
 func TestSeriesValidation(t *testing.T) {
-	if _, err := CompressSeriesCtx(context.Background(), nil, Options{DataCodec: zfp.MustNew(8)}); err == nil {
+	if _, err := CompressSeries(context.Background(), nil, Options{DataCodec: zfp.MustNew(8)}); err == nil {
 		t.Fatal("expected empty-series rejection")
 	}
-	if _, err := CompressSeriesCtx(context.Background(), []*grid.Field{grid.New(4)}, Options{}); err == nil {
+	if _, err := CompressSeries(context.Background(), []*grid.Field{grid.New(4)}, Options{}); err == nil {
 		t.Fatal("expected missing-codec rejection")
 	}
 	// Dim changes mid-series must fail cleanly.
 	snaps := []*grid.Field{grid.New(4, 4), grid.New(5, 5)}
-	if _, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: zfp.MustNew(8)}); err == nil {
+	if _, err := CompressSeries(context.Background(), snaps, Options{DataCodec: zfp.MustNew(8)}); err == nil {
 		t.Fatal("expected dims-mismatch rejection")
 	}
 }
 
 func TestSeriesGarbage(t *testing.T) {
 	snaps := heatSeries(t, 12, 20, 3)
-	res, err := CompressSeriesCtx(context.Background(), snaps, Options{DataCodec: zfp.MustNew(12)})
+	res, err := CompressSeries(context.Background(), snaps, Options{DataCodec: zfp.MustNew(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(res.Archive); cut += 13 {
-		if _, err := DecompressSeriesCtx(context.Background(), res.Archive[:cut]); err == nil {
+		if _, err := DecompressSeries(context.Background(), res.Archive[:cut], DecompressOpts{}); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := DecompressSeriesCtx(context.Background(), append(res.Archive, 1)); err == nil {
+	if _, err := DecompressSeries(context.Background(), append(res.Archive, 1), DecompressOpts{}); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := DecompressSeriesCtx(context.Background(), []byte("LRMX123")); err == nil {
+	if _, err := DecompressSeries(context.Background(), []byte("LRMX123"), DecompressOpts{}); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+	// Only DecompressSeries reads a series archive.
+	if _, err := Decompress(context.Background(), res.Archive, DecompressOpts{}); !errors.Is(err, compress.ErrHeader) {
+		t.Fatalf("LRMS passed to Decompress: error %v, want ErrHeader", err)
 	}
 }
 
@@ -176,7 +182,7 @@ func TestSeriesHonoursParallelBudget(t *testing.T) {
 
 	pooled := obs.GetHistogram("parallel.task.ns", nil)
 	p0 := pooled.Snapshot().Count
-	serial, err := CompressSeriesCtx(ctx, snaps, Options{DataCodec: zfp.MustNew(16), Parallel: parallel.Config{Workers: 1}})
+	serial, err := CompressSeries(ctx, snaps, Options{DataCodec: zfp.MustNew(16), Parallel: parallel.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +190,7 @@ func TestSeriesHonoursParallelBudget(t *testing.T) {
 		t.Errorf("series at Workers: 1 ran %d pooled tasks, want 0", n)
 	}
 
-	def, err := CompressSeriesCtx(ctx, snaps, Options{DataCodec: zfp.MustNew(16)})
+	def, err := CompressSeries(ctx, snaps, Options{DataCodec: zfp.MustNew(16)})
 	if err != nil {
 		t.Fatal(err)
 	}

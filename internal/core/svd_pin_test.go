@@ -27,7 +27,7 @@ func TestSVDArchivePinned(t *testing.T) {
 		{"zfp", zfp.MustNew(24), "9f3d4b3e25bd15e05124893ec9c84ac9a01de4661f874e1e0eb573c50b8e6ee0"},
 	}
 	for _, c := range cases {
-		res, err := CompressCtx(context.Background(), f, Options{Model: reduce.SVD{}, DataCodec: c.codec})
+		res, err := Compress(context.Background(), f, Options{Model: reduce.SVD{}, DataCodec: c.codec})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

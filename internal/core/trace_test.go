@@ -41,11 +41,11 @@ func TestChunkedTraceNesting(t *testing.T) {
 	withFullObs(t)
 	f := heatField(t)
 	opts := Options{DataCodec: zfp.MustNew(16), Parallel: parallel.Config{Workers: 4}}
-	res, err := CompressChunkedCtx(context.Background(), f, opts, 2)
+	res, err := CompressChunked(context.Background(), f, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressWithOptsCtx(context.Background(), res.Archive,
+	if _, err := Decompress(context.Background(), res.Archive,
 		DecompressOpts{Parallel: parallel.Config{Workers: 4}}); err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestReduceKernelSpansNest(t *testing.T) {
 		{reduce.SVD{}, []string{"reduce.svd"}},
 	} {
 		trace.Reset()
-		res, err := CompressCtx(context.Background(), f, Options{Model: tc.model, DataCodec: zfp.MustNew(16)})
+		res, err := Compress(context.Background(), f, Options{Model: tc.model, DataCodec: zfp.MustNew(16)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecompressCtx(context.Background(), res.Archive); err != nil {
+		if _, err := Decompress(context.Background(), res.Archive, DecompressOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range tc.kernels {
@@ -220,16 +220,16 @@ func TestParallelConfigReachesCodecs(t *testing.T) {
 	}
 	ctx := context.Background()
 	cfg := parallel.Config{Workers: 4, MinShardBytes: -1}
-	res, err := CompressCtx(context.Background(), f, Options{DataCodec: zfp.MustNew(16)})
+	res, err := Compress(context.Background(), f, Options{DataCodec: zfp.MustNew(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := DecompressWithOptsCtx(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
+	serial, err := Decompress(context.Background(), res.Archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace.Reset()
-	got, err := DecompressWithOptsCtx(ctx, res.Archive, DecompressOpts{Parallel: cfg})
+	got, err := Decompress(ctx, res.Archive, DecompressOpts{Parallel: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestParallelConfigReachesCodecs(t *testing.T) {
 	// 8 workers over 2 chunks leaves 4 per chunk's codec, and the chunks
 	// keep the caller's cutover.
 	chunked := Options{DataCodec: zfp.MustNew(16), Parallel: parallel.Config{Workers: 8, MinShardBytes: -1}}
-	if _, err := CompressChunkedCtx(ctx, f, chunked, 2); err != nil {
+	if _, err := CompressChunked(ctx, f, chunked, 2); err != nil {
 		t.Fatal(err)
 	}
 	if n := countSpans(t, "core.compress_chunked", "zfp.shard_encode"); n <= 2 {
@@ -346,7 +346,7 @@ func TestExemplarResolvesToRetainedTrace(t *testing.T) {
 	withFullObs(t)
 	f := heatField(t)
 	opts := Options{DataCodec: zfp.MustNew(16), Parallel: parallel.Config{Workers: 2}}
-	if _, err := CompressCtx(context.Background(), f, opts); err != nil {
+	if _, err := Compress(context.Background(), f, opts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -398,11 +398,11 @@ func TestTracingPreservesStreams(t *testing.T) {
 
 	pm := obs.SetEnabled(false)
 	pt := trace.SetEnabled(false)
-	plain, err := CompressCtx(context.Background(), f, opts)
+	plain, err := Compress(context.Background(), f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainChunked, err := CompressChunkedCtx(context.Background(), f, opts, 2)
+	plainChunked, err := CompressChunked(context.Background(), f, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,11 +415,11 @@ func TestTracingPreservesStreams(t *testing.T) {
 		trace.SetEnabled(pt)
 	})
 
-	traced, err := CompressCtx(context.Background(), f, opts)
+	traced, err := Compress(context.Background(), f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracedChunked, err := CompressChunkedCtx(context.Background(), f, opts, 2)
+	tracedChunked, err := CompressChunked(context.Background(), f, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,11 +72,11 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 					DataCodec:  zfp.MustNew(prec),
 					DeltaCodec: zfp.MustNew(deltaPrec),
 				}
-				res, err := core.CompressCtx(context.TODO(), p.Full, opts)
+				res, err := core.Compress(context.TODO(), p.Full, opts)
 				if err != nil {
 					return nil, fmt.Errorf("fig11 %s/%s/p=%d: %w", p.Name, method.Label, prec, err)
 				}
-				dec, err := core.DecompressCtx(context.TODO(), res.Archive)
+				dec, err := core.Decompress(context.TODO(), res.Archive, core.DecompressOpts{})
 				if err != nil {
 					return nil, fmt.Errorf("fig11 %s/%s/p=%d decompress: %w", p.Name, method.Label, prec, err)
 				}

@@ -59,14 +59,14 @@ func runDimredSweep(cfg Config) (*DimredSweep, error) {
 			for _, method := range dimredMethods() {
 				opts := core.Options{Model: method.Model, DataCodec: data, DeltaCodec: delta}
 				start := time.Now()
-				res, err := core.CompressCtx(context.TODO(), p.Full, opts)
+				res, err := core.Compress(context.TODO(), p.Full, opts)
 				if err != nil {
 					return nil, fmt.Errorf("dimred %s/%s/%s: %w", p.Name, family, method.Label, err)
 				}
 				compressSec := time.Since(start).Seconds()
 
 				start = time.Now()
-				dec, err := core.DecompressCtx(context.TODO(), res.Archive)
+				dec, err := core.Decompress(context.TODO(), res.Archive, core.DecompressOpts{})
 				if err != nil {
 					return nil, fmt.Errorf("dimred %s/%s/%s decompress: %w", p.Name, family, method.Label, err)
 				}

@@ -54,8 +54,8 @@ func TestPartialDecodeMetricsUnderSweep(t *testing.T) {
 			// Pristine decode: every chunk gets a span with byte attribution,
 			// the decoded counter matches the chunk count, no errors counted.
 			obs.Reset()
-			p, err := core.DecompressChunkedPartialWithOptsCtx(context.Background(), data, serial)
-			if err != nil {
+			var p core.Partial
+			if _, err := core.Decompress(context.Background(), data, core.DecompressOpts{Parallel: serial.Parallel, Partial: &p}); err != nil {
 				t.Fatalf("pristine archive fails to decode: %v", err)
 			}
 			if !p.Complete() {
@@ -82,7 +82,8 @@ func TestPartialDecodeMetricsUnderSweep(t *testing.T) {
 			reached := 0
 			decode := func(b []byte) error {
 				before := chunkErrors.Value()
-				p, partialErr := core.DecompressChunkedPartialWithOptsCtx(context.Background(), b, serial)
+				var p core.Partial
+				_, partialErr := core.Decompress(context.Background(), b, core.DecompressOpts{Parallel: serial.Parallel, Partial: &p})
 				if partialErr != nil {
 					// Header/framing rejection: no chunk was attempted, so
 					// the counter must not have moved.
@@ -101,7 +102,7 @@ func TestPartialDecodeMetricsUnderSweep(t *testing.T) {
 				if p.Trailing > 0 {
 					// Trailing garbage is not a chunk failure; report it the
 					// way the strict decoder classifies it.
-					_, strictErr := core.DecompressWithOptsCtx(context.Background(), b, serial)
+					_, strictErr := core.Decompress(context.Background(), b, serial)
 					return strictErr
 				}
 				return nil

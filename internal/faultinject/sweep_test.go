@@ -51,8 +51,9 @@ func decoderForCorpus(t *testing.T, name string) faultinject.DecodeFunc {
 		// Chunked containers are decoded both fail-fast and degraded: the
 		// partial path must uphold the same no-panic/no-bomb contract.
 		return func(b []byte) error {
-			_, strictErr := core.DecompressWithOptsCtx(context.Background(), b, serial)
-			p, partialErr := core.DecompressChunkedPartialWithOptsCtx(context.Background(), b, serial)
+			_, strictErr := core.Decompress(context.Background(), b, serial)
+			var p core.Partial
+			_, partialErr := core.Decompress(context.Background(), b, core.DecompressOpts{Parallel: serial.Parallel, Partial: &p})
 			if partialErr != nil {
 				return partialErr
 			}
@@ -67,10 +68,10 @@ func decoderForCorpus(t *testing.T, name string) faultinject.DecodeFunc {
 			return strictErr
 		}
 	case strings.HasPrefix(name, "lrms"):
-		return func(b []byte) error { _, err := core.DecompressSeriesCtx(context.Background(), b); return err }
+		return func(b []byte) error { _, err := core.DecompressSeries(context.Background(), b, serial); return err }
 	case strings.HasPrefix(name, "lrm1"):
 		return func(b []byte) error {
-			_, err := core.DecompressWithOptsCtx(context.Background(), b, serial)
+			_, err := core.Decompress(context.Background(), b, serial)
 			return err
 		}
 	default:

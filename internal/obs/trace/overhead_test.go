@@ -49,7 +49,7 @@ func disabledLifecycleNs() float64 {
 }
 
 // disabledQualityNs measures the disabled cost of one quality-telemetry
-// probe in the guard shape core.CompressChunkedCtx uses: an Enabled() check
+// probe in the guard shape core.CompressChunked uses: an Enabled() check
 // in front of quality.Observe, so a disabled probe is one atomic load and
 // the Event literal is never built. The zfp shards' Enabled() snapshots
 // have the same shape.

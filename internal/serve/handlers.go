@@ -152,7 +152,7 @@ func (s *Server) compress(ctx context.Context, w http.ResponseWriter, r *http.Re
 		DataCodec: codec,
 		Parallel:  parallel.Config{Workers: s.cfg.Workers},
 	}
-	res, err := core.CompressChunkedCtx(ctx, f, opts, chunks)
+	res, err := core.CompressChunked(ctx, f, opts, chunks)
 	if err != nil {
 		return pipelineError(r, s.epCompress, err)
 	}
@@ -173,7 +173,7 @@ func (s *Server) compress(ctx context.Context, w http.ResponseWriter, r *http.Re
 		Raw:             func() []byte { return body },
 		Original:        f.Data,
 		Reconstruct: func() ([]float64, error) {
-			g, err := core.DecompressWithOptsCtx(ctx, res.Archive,
+			g, err := core.Decompress(ctx, res.Archive,
 				core.DecompressOpts{Parallel: parallel.Config{Workers: s.cfg.Workers}})
 			if err != nil {
 				return nil, err
@@ -233,31 +233,23 @@ func (s *Server) decompress(ctx context.Context, w http.ResponseWriter, r *http.
 	}
 
 	opts := core.DecompressOpts{Parallel: parallel.Config{Workers: s.cfg.Workers}}
-	var field *grid.Field
-	var chunkErrs []core.ChunkError
-	var chunks int
+	var report core.Partial
 	if partial {
-		p, err := core.DecompressChunkedPartialWithOptsCtx(ctx, archive, opts)
-		if err != nil {
-			return pipelineError(r, s.epDecompress, err)
-		}
-		field, chunkErrs, chunks = p.Field, p.Errors, p.Chunks
-		if !p.Complete() {
-			cacheable = false
-		}
-	} else {
-		f, err := core.DecompressWithOptsCtx(ctx, archive, opts)
-		if err != nil {
-			return pipelineError(r, s.epDecompress, err)
-		}
-		field = f
+		opts.Partial = &report
+	}
+	field, err := core.Decompress(ctx, archive, opts)
+	if err != nil {
+		return pipelineError(r, s.epDecompress, err)
+	}
+	if !report.Complete() {
+		cacheable = false
 	}
 
 	payload := field.Bytes()
 	if cacheable && s.cache != nil {
 		s.cache.put(key, field.Dims, payload)
 	}
-	writeField(w, field.Dims, payload, "miss", partial, chunkErrs, chunks)
+	writeField(w, field.Dims, payload, "miss", partial, report.Errors, report.Chunks)
 	// Decompression has no reference data to grade against; the event
 	// still carries the expansion ratio and (when sampled) the byte
 	// features of the reconstructed field.

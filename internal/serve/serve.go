@@ -15,9 +15,9 @@
 //     and the API answer 503), stops accepting, lets in-flight requests
 //     finish, then closes;
 //   - cancellation: every request's context threads into
-//     CompressChunkedCtx / DecompressChunkedPartialWithOptsCtx, so a
-//     client disconnect or deadline stops chunk processing at the next
-//     chunk boundary instead of burning CPU on an abandoned request.
+//     core.CompressChunked / core.Decompress, so a client disconnect or
+//     deadline stops chunk processing at the next chunk boundary instead
+//     of burning CPU on an abandoned request.
 //
 // The obs debug mux (/metrics, /debug/vars, /debug/pprof, /debug/traces)
 // is mounted on the same server, and every endpoint carries request

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -465,6 +466,23 @@ func TestPartialDecode(t *testing.T) {
 	// the failed slab, and the failed slab is zeroed, so the two differ.
 	if bytes.Equal(body, raw) {
 		t.Error("partial decode of a corrupted archive is byte-identical to the original")
+	}
+}
+
+// TestClaimedChunksBomb422: an 11-byte LRMC header claiming 2^20 (or 2^16)
+// chunks is refused as malformed input in both decode modes, without the
+// handler sizing anything by the claim.
+func TestClaimedChunksBomb422(t *testing.T) {
+	_, ts := newServer(t, serve.Config{})
+	for _, claimed := range []uint64{1 << 20, 1 << 16} {
+		body := binary.AppendUvarint([]byte("LRMC"), claimed)
+		body = binary.AppendUvarint(append(body, 1), claimed)
+		for _, path := range []string{"/v1/decompress", "/v1/decompress?partial=1"} {
+			resp, respBody := post(t, ts.URL, path, body, nil)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("POST %s (%d chunks claimed): status %d, want 422 (%s)", path, claimed, resp.StatusCode, respBody)
+			}
+		}
 	}
 }
 

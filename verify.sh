@@ -30,6 +30,18 @@ echo "==> gofmt -l ."
 fmtcheck
 step go run ./cmd/lrmlint ./...
 step go test ./...
+# Benchmark-only wrappers: core's CompressCtx, CompressChunkedCtx,
+# DecompressCtx and DecompressWithOptsCtx, compress.CompressCtx/DecompressCtx,
+# reduce.Reconstruct and a model's Reduce are kept only for
+# lrmbench3/layers.go, so no other Go file may call them (definitions are
+# not calls; internal/mpi's Reduce is the collective, not a model's).
+echo "==> fence: benchmark-only wrappers have no caller outside lrmbench3/"
+if grep -rnE --include='*.go' --exclude-dir=lrmbench3 --exclude-dir=.bench_build --exclude-dir=mpi \
+	'(^|[^A-Za-z0-9_.])(CompressCtx|CompressChunkedCtx|DecompressCtx|DecompressWithOptsCtx)\(|(core|compress)\.(CompressCtx|DecompressCtx)\(|core\.(CompressChunkedCtx|DecompressWithOptsCtx)\(|reduce\.Reconstruct\(|\.Reduce\(' . |
+	grep -vE '^[^:]+:[0-9]+:func (CompressCtx|CompressChunkedCtx|DecompressCtx|DecompressWithOptsCtx)\('; then
+	echo "fence: the calls above use a benchmark-only wrapper; call Compress/Decompress/CompressChunked, Model.Fit or Rep.Reconstruct" >&2
+	exit 1
+fi
 # The benchmark (lrmbench3/) is a separate module that ./... skips, so a
 # library API change could break it unseen: vet it and run its short tests.
 echo "==> lrmbench3: go vet ./... && go test -short ./..."
