@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzHistoryQuery -fuzztime=10s -run='^$$' ./internal/obs/tsdb
 	$(GO) test -fuzz=FuzzParsePprof -fuzztime=10s -run='^$$' ./internal/obs/pprofparse
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run='^$$' ./internal/huffman
+	$(GO) test -fuzz=FuzzDecodePlanes -fuzztime=10s -run='^$$' ./internal/compress/zfp
 
 verify:
 	./verify.sh

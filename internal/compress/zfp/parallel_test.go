@@ -3,6 +3,7 @@ package zfp
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,5 +100,40 @@ func TestParallelDecodeFallsBackUnderAllocCap(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Error("fallback decode differs from Workers: 1")
+	}
+}
+
+// TestParallelDecodeMatchesSerialOnDamagedStreams decodes intact, truncated
+// and bit-flipped streams of a field spanning many parse groups on the
+// one-worker schedule and on the pipelined parallel one: both must return
+// the same error text, or the same bits.
+func TestParallelDecodeMatchesSerialOnDamagedStreams(t *testing.T) {
+	f := goldenSynth(t, 40, 44, 48)
+	rng := rand.New(rand.NewSource(50))
+	ctx := context.Background()
+	for _, c := range []*Codec{MustNew(16), MustNewAccuracy(1e-7)} {
+		enc, err := c.Compress(ctx, f, parallel.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams := [][]byte{enc}
+		for i := 0; i < 8; i++ {
+			streams = append(streams, enc[:rng.Intn(len(enc))])
+			flipped := bytes.Clone(enc)
+			flipped[16+rng.Intn(len(enc)-16)] ^= 1 << uint(rng.Intn(8))
+			streams = append(streams, flipped)
+		}
+		for si, s := range streams {
+			want, wantErr := c.Decompress(ctx, s, parallel.Config{Workers: 1})
+			for _, w := range []int{2, 8} {
+				got, err := c.Decompress(ctx, s, parallel.Config{Workers: w, MinShardBytes: -1})
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s stream %d workers=%d: error %v, serial %v", c.Name(), si, w, err, wantErr)
+				}
+				if err == nil && !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("%s stream %d workers=%d: decoded bits differ from serial", c.Name(), si, w)
+				}
+			}
+		}
 	}
 }

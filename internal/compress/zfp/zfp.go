@@ -21,8 +21,9 @@
 // encoder shards the block list across a bounded worker pool (each shard
 // writes a private bitstream, concatenated in shard order, so the output
 // is byte-identical to a serial pass at any worker count), and the decoder
-// runs the inverse transform + scatter of already-parsed blocks in
-// parallel. Workers == 1 reproduces the serial execution exactly.
+// runs the plane transpose, inverse transform and scatter of parsed blocks
+// in parallel, behind the bit-serial parse. Workers == 1 reproduces the
+// serial execution exactly.
 package zfp
 
 import (
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"time"
 
 	"lrm/internal/bitstream"
@@ -298,22 +300,41 @@ func transformInverse(blk []int64, rank int) {
 			invLift(blk, 4*y, 1)
 		}
 	case 3:
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				invLift(blk, 4*y+x, 16)
+		// The mirror of transformForward's rank-3 case: the value-form
+		// invLift4 on a fixed-size array view, same passes in the same
+		// order.
+		p := (*[64]int64)(blk)
+		for i := 0; i < 16; i++ { // along z
+			p[i], p[i+16], p[i+32], p[i+48] = invLift4(p[i], p[i+16], p[i+32], p[i+48])
+		}
+		for z := 0; z < 64; z += 16 { // along y
+			for i := z; i < z+4; i++ {
+				p[i], p[i+4], p[i+8], p[i+12] = invLift4(p[i], p[i+4], p[i+8], p[i+12])
 			}
 		}
-		for z := 0; z < 4; z++ {
-			for x := 0; x < 4; x++ {
-				invLift(blk, 16*z+x, 4)
-			}
-		}
-		for z := 0; z < 4; z++ {
-			for y := 0; y < 4; y++ {
-				invLift(blk, 16*z+4*y, 1)
-			}
+		for b := 0; b <= 60; b += 4 { // along x
+			p[b], p[b+1], p[b+2], p[b+3] = invLift4(p[b], p[b+1], p[b+2], p[b+3])
 		}
 	}
+}
+
+// invLift4 is invLift in value form, as lift4 is fwdLift's.
+func invLift4(x, y, z, w int64) (int64, int64, int64, int64) {
+	y += w >> 1
+	w -= y >> 1
+	y += w
+	w <<= 1
+	w -= y
+	z += x
+	x <<= 1
+	x -= z
+	y += z
+	z <<= 1
+	z -= y
+	w += x
+	x <<= 1
+	x -= w
+	return x, y, z, w
 }
 
 // transpose64 anti-transposes the 64x64 bit matrix held in m in place:
@@ -419,6 +440,77 @@ func transposeTop16(m *[64]uint64) {
 		t := (m[k] ^ (m[k+1] >> 1)) & 0x5555555555555555
 		m[k] ^= t
 		m[k+1] ^= t << 1
+	}
+}
+
+// transposeLow is transpose64 for a matrix whose words [rows, 64) are
+// zero — the decode-side twin of transposeTop. Each butterfly stage swaps a
+// different index bit, so the six stages commute. Run in ascending span
+// order, the words before the span-j stage are zero from roundup(rows, j)
+// on, and a butterfly over two zero words is a no-op, so the stage only
+// covers the pair blocks below roundup(rows, 2j). When rows <= 32 the last
+// stage's partners are all still zero, and its butterfly reduces to
+// splitting each low word. All 64 output words equal the full
+// anti-transpose. The decoder's planes fill words [0, intprec-kmin), so a
+// block that codes 16 planes costs 48 butterflies and 32 splits instead of
+// 192 butterflies. As in transposeTop16, the stages are written out with
+// constant spans and masks; indices are taken mod 64, so the compiler
+// drops every bounds check.
+func transposeLow(m *[64]uint64, rows int) {
+	if rows >= 64 {
+		transpose64(m)
+		return
+	}
+	lim := (rows + 1) &^ 1 // j=1
+	for k := 0; k < lim; k += 2 {
+		t := (m[k&63] ^ (m[(k+1)&63] >> 1)) & 0x5555555555555555
+		m[k&63] ^= t
+		m[(k+1)&63] ^= t << 1
+	}
+	lim = (rows + 3) &^ 3 // j=2
+	for base := 0; base < lim; base += 4 {
+		for k := base; k < base+2; k++ {
+			t := (m[k&63] ^ (m[(k+2)&63] >> 2)) & 0x3333333333333333
+			m[k&63] ^= t
+			m[(k+2)&63] ^= t << 2
+		}
+	}
+	lim = (rows + 7) &^ 7 // j=4
+	for base := 0; base < lim; base += 8 {
+		for k := base; k < base+4; k++ {
+			t := (m[k&63] ^ (m[(k+4)&63] >> 4)) & 0x0F0F0F0F0F0F0F0F
+			m[k&63] ^= t
+			m[(k+4)&63] ^= t << 4
+		}
+	}
+	lim = (rows + 15) &^ 15 // j=8
+	for base := 0; base < lim; base += 16 {
+		for k := base; k < base+8; k++ {
+			t := (m[k&63] ^ (m[(k+8)&63] >> 8)) & 0x00FF00FF00FF00FF
+			m[k&63] ^= t
+			m[(k+8)&63] ^= t << 8
+		}
+	}
+	lim = (rows + 31) &^ 31 // j=16
+	for base := 0; base < lim; base += 32 {
+		for k := base; k < base+16; k++ {
+			t := (m[k&63] ^ (m[(k+16)&63] >> 16)) & 0x0000FFFF0000FFFF
+			m[k&63] ^= t
+			m[(k+16)&63] ^= t << 16
+		}
+	}
+	if rows > 32 { // j=32
+		for k := 0; k < 32; k++ {
+			t := (m[k] ^ (m[k+32] >> 32)) & 0x00000000FFFFFFFF
+			m[k] ^= t
+			m[k+32] ^= t << 32
+		}
+		return
+	}
+	for k := 0; k < 32; k++ {
+		t := m[k] & 0x00000000FFFFFFFF
+		m[k] ^= t
+		m[k+32] = t << 32
 	}
 }
 
@@ -1037,28 +1129,19 @@ func encodePlanes(w *bitstream.Writer, nb []uint64, size, kmin int) {
 	}
 }
 
-// decodePlanes reverses encodePlanes into nb (fully overwritten).
+// decodePlanes parses the planes encodePlanes wrote for one block into nb
+// (fully overwritten). A full block (size 64) is left as raw bit planes in
+// the encoder's orientation — plane k in word 63-k with bit 63-i the plane
+// bit of coefficient i, words from intprec-kmin on zero — so this
+// bit-serial step does no transpose: transposeLow(nb, intprec-kmin) then
+// leaves coefficient i in word i, and the decoder runs it on the worker
+// that reconstructs the block. Smaller blocks decode straight to
+// coefficients.
 func decodePlanes(r *bitstream.Reader, nb []uint64, size, kmin int) error {
-	n := 0
 	if size == 64 {
-		// Inverse of the encode fast path: store plane k at word 63-k
-		// (planes below kmin stay zero), anti-transpose, read coefficient
-		// i from word 63-i.
-		var planes [64]uint64
-		for k := intprec - 1; k >= kmin; k-- {
-			plane, n2, err := decodePlane(r, size, n)
-			if err != nil {
-				return err
-			}
-			planes[63-k] = plane
-			n = n2
-		}
-		transpose64(&planes)
-		for i := 0; i < 64; i++ {
-			nb[i] = planes[63-i]
-		}
-		return nil
+		return decodePlanes64((*[64]uint64)(nb), r, intprec-kmin)
 	}
+	n := 0
 	for i := range nb {
 		nb[i] = 0
 	}
@@ -1071,6 +1154,83 @@ func decodePlanes(r *bitstream.Reader, nb []uint64, size, kmin int) error {
 		for i := 0; i < size; i++ {
 			nb[i] |= (plane >> uint(i) & 1) << uint(k)
 		}
+	}
+	return nil
+}
+
+// decodePlanes64 is decodePlane's loop for the top `rows` planes of a full
+// block, fused and in the encoder's reversed orientation: the verbatim
+// prefix is the top n bits of the window (no ReadBits byte loop, no
+// bits.Reverse64), and a run ending at value v sets bit 63-v. One Peek64
+// window serves every step whose bits it holds — its first avail bits are
+// the stream's next bits, the rest are zero — and a step the window cannot
+// decide re-peeks, so a step sees exactly the bits decodePlane's own peek
+// would. The error outcomes and the bits consumed are decodePlane's: a
+// short prefix leaves the reader at the end of the stream, as ReadBits
+// does, and a group that runs past the end consumes nothing.
+func decodePlanes64(planes *[64]uint64, r *bitstream.Reader, rows int) error {
+	var win uint64
+	avail := 0
+	n := 0
+	for w := 0; w < rows; w++ {
+		var y uint64
+		if n > 0 {
+			if rem := r.Remaining(); rem < n {
+				r.Advance(rem)
+				return bitstream.ErrOutOfBits
+			}
+			if avail < n {
+				win, avail = r.Peek64(), 64
+			}
+			y = win &^ (^uint64(0) >> uint(n))
+			win <<= uint(n)
+			avail -= n
+			r.Advance(n)
+		}
+		for n < 64 {
+			rem := r.Remaining()
+			if rem == 0 {
+				return bitstream.ErrOutOfBits
+			}
+			if avail == 0 {
+				win, avail = r.Peek64(), 64
+			}
+			if win>>63 == 0 {
+				// Group test fails: the plane holds no further set bits.
+				win <<= 1
+				avail--
+				r.Advance(1)
+				break
+			}
+			lim := 63 - n
+			z := bits.LeadingZeros64(win << 1) // zeros after the test bit
+			if z+2 > avail && lim+1 > avail {
+				// The run leaves the window before it decides.
+				win, avail = r.Peek64(), 64
+				z = bits.LeadingZeros64(win << 1)
+			}
+			var c int
+			if z >= lim {
+				// The run reaches value 63; its terminating 1 is implicit.
+				c = 1 + lim
+				y |= 1
+				n = 64
+			} else {
+				c = z + 2
+				y |= 1 << uint(63-n-z)
+				n += z + 1
+			}
+			if rem < c {
+				return bitstream.ErrOutOfBits
+			}
+			win <<= uint(c)
+			avail -= c
+			r.Advance(c)
+		}
+		planes[w] = y
+	}
+	for w := max(rows, 0); w < 64; w++ {
+		planes[w] = 0
 	}
 	return nil
 }
@@ -1115,6 +1275,25 @@ func reconstructBlock(f *grid.Field, b blockShape, nb []uint64, emax, rank int, 
 // collide with a real biased exponent.
 const emptyEmax = math.MinInt32
 
+// decodeGroup is the decoder's unit of hand-off from parse to
+// reconstruction: the one-worker schedule parses a group and then
+// reconstructs it, and the parallel schedule passes parsed groups to its
+// workers. It is large enough to read the clock per group rather than per
+// block, and small enough that a group's words (32 KiB for 3-D blocks)
+// stay in cache.
+const decodeGroup = 64
+
+// groupScratch is one group of parsed blocks for the one-worker decoder.
+// It has a pool of its own, because in the shared uint64 arena its size
+// would compete with the parallel decoder's field-sized buffer, whose
+// misses cost a fresh allocation of the whole buffer.
+type groupScratch struct {
+	nb    [decodeGroup * 64]uint64
+	emaxs [decodeGroup]int
+}
+
+var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
 // Decompress implements compress.Codec. Failures wrap the
 // compress.ErrTruncated / compress.ErrCorrupt taxonomy.
 func (c *Codec) Decompress(ctx context.Context, data []byte, cfg parallel.Config) (*grid.Field, error) {
@@ -1130,6 +1309,7 @@ func (c *Codec) Decompress(ctx context.Context, data []byte, cfg parallel.Config
 	return f, nil
 }
 
+// decompress decodes with the stream's own mode and bound, whatever c's.
 func (c *Codec) decompress(ctx context.Context, data []byte, cfg parallel.Config) (*grid.Field, error) {
 	dims, rest, err := compress.DecodeDimsHeader(data)
 	if err != nil {
@@ -1138,23 +1318,21 @@ func (c *Codec) decompress(ctx context.Context, data []byte, cfg parallel.Config
 	if len(rest) < 2 {
 		return nil, fmt.Errorf("zfp: truncated stream: %w", compress.ErrTruncated)
 	}
-	mode := rest[0]
-	var precision uint
-	var tolerance float64
-	switch mode {
+	stream := &Codec{mode: rest[0]}
+	switch stream.mode {
 	case modePrecision:
-		precision = uint(rest[1])
-		if precision < 1 || precision > MaxPrecision {
-			return nil, fmt.Errorf("zfp: invalid precision %d in stream: %w", precision, compress.ErrHeader)
+		stream.precision = uint(rest[1])
+		if stream.precision < 1 || stream.precision > MaxPrecision {
+			return nil, fmt.Errorf("zfp: invalid precision %d in stream: %w", stream.precision, compress.ErrHeader)
 		}
 		rest = rest[2:]
 	case modeAccuracy:
 		if len(rest) < 9 {
 			return nil, fmt.Errorf("zfp: truncated tolerance: %w", compress.ErrTruncated)
 		}
-		tolerance = math.Float64frombits(binary.LittleEndian.Uint64(rest[1:9]))
-		if tolerance <= 0 || math.IsNaN(tolerance) || math.IsInf(tolerance, 0) {
-			return nil, fmt.Errorf("zfp: invalid tolerance %v in stream: %w", tolerance, compress.ErrHeader)
+		stream.tolerance = math.Float64frombits(binary.LittleEndian.Uint64(rest[1:9]))
+		if tol := stream.tolerance; tol <= 0 || math.IsNaN(tol) || math.IsInf(tol, 0) {
+			return nil, fmt.Errorf("zfp: invalid tolerance %v in stream: %w", tol, compress.ErrHeader)
 		}
 		rest = rest[9:]
 	case modeRate:
@@ -1164,7 +1342,7 @@ func (c *Codec) decompress(ctx context.Context, data []byte, cfg parallel.Config
 		}
 		return decompressRate(ctx, dims, rest[1:], cfg.WorkersFor(8*n))
 	default:
-		return nil, fmt.Errorf("zfp: unknown mode %d in stream: %w", mode, compress.ErrHeader)
+		return nil, fmt.Errorf("zfp: unknown mode %d in stream: %w", stream.mode, compress.ErrHeader)
 	}
 	r := bitstream.NewReader(rest)
 
@@ -1185,51 +1363,102 @@ func (c *Codec) decompress(ctx context.Context, data []byte, cfg parallel.Config
 		// The parallel schedule buffers every parsed block's coefficients
 		// at once; degenerate shapes (many mostly-padding blocks) can make
 		// that buffer exceed the decode cap even when the field itself
-		// fits, so fall back to the per-block scratch rather than failing.
+		// fits, so fall back to the per-group scratch rather than failing.
 		nbElems := uint64(len(bs)) * uint64(size)
 		if compress.CheckedAlloc("zfp: parsed blocks", nbElems, nbElems, 8) == nil {
-			return c.decompressParallel(ctx, f, bs, r, mode, precision, tolerance, rank, size, workers)
+			return stream.decompressParallel(ctx, f, bs, r, rank, size, workers)
 		}
 	}
-	if err := c.decodeSerial(ctx, f, bs, r, mode, precision, tolerance, rank, size); err != nil {
+	if err := stream.decodeSerial(ctx, f, bs, r, rank, size); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
 // parseBlock reads block b's nonempty flag, biased exponent and bit planes
-// from the stream into nb and returns the block exponent, or emptyEmax for
-// an all-zero block, which codes no planes. Block boundaries are only
-// discovered by parsing, so this step is bit-serial on both schedules.
-func parseBlock(r *bitstream.Reader, b blockShape, nb []uint64, size int, mode byte, precision uint, tolerance float64) (int, error) {
+// from the stream into nb (see decodePlanes) and returns the block
+// exponent, or emptyEmax for an all-zero block, which codes no planes.
+// Block boundaries are only discovered by parsing, so this step is
+// bit-serial on both schedules. The flag and the exponent come from one
+// Peek64; a stream that ends inside the exponent leaves the reader at its
+// end, as ReadBits does.
+func (c *Codec) parseBlock(r *bitstream.Reader, b blockShape, nb []uint64, size int) (int, error) {
 	if invariant.Enabled {
 		for d := 0; d < 3; d++ {
 			invariant.InRange(b.size[d], 1, 5, "zfp: decode block extent")
 		}
 	}
-	nonEmpty, err := r.ReadBit()
-	if err != nil {
-		return 0, fmt.Errorf("zfp: truncated stream: %w", err)
+	rem := r.Remaining()
+	if rem == 0 {
+		return 0, fmt.Errorf("zfp: truncated stream: %w", bitstream.ErrOutOfBits)
 	}
-	if nonEmpty == 0 {
+	win := r.Peek64()
+	if win>>63 == 0 {
+		r.Advance(1)
 		return emptyEmax, nil
 	}
-	e, err := r.ReadBits(15)
-	if err != nil {
-		return 0, fmt.Errorf("zfp: truncated exponent: %w", err)
+	if rem < 16 {
+		r.Advance(rem)
+		return 0, fmt.Errorf("zfp: truncated exponent: %w", bitstream.ErrOutOfBits)
 	}
-	emax := int(e) - 16384
-	if err := decodePlanes(r, nb, size, kminFor(mode, precision, tolerance, emax)); err != nil {
+	r.Advance(16)
+	emax := int(win>>48&0x7fff) - 16384
+	if err := decodePlanes(r, nb, size, c.kmin(emax)); err != nil {
 		return 0, fmt.Errorf("zfp: truncated plane: %w", err)
 	}
 	return emax, nil
 }
 
-// decodeSerial is the one-worker schedule: it interleaves parse and
-// reconstruct per block, so it needs only one block of scratch. It runs
-// under a single zfp.shard_decode span, mirroring the shard spans of the
-// parallel schedule so traces expose the decode structure at any budget.
-func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape, r *bitstream.Reader, mode byte, precision uint, tolerance float64, rank, size int) (err error) {
+// kmin is kminFor with the codec's own mode and bound.
+func (c *Codec) kmin(emax int) int { return kminFor(c.mode, c.precision, c.tolerance, emax) }
+
+// parseBlocks parses blocks bs in stream order into nb (size words each)
+// and their exponents into emaxs, and returns how many are non-empty.
+func (c *Codec) parseBlocks(r *bitstream.Reader, bs []blockShape, nb []uint64, emaxs []int, size int) (int64, error) {
+	var n int64
+	for i, b := range bs {
+		emax, err := c.parseBlock(r, b, nb[i*size:(i+1)*size], size)
+		if err != nil {
+			return 0, err
+		}
+		emaxs[i] = emax
+		if emax != emptyEmax {
+			n++
+		}
+	}
+	return n, nil
+}
+
+// reconstructBlocks writes the parsed blocks bs into f and returns how
+// many are non-empty. A full block's raw planes are transposed here, on the
+// worker that reconstructs it, with kmin recomputed from its exponent.
+func (c *Codec) reconstructBlocks(f *grid.Field, bs []blockShape, nb []uint64, emaxs []int, rank, size int, s *blockScratch) int64 {
+	var n int64
+	for i, b := range bs {
+		emax := emaxs[i]
+		if emax == emptyEmax {
+			for j := range s.vals {
+				s.vals[j] = 0
+			}
+			scatter(f, b, s.vals)
+			continue
+		}
+		blk := nb[i*size : (i+1)*size]
+		if size == 64 {
+			transposeLow((*[64]uint64)(blk), intprec-c.kmin(emax))
+		}
+		reconstructBlock(f, b, blk, emax, rank, s)
+		n++
+	}
+	return n
+}
+
+// decodeSerial is the one-worker schedule: it parses decodeGroup blocks,
+// reconstructs them, and moves on, so it needs only one group of scratch.
+// It runs under a single zfp.shard_decode span, mirroring the shard spans
+// of the parallel schedule so traces expose the decode structure at any
+// budget.
+func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape, r *bitstream.Reader, rank, size int) (err error) {
 	_, sp := trace.Start(ctx, "zfp.shard_decode")
 	defer sp.End()
 	defer func() { sp.SetError(err) }()
@@ -1237,33 +1466,32 @@ func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape
 
 	s := newBlockScratch(size)
 	defer s.release()
+	gs := groupPool.Get().(*groupScratch)
+	defer groupPool.Put(gs)
+	nb, emaxs := gs.nb[:decodeGroup*size], gs.emaxs[:]
 	rec := obs.Enabled()
 	var planeNs, invNs, nBlocks int64
 	var t0 time.Time
-	for _, b := range bs {
-		if rec {
-			t0 = time.Now()
-		}
-		emax, err := parseBlock(r, b, s.nb, size, mode, precision, tolerance)
+	if rec {
+		t0 = time.Now()
+	}
+	for lo := 0; lo < len(bs); lo += decodeGroup {
+		g := bs[lo:min(lo+decodeGroup, len(bs))]
+		n, err := c.parseBlocks(r, g, nb, emaxs, size)
 		if err != nil {
 			return err
 		}
-		if emax == emptyEmax {
-			for i := range s.vals {
-				s.vals[i] = 0
-			}
-			scatter(f, b, s.vals)
-			continue
-		}
 		if rec {
 			now := time.Now()
-			nBlocks++
 			planeNs += now.Sub(t0).Nanoseconds()
 			t0 = now
 		}
-		reconstructBlock(f, b, s.nb, emax, rank, s)
+		c.reconstructBlocks(f, g, nb, emaxs, rank, size, s)
 		if rec {
-			invNs += time.Since(t0).Nanoseconds()
+			now := time.Now()
+			invNs += now.Sub(t0).Nanoseconds()
+			t0 = now
+			nBlocks += n
 		}
 	}
 	if rec {
@@ -1273,68 +1501,82 @@ func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape
 	return nil
 }
 
-// decompressParallel splits decoding in two stages: the bit-serial stream
-// parse collects every block's exponent and negabinary coefficients into a
-// field-sized buffer, then the pool runs the independent inverse
-// transforms and scatters. Scatter regions are disjoint by construction,
-// so workers never write the same sample.
-func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []blockShape, r *bitstream.Reader, mode byte, precision uint, tolerance float64, rank, size, workers int) (*grid.Field, error) {
+// decompressParallel overlaps the bit-serial stream parse with the
+// reconstruction. Shard 0 parses the blocks in groups of decodeGroup into
+// a field-sized buffer of exponents and raw planes (or, below rank 3,
+// coefficients) and hands each parsed group's index to the workers, then
+// joins them; every worker, shard 0 included, runs the plane transposes,
+// inverse transforms and scatters of the groups it takes. Scatter regions
+// are disjoint by construction, so workers never write the same sample,
+// and each block is reconstructed from the same parsed words on any
+// schedule. There are as many shards as workers, so ForShard runs every
+// shard on its own goroutine and the parse never waits behind a worker
+// blocked on the channel.
+func (c *Codec) decompressParallel(ctx context.Context, f *grid.Field, bs []blockShape, r *bitstream.Reader, rank, size, workers int) (*grid.Field, error) {
 	nbAll := parallel.Uint64s(len(bs) * size)
 	defer parallel.PutUint64s(nbAll)
 	emaxs := parallel.Ints(len(bs))
 	defer parallel.PutInts(emaxs)
 
+	groups := (len(bs) + decodeGroup - 1) / decodeGroup
+	parsed := make(chan int, groups) // never blocks the parse
+	var parseErr error
 	rec := obs.Enabled()
-	var planeNs, nBlocks int64
-	var t0 time.Time
-	for bi, b := range bs {
-		if rec {
-			t0 = time.Now()
-		}
-		emax, err := parseBlock(r, b, nbAll[bi*size:(bi+1)*size], size, mode, precision, tolerance)
-		if err != nil {
-			return nil, err
-		}
-		emaxs[bi] = emax
-		if rec && emax != emptyEmax {
-			nBlocks++
-			planeNs += time.Since(t0).Nanoseconds()
-		}
-	}
-	if rec {
-		obs.StageAdd("zfp.plane_decode", planeNs, nBlocks)
-	}
-
-	parallel.ForShard(workers, len(bs), func(_, lo, hi int) {
+	parallel.ForShard(workers, workers, func(shard, _, _ int) {
 		_, sp := trace.Start(ctx, "zfp.shard_decode")
 		defer sp.End()
-		sp.AddItems(int64(hi - lo))
+		if shard == 0 {
+			parseErr = c.parseGroups(r, bs, nbAll, emaxs, size, parsed, rec)
+			sp.SetError(parseErr)
+			close(parsed)
+		}
 		s := newBlockScratch(size)
 		defer s.release()
-		var invNs, n int64
-		var st time.Time
-		for bi := lo; bi < hi; bi++ {
-			if emaxs[bi] == emptyEmax {
-				for i := range s.vals {
-					s.vals[i] = 0
-				}
-				scatter(f, bs[bi], s.vals)
-				continue
-			}
+		var invNs, nBlocks, items int64
+		for g := range parsed {
+			lo, hi := g*decodeGroup, min((g+1)*decodeGroup, len(bs))
+			var t0 time.Time
 			if rec {
-				n++
-				st = time.Now()
+				t0 = time.Now()
 			}
-			reconstructBlock(f, bs[bi], nbAll[bi*size:(bi+1)*size], emaxs[bi], rank, s)
+			nBlocks += c.reconstructBlocks(f, bs[lo:hi], nbAll[lo*size:hi*size], emaxs[lo:hi], rank, size, s)
 			if rec {
-				invNs += time.Since(st).Nanoseconds()
+				invNs += time.Since(t0).Nanoseconds()
 			}
+			items += int64(hi - lo)
 		}
+		sp.AddItems(items)
 		if rec {
-			obs.StageAdd("zfp.inv_transform", invNs, n)
+			obs.StageAdd("zfp.inv_transform", invNs, nBlocks)
 		}
 	})
+	if parseErr != nil {
+		return nil, parseErr
+	}
 	return f, nil
+}
+
+// parseGroups parses bs group by group into nb and emaxs, sending each
+// finished group's index on parsed; it stops at the first error.
+func (c *Codec) parseGroups(r *bitstream.Reader, bs []blockShape, nb []uint64, emaxs []int, size int, parsed chan<- int, rec bool) error {
+	var t0 time.Time
+	if rec {
+		t0 = time.Now()
+	}
+	var nBlocks int64
+	for g, lo := 0, 0; lo < len(bs); g, lo = g+1, lo+decodeGroup {
+		hi := min(lo+decodeGroup, len(bs))
+		n, err := c.parseBlocks(r, bs[lo:hi], nb[lo*size:hi*size], emaxs[lo:hi], size)
+		if err != nil {
+			return err
+		}
+		nBlocks += n
+		parsed <- g
+	}
+	if rec {
+		obs.StageAdd("zfp.plane_decode", time.Since(t0).Nanoseconds(), nBlocks)
+	}
+	return nil
 }
 
 func init() {

@@ -34,10 +34,10 @@ var AnalyzerHotAlloc = &Analyzer{
 var hotPathFuncs = map[string]map[string]bool{
 	"lrm/internal/compress/zfp": {
 		"encodePlane": true, "decodePlane": true,
-		"encodePlanes": true, "decodePlanes": true,
-		"transpose64": true, "transposeTop": true, "transposeTop16": true,
+		"encodePlanes": true, "decodePlanes": true, "decodePlanes64": true,
+		"transpose64": true, "transposeTop": true, "transposeTop16": true, "transposeLow": true,
 		"transformForward": true, "transformInverse": true,
-		"fwdLift": true, "invLift": true, "lift4": true,
+		"fwdLift": true, "invLift": true, "lift4": true, "invLift4": true,
 		"gather": true, "scatter": true,
 	},
 	"lrm/internal/compress/sz": {

@@ -202,18 +202,9 @@ func reconstructPCA(rep *Rep, cfg parallel.Config) (*grid.Field, error) {
 		scores := rep.Values[vpos+w+w*k : vpos+need]
 		vpos += need
 
-		// X_hat = scores * vecs^T + means, written into columns [col, col+w).
 		// Rows reconstruct independently; shards write disjoint output rows.
 		parallel.ForShard(cfg.WorkersFor(8*int64(m)*int64(w)*int64(k)), m, func(_, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				for i := 0; i < w; i++ {
-					s := means[i]
-					for j := 0; j < k; j++ {
-						s += scores[r*k+j] * vecs[i*k+j]
-					}
-					out[r*n+col+i] = s
-				}
-			}
+			pcaRows(out, n, col, means, vecs, scores, k, lo, hi)
 		})
 		col += w
 	}
@@ -224,6 +215,25 @@ func reconstructPCA(rep *Rep, cfg parallel.Config) (*grid.Field, error) {
 		return nil, fmt.Errorf("pca: %d unread payload values", len(rep.Values)-vpos)
 	}
 	return grid.FromData(out, rep.Dims...)
+}
+
+// pcaRows writes rows [lo, hi) of X_hat = scores * vecs^T + means into
+// columns [col, col+len(means)) of out (row stride n). Each row starts as
+// a copy of the means and gains one scaled component row at a time, so
+// every element still sums means[i] + s0*v0 + s1*v1 + ... in the order of
+// the per-element dot product, with the same bits, while the inner loop
+// is a contiguous axpy over the row.
+func pcaRows(out []float64, n, col int, means, vecs, scores []float64, k, lo, hi int) {
+	w := len(means)
+	for r := lo; r < hi; r++ {
+		row := out[r*n+col : r*n+col+w]
+		copy(row, means)
+		for j, s := range scores[r*k : (r+1)*k] {
+			for i := range row {
+				row[i] += s * vecs[i*k+j]
+			}
+		}
+	}
 }
 
 // PCASpectrum returns the proportion-of-variance series of the leading

@@ -23,8 +23,10 @@ var (
 // corruption, chunk reorder, or splice changes the key — the stored CRC
 // fields are deliberately not trusted, or a payload flip would collide
 // with the clean archive's key and serve its cached field. Single-shot
-// LRM1 archives fall back to hashing the whole archive.
-func cacheKey(archive []byte) (string, bool) {
+// LRM1 archives fall back to hashing the whole archive. chunks is the
+// container's chunk count (0 for LRM1), which a degraded-mode hit reports
+// as the decode would have.
+func cacheKey(archive []byte) (key string, chunks int, ok bool) {
 	if dims, crcs, ok := core.ChunkCRCs(archive); ok {
 		h := fnvOffset64
 		for _, d := range dims {
@@ -33,16 +35,16 @@ func cacheKey(archive []byte) (string, bool) {
 		for _, c := range crcs {
 			h = fnvMixUint32(h, c)
 		}
-		return "c|" + strconv.FormatUint(h, 16), true
+		return "c|" + strconv.FormatUint(h, 16), len(crcs), true
 	}
 	if len(archive) == 0 {
-		return "", false
+		return "", 0, false
 	}
 	h := fnvOffset64
 	for _, b := range archive {
 		h = (h ^ uint64(b)) * fnvPrime64
 	}
-	return "s|" + strconv.FormatUint(h, 16), true
+	return "s|" + strconv.FormatUint(h, 16), 0, true
 }
 
 // FNV-1a, inlined: the key derivation only needs a stable 64-bit mix, and

@@ -224,10 +224,12 @@ func (s *Server) decompress(ctx context.Context, w http.ResponseWriter, r *http.
 		return herr
 	}
 
-	key, cacheable := cacheKey(archive)
-	if cacheable && s.cache != nil {
+	key, chunks, cacheable := cacheKey(archive)
+	// Degraded mode refuses LRM1 archives, so only a chunked container's
+	// entry may answer a ?partial=1 request.
+	if cacheable && s.cache != nil && (!partial || chunks > 0) {
 		if e, ok := s.cache.get(key); ok {
-			writeField(w, e.dims, e.payload, "hit", partial, nil, 0)
+			writeField(w, e.dims, e.payload, "hit", partial, nil, chunks)
 			return nil
 		}
 	}

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"lrm/internal/compress"
+	"lrm/internal/core"
 	"lrm/internal/grid"
 	"lrm/internal/obs"
 	"lrm/internal/serve"
@@ -428,6 +430,53 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("A second: cache %q, want miss after eviction", got)
 	}
 	waitCounter(t, evictions, before+1)
+}
+
+// TestPartialCacheHitReportsChunks posts one 4-chunk archive twice under
+// ?partial=1: the miss and the cache hit both report its 4 chunks.
+func TestPartialCacheHitReportsChunks(t *testing.T) {
+	_, raw := testField(8)
+	_, ts := newServer(t, serve.Config{})
+	resp, archive := post(t, ts.URL, "/v1/compress?dims=8,8,8&codec=flate&chunks=4", raw, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress: status %d", resp.StatusCode)
+	}
+	for _, want := range []string{"miss", "hit"} {
+		resp, body := post(t, ts.URL, "/v1/decompress?partial=1", archive, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", want, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Lrm-Cache"); got != want {
+			t.Fatalf("X-Lrm-Cache = %q, want %q", got, want)
+		}
+		if got := resp.Header.Get("X-Lrm-Chunks"); got != "4" {
+			t.Errorf("%s: X-Lrm-Chunks = %q, want 4", want, got)
+		}
+		if !bytes.Equal(body, raw) {
+			t.Errorf("%s: payload differs from the flate-coded original", want)
+		}
+	}
+}
+
+// TestPartialRefusesCachedLRM1 caches an LRM1 archive's decode, then asks
+// for it under ?partial=1: degraded mode refuses LRM1, and the cached
+// entry must not answer in its place.
+func TestPartialRefusesCachedLRM1(t *testing.T) {
+	f, _ := testField(8)
+	res, err := core.Compress(context.Background(), f, core.Options{DataCodec: compress.NewFlate(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newServer(t, serve.Config{})
+	if resp, body := post(t, ts.URL, "/v1/decompress", res.Archive, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("strict: status %d (%s)", resp.StatusCode, body)
+	}
+	for i := 0; i < 2; i++ {
+		resp, _ := post(t, ts.URL, "/v1/decompress?partial=1", res.Archive, nil)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("partial #%d: status %d (X-Lrm-Cache %q), want 422", i, resp.StatusCode, resp.Header.Get("X-Lrm-Cache"))
+		}
+	}
 }
 
 func TestPartialDecode(t *testing.T) {

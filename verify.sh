@@ -96,8 +96,10 @@ if [ "${1:-}" != "quick" ]; then
 	step go test -fuzz=FuzzHistoryQuery -fuzztime=10s -run='^$' ./internal/obs/tsdb
 	step go test -fuzz=FuzzParsePprof -fuzztime=10s -run='^$' ./internal/obs/pprofparse
 	# Differential fuzz of the table-driven Huffman decoder against the
-	# per-bit reference decoder.
+	# per-bit reference decoder, and of the zfp block plane decoder against
+	# its pre-rewrite reference.
 	step go test -fuzz=FuzzDecode -fuzztime=10s -run='^$' ./internal/huffman
+	step go test -fuzz=FuzzDecodePlanes -fuzztime=10s -run='^$' ./internal/compress/zfp
 fi
 
 echo "==> verify OK"
