@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParsePprof -fuzztime=10s -run='^$$' ./internal/obs/pprofparse
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run='^$$' ./internal/huffman
 	$(GO) test -fuzz=FuzzDecodePlanes -fuzztime=10s -run='^$$' ./internal/compress/zfp
+	$(GO) test -fuzz=FuzzByteFeatures -fuzztime=10s -run='^$$' ./internal/stats
 
 verify:
 	./verify.sh

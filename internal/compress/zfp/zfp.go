@@ -920,11 +920,25 @@ func (c *Codec) encodeBlocks(f *grid.Field, bs []blockShape, w *bitstream.Writer
 	vals, blk, nb := s.vals, s.blk, s.nb
 	perm := permFor(rank)
 
+	// With observability on, the loop as a whole is timed once and one
+	// block in encodeClockStride is timed stage by stage; stageClock.split
+	// divides the loop's time among the stages by those samples. Until a
+	// non-empty block has been timed, every block is, so each stage that
+	// sees work gets a sample. Counts and planes-per-block tallies are
+	// exact, kept locally and flushed once per shard.
 	rec := obs.Enabled()
-	var alignNs, transformNs, planeNs, nBlocks, nEmpty int64
-	var t0 time.Time
+	var (
+		nBlocks, nEmpty int64
+		planes          [MaxPrecision + 1]int64
+		clk             stageClock
+		timed           bool
+		loop, t0        time.Time
+	)
+	if rec {
+		loop = time.Now()
+	}
 
-	for _, b := range bs {
+	for i, b := range bs {
 		if invariant.Enabled {
 			// Block-grid invariant: every (possibly partial) block keeps
 			// between 1 and 4 valid samples per dimension.
@@ -935,7 +949,9 @@ func (c *Codec) encodeBlocks(f *grid.Field, bs []blockShape, w *bitstream.Writer
 		}
 		if rec {
 			nBlocks++
-			t0 = time.Now()
+			if timed = i%encodeClockStride == 0 || clk.n[1] == 0; timed {
+				t0 = time.Now()
+			}
 		}
 		gather(f, b, vals)
 
@@ -958,7 +974,9 @@ func (c *Codec) encodeBlocks(f *grid.Field, bs []blockShape, w *bitstream.Writer
 			w.WriteBit(0) // empty block
 			if rec {
 				nEmpty++
-				alignNs += time.Since(t0).Nanoseconds()
+				if timed {
+					clk.lap(0, &t0)
+				}
 			}
 			continue
 		}
@@ -976,10 +994,8 @@ func (c *Codec) encodeBlocks(f *grid.Field, bs []blockShape, w *bitstream.Writer
 		for i, v := range vals {
 			blk[i] = int64(v * scale)
 		}
-		if rec {
-			now := time.Now()
-			alignNs += now.Sub(t0).Nanoseconds()
-			t0 = now
+		if timed {
+			clk.lap(0, &t0)
 		}
 
 		// Step 2: decorrelating transform, then reorder coefficients by
@@ -990,10 +1006,8 @@ func (c *Codec) encodeBlocks(f *grid.Field, bs []blockShape, w *bitstream.Writer
 			// that stands in for the unprovable bounds check.
 			nb[i] = int2nb(blk[perm[i]&63])
 		}
-		if rec {
-			now := time.Now()
-			transformNs += now.Sub(t0).Nanoseconds()
-			t0 = now
+		if timed {
+			clk.lap(1, &t0)
 		}
 
 		// Step 3: embedded bit-plane coding down to the mode's floor plane.
@@ -1009,18 +1023,72 @@ func (c *Codec) encodeBlocks(f *grid.Field, bs []blockShape, w *bitstream.Writer
 		}
 		encodePlanes(w, nb, size, kmin)
 		if rec {
-			planeNs += time.Since(t0).Nanoseconds()
-			obsPlanesHist.Observe(int64(intprec - kmin))
+			if timed {
+				clk.lap(2, &t0)
+			}
+			planes[intprec-kmin]++
 		}
 	}
 	if rec {
-		obs.StageAdd("zfp.align", alignNs, nBlocks)
-		obs.StageAdd("zfp.transform", transformNs, nBlocks-nEmpty)
-		obs.StageAdd("zfp.plane_code", planeNs, nBlocks-nEmpty)
+		items := [3]int64{nBlocks, nBlocks - nEmpty, nBlocks - nEmpty}
+		ns := clk.split(time.Since(loop).Nanoseconds(), items)
+		obs.StageAdd("zfp.align", ns[0], items[0])
+		obs.StageAdd("zfp.transform", ns[1], items[1])
+		obs.StageAdd("zfp.plane_code", ns[2], items[2])
 		obsBlocks.Add(nBlocks)
 		obsEmptyBlocks.Add(nEmpty)
+		for p, n := range planes {
+			if n != 0 {
+				obsPlanesHist.ObserveN(int64(p), n)
+			}
+		}
 	}
 	return nil
+}
+
+// encodeClockStride is the encode loop's clock sampling stride: reading
+// the clock around every stage of every block cost about as much as the
+// metrics-on step of a small field's whole encode.
+const encodeClockStride = 16
+
+// stageClock holds per-stage timings of the sampled blocks of one encode
+// loop: ns[i] over n[i] samples for stages align, transform, plane_code.
+type stageClock struct{ ns, n [3]int64 }
+
+// lap charges the time since *t0 to stage i and restarts *t0.
+func (c *stageClock) lap(i int, t0 *time.Time) {
+	now := time.Now()
+	c.ns[i] += now.Sub(*t0).Nanoseconds()
+	c.n[i]++
+	*t0 = now
+}
+
+// split divides total, the loop's measured time, among the stages in
+// proportion to each stage's sampled mean times its item count. A clock
+// too coarse to see any sample falls back to a split by item counts.
+func (c *stageClock) split(total int64, items [3]int64) (ns [3]int64) {
+	var est [3]float64
+	sum := 0.0
+	for i := range est {
+		if c.n[i] > 0 {
+			est[i] = float64(c.ns[i]) / float64(c.n[i]) * float64(items[i])
+		}
+		sum += est[i]
+	}
+	if sum <= 0 {
+		sum = 0
+		for i := range est {
+			est[i] = float64(items[i])
+			sum += est[i]
+		}
+	}
+	if sum <= 0 {
+		return ns
+	}
+	for i := range ns {
+		ns[i] = int64(float64(total) * est[i] / sum)
+	}
+	return ns
 }
 
 // encodePlanes codes planes intprec-1 down to kmin of the negabinary

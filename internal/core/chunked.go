@@ -133,7 +133,6 @@ func CompressChunked(ctx context.Context, f *grid.Field, opts Options, chunks in
 				OriginalBytes:   8 * sub.Len(),
 				CompressedBytes: len(res.Archive),
 				Bound:           bound,
-				Raw:             sub.Bytes,
 				Original:        sub.Data,
 				Reconstruct: func() ([]float64, error) {
 					g, derr := decompressSingle(cctx, res.Archive, parallel.Config{Workers: 1})
@@ -217,11 +216,23 @@ type chunkRecord struct {
 	crc     uint32 // as stored: checked against chunkCRC, never trusted
 }
 
+// minSingleArchive is a floor on the length of any LRM1 archive
+// decompressSingle accepts: the magic, the mode byte, the shortest codec
+// family name ("sz") behind its length byte, the stream's length byte, and
+// the dims header every codec stream leads with (a rank byte and at least
+// one extent byte).
+const minSingleArchive = len(magic) + 1 + 1 + len("sz") + 1 + 2
+
+// minChunkRecord is the smallest well-formed LRMC record: a one-byte CRC
+// uvarint, a one-byte length uvarint and the shortest acceptable archive.
+const minChunkRecord = 2 + minSingleArchive
+
 // frameChunked parses an LRMC header and frames its records. An error
-// means the header is too damaged to frame any chunk. Every record costs
-// at least two bytes (CRC uvarint + length uvarint), so a chunk count
-// beyond the archive length is a varint bomb: it is refused before
-// anything is sized by it.
+// means the header is too damaged to frame any chunk. No well-formed
+// record is shorter than minChunkRecord, so a chunk count the bytes after
+// the header cannot hold is a varint bomb: it is refused before anything
+// is sized by it, and a hostile body can claim at most one chunk per
+// minChunkRecord bytes.
 func frameChunked(archive []byte) (*chunkedFrame, error) {
 	r, err := open(archive, chunkedMagic)
 	if err != nil {
@@ -232,7 +243,7 @@ func frameChunked(archive []byte) (*chunkedFrame, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("core: corrupt chunked header: %w", r.err)
 	}
-	if claimed < 1 || claimed > uint64(len(archive)) || claimed > uint64(dims[0]) {
+	if rest := len(r.buf) - r.pos; claimed < 1 || claimed > uint64(rest/minChunkRecord) || claimed > uint64(dims[0]) {
 		return nil, fmt.Errorf("core: implausible chunk count %d for %d bytes, leading extent %d: %w",
 			claimed, len(archive), dims[0], compress.ErrHeader)
 	}
@@ -328,6 +339,11 @@ func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, p *
 	inner := cfg
 	inner.Workers = innerWorkers(workers, chunks)
 	parallel.For(workers, chunks, func(c int) {
+		// A record that already failed framing or its CRC costs nothing
+		// more: no labels, no span (the container span reports them).
+		if errs[c] != nil {
+			return
+		}
 		// Same chunk-boundary cancellation contract as CompressChunked: a
 		// canceled request stops scheduling chunk decodes instead of running
 		// every remaining record at full CPU.
@@ -339,10 +355,6 @@ func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, p *
 		defer restore()
 		cctx, csp := trace.Start(ctx, "core.chunk_decode")
 		defer csp.End()
-		if errs[c] != nil {
-			csp.SetError(errs[c])
-			return
-		}
 		// Chunk records are always single archives (CompressChunked stores
 		// Compress output); refusing nested containers here keeps a hostile
 		// archive from driving recursive header-sized allocations.
@@ -373,19 +385,25 @@ func chunkedDecode(ctx context.Context, archive []byte, cfg parallel.Config, p *
 		return nil, werr
 	}
 
+	failed := 0
+	for _, err := range errs {
+		if err != nil {
+			failed++
+		}
+	}
 	if sp != nil {
 		sp.AddItems(int64(chunks))
 		sp.SetBytes(int64(len(archive)), int64(8*out.Len()))
-		failed := int64(0)
-		for _, err := range errs {
-			if err != nil {
-				failed++
-			}
+		obsChunksDecoded.Add(int64(chunks - failed))
+		obsChunkErrors.Add(int64(failed))
+		if p != nil && failed > 0 {
+			sp.SetError(fmt.Errorf("core: %d of %d chunks failed", failed, chunks))
 		}
-		obsChunksDecoded.Add(int64(chunks) - failed)
-		obsChunkErrors.Add(failed)
 	}
 
+	if p != nil && failed > 0 {
+		p.Errors = make([]ChunkError, 0, failed)
+	}
 	for c, err := range errs {
 		if err == nil {
 			continue

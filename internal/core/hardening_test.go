@@ -10,8 +10,11 @@ import (
 
 	"lrm/internal/compress"
 	"lrm/internal/compress/fpc"
+	"lrm/internal/compress/sz"
+	"lrm/internal/compress/zfp"
 	"lrm/internal/grid"
 	"lrm/internal/mpi"
+	"lrm/internal/obs"
 	"lrm/internal/parallel"
 )
 
@@ -74,8 +77,8 @@ func claimedChunksArchive(chunks int) []byte {
 }
 
 // TestChunkedClaimedChunksBounded pins the chunk-count bound: a header may
-// claim no more records than the archive has bytes, and the claim sizes
-// nothing before that check. Without it each claimed chunk cost a 40-byte
+// claim no more records than minChunkRecord-byte records fit in the bytes
+// after it, and the claim sizes nothing before that check. Without it each claimed chunk cost a 40-byte
 // record up front (41.9 MB for the 2^20 claim), and degraded mode reported
 // the 2^16 claim as 65,536 failed chunks with no error.
 func TestChunkedClaimedChunksBounded(t *testing.T) {
@@ -105,6 +108,81 @@ func TestChunkedClaimedChunksBounded(t *testing.T) {
 		}
 		if _, _, ok := ChunkCRCs(archive); ok {
 			t.Errorf("%d chunks: ChunkCRCs framed the archive", claimed)
+		}
+	}
+}
+
+// zeroRecordsArchive is a size-byte LRMC body over a one-column field of
+// `claimed` rows that claims `claimed` one-row chunks; every byte after the
+// header is zero, so each record frames as an empty record (CRC 0, length
+// 0) that fails its CRC.
+func zeroRecordsArchive(claimed, size int) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(chunkedMagic)
+	writeUvarint(&buf, uint64(claimed))
+	buf.Write(compress.EncodeDimsHeader([]int{claimed}))
+	return append(buf.Bytes(), make([]byte, size-buf.Len())...)
+}
+
+// TestDegradedDecodeHostileRecordsBounded: a 512 KiB body claiming 2^19
+// empty records is refused at the header, and the largest claim the bound
+// lets through (one record per minChunkRecord bytes, every one failing
+// its CRC) is reported chunk by chunk. Both allocate under 40 MB with
+// metrics on; the 2^19 body used to cost 175 MB.
+func TestDegradedDecodeHostileRecordsBounded(t *testing.T) {
+	pm := obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(pm) })
+	const size = 512 << 10
+	most := (size - 16) / minChunkRecord // the header takes under 16 bytes
+	for _, claimed := range []int{1 << 19, most} {
+		archive := zeroRecordsArchive(claimed, size)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, p, err := decodePartial(context.Background(), archive, parallel.Config{})
+		runtime.ReadMemStats(&ms)
+		alloc := ms.TotalAlloc - before
+		t.Logf("%d claimed chunks: %d bytes allocated", claimed, alloc)
+		if alloc >= 40<<20 {
+			t.Errorf("%d claimed chunks: degraded decode allocated %d bytes, want < 40 MB", claimed, alloc)
+		}
+		if claimed > most {
+			if !errors.Is(err, compress.ErrHeader) {
+				t.Errorf("%d claimed chunks: error %v, want ErrHeader", claimed, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d claimed chunks: %v", claimed, err)
+		}
+		if len(p.Errors) != claimed || cap(p.Errors) != claimed || p.Chunks != claimed {
+			t.Fatalf("%d claimed chunks: %d errors (cap %d) of %d chunks", claimed, len(p.Errors), cap(p.Errors), p.Chunks)
+		}
+		if !errors.Is(p.Errors[claimed-1], compress.ErrCorrupt) {
+			t.Errorf("last chunk error %v, want ErrCorrupt", p.Errors[claimed-1])
+		}
+	}
+}
+
+// TestMinChunkRecordIsAFloor: no codec family name is shorter than the
+// one minSingleArchive assumes, and no codec's archive of a one-value
+// field is shorter than minSingleArchive.
+func TestMinChunkRecordIsAFloor(t *testing.T) {
+	for _, fam := range compress.Families() {
+		if len(fam) < len("sz") {
+			t.Errorf("codec family %q is shorter than minSingleArchive assumes", fam)
+		}
+	}
+	one := grid.New(1)
+	one.Data[0] = 1.5
+	codecs := []compress.Codec{compress.NewFlate(6), fpc.MustNew(12), sz.MustNew(sz.Abs, 1e-3), zfp.MustNew(16), ctrCodec{}}
+	for _, c := range codecs {
+		res, err := Compress(context.Background(), one, Options{DataCodec: c})
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		if len(res.Archive) < minSingleArchive {
+			t.Errorf("%s: %d-byte archive is under minSingleArchive %d", c.Name(), len(res.Archive), minSingleArchive)
 		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"sync"
 )
 
 // Field is a dense float64 array of rank 1 to 3.
@@ -259,19 +261,104 @@ func (f *Field) Bytes() []byte {
 }
 
 // FromBytes parses little-endian float64s into a field with the given dims.
+// It is ReadField over an in-memory slice, without the read buffer: the
+// whole of b has arrived, so the field is allocated at once.
 func FromBytes(b []byte, dims ...int) (*Field, error) {
 	n, err := checkDims(dims)
 	if err != nil {
 		return nil, err
 	}
-	if len(b) != 8*n {
-		return nil, fmt.Errorf("grid: byte length %d does not match dims %v (want %d)", len(b), dims, 8*n)
+	if int64(len(b)) != 8*int64(n) || n > math.MaxInt/8 {
+		return nil, lengthError(int64(len(b)), dims, n)
 	}
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	f := &Field{Dims: append([]int(nil), dims...), Data: make([]float64, n)}
+	unpackLE(f.Data, b)
+	return f, nil
+}
+
+// readBufBytes is ReadField's read buffer size, a multiple of 8.
+const readBufBytes = 64 << 10
+
+var readBufs = sync.Pool{New: func() any { b := make([]byte, readBufBytes); return &b }}
+
+// ReadField reads a field of the given dims from r as little-endian
+// float64s, through pooled read buffers, writing the values straight into
+// the field. Nothing is sized by dims alone: the field is allocated once
+// the bytes received back at least half of it (8·n ≤ 2·received + one
+// buffer); the bytes before that wait in pooled buffers. A claim of
+// billions of values followed by a few bytes therefore costs what those
+// bytes cost.
+//
+// r is read to EOF. An error from r is returned as is; a byte count other
+// than 8·n is FromBytes' length error.
+func ReadField(r io.Reader, dims ...int) (*Field, error) {
+	n, err := checkDims(dims)
+	if err != nil {
+		return nil, err
 	}
-	return FromData(data, dims...)
+	want := int64(math.MaxInt64) // unreachable when 8·n overflows
+	if n <= math.MaxInt/8 {
+		want = 8 * int64(n)
+	}
+	var (
+		data    []float64
+		pos     int       // values written to data
+		pending []*[]byte // full buffers received before data was allocated
+		total   int64     // bytes received
+	)
+	defer func() {
+		for _, p := range pending {
+			readBufs.Put(p)
+		}
+	}()
+	bufp := readBufs.Get().(*[]byte)
+	defer func() { readBufs.Put(bufp) }()
+	for {
+		m, rerr := io.ReadFull(r, *bufp)
+		total += int64(m)
+		if data == nil && want <= 2*total+readBufBytes {
+			data = make([]float64, n)
+			for _, p := range pending {
+				pos += unpackLE(data[pos:], *p)
+				readBufs.Put(p)
+			}
+			pending = pending[:0]
+		}
+		switch {
+		case data != nil:
+			pos += unpackLE(data[pos:], (*bufp)[:m])
+		case rerr == nil:
+			pending = append(pending, bufp)
+			bufp = readBufs.Get().(*[]byte)
+		}
+		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+			break
+		}
+		if rerr != nil {
+			return nil, rerr
+		}
+	}
+	if total != want {
+		return nil, lengthError(total, dims, n)
+	}
+	return &Field{Dims: append([]int(nil), dims...), Data: data}, nil
+}
+
+// unpackLE decodes the whole little-endian float64s of b into dst, as many
+// as both hold, and returns how many it wrote. It is the one unpacking loop
+// behind FromBytes and ReadField.
+func unpackLE(dst []float64, b []byte) int {
+	k := min(len(dst), len(b)/8)
+	dst, b = dst[:k], b[:8*k]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return k
+}
+
+// lengthError reports a byte count that does not match dims (of n values).
+func lengthError(got int64, dims []int, n int) error {
+	return fmt.Errorf("grid: byte length %d does not match dims %v (want %d)", got, dims, 8*n)
 }
 
 // ErrRank is returned when an operation receives a field of unsupported rank.

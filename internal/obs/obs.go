@@ -185,6 +185,15 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 }
 
+// ObserveN records value v n times: the flush of a tally kept locally by
+// a loop too hot to Observe per item.
+func (h *Histogram) ObserveN(v, n int64) {
+	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
+	h.counts[i].Add(n)
+	h.sum.Add(v * n)
+	h.count.Add(n)
+}
+
 // ObserveExemplar records one value and attaches traceID as the bucket's
 // exemplar (last write wins). An empty traceID degrades to Observe.
 func (h *Histogram) ObserveExemplar(v int64, traceID string) {

@@ -108,11 +108,10 @@ type Event struct {
 	// guarantee is not expressible as one (fixed-precision zfp,
 	// pointwise-relative sz) and 0 for lossless codecs.
 	Bound float64
-	// Raw returns the field's wire bytes for the Fig. 1 byte features.
-	// Nil skips features. Called only on sampled events.
-	Raw func() []byte
-	// Original is the reference data for the reconstruction check
-	// (read-only). Nil skips the check.
+	// Original is the field's data (read-only). On sampled events the Fig.
+	// 1 byte features of its little-endian wire bytes are computed from it
+	// (stats.CharacterizeFloats), and it is the reference of the
+	// reconstruction check. Nil skips both.
 	Original []float64
 	// Reconstruct decodes the just-produced archive. Nil skips the
 	// check. Called only on sampled events.
@@ -132,7 +131,8 @@ type Record struct {
 	Ratio           float64 `json:"ratio"`
 	Bound           float64 `json:"bound,omitempty"`
 	Sampled         bool    `json:"sampled"`
-	// Byte features (Fig. 1), present when Sampled and Raw was supplied.
+	// Byte features (Fig. 1), present when Sampled and Original was
+	// supplied.
 	ByteEntropy float64 `json:"byte_entropy,omitempty"`
 	SerialCorr  float64 `json:"serial_corr,omitempty"`
 	// Reconstruction check, present when Sampled and Reconstruct ran.
@@ -232,12 +232,10 @@ func Observe(ev Event) {
 	if n := sampleEvery.Load(); n >= 1 && sampleTick.Add(1)%n == 0 {
 		rec.Sampled = true
 		cSampled.Inc()
-		if ev.Raw != nil {
-			if raw := ev.Raw(); len(raw) > 0 {
-				ch := stats.Characterize(raw)
-				rec.ByteEntropy = ch.ByteEntropy
-				rec.SerialCorr = ch.SerialCorrelation
-			}
+		if len(ev.Original) > 0 {
+			ch := stats.CharacterizeFloats(ev.Original)
+			rec.ByteEntropy = ch.ByteEntropy
+			rec.SerialCorr = ch.SerialCorrelation
 		}
 		check(&rec, ev)
 	}
@@ -262,9 +260,8 @@ func check(rec *Record, ev Event) {
 		return
 	}
 	rec.Checked = true
-	rec.MaxAbsErr = stats.MaxAbsError(ev.Original, got)
-	rec.NRMSE = stats.NRMSE(ev.Original, got)
-	rec.PSNRdB = stats.PSNR(ev.Original, got)
+	cmp := stats.Compare(ev.Original, got)
+	rec.MaxAbsErr, rec.NRMSE, rec.PSNRdB = cmp.MaxAbsErr, cmp.NRMSE, cmp.PSNR
 	if !math.IsInf(rec.PSNRdB, 0) {
 		hPSNR.Observe(int64(rec.PSNRdB))
 	}

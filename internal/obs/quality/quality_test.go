@@ -1,6 +1,7 @@
 package quality_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -9,6 +10,7 @@ import (
 
 	"lrm/internal/obs"
 	"lrm/internal/obs/quality"
+	"lrm/internal/stats"
 )
 
 // withQuality enables the registry and isolates the sampling stride and
@@ -41,7 +43,6 @@ func event(bound, maxErr float64) quality.Event {
 		OriginalBytes:   800,
 		CompressedBytes: 100,
 		Bound:           bound,
-		Raw:             func() []byte { return []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11} },
 		Original:        orig,
 		Reconstruct:     func() ([]float64, error) { return recon, nil },
 	}
@@ -212,5 +213,43 @@ func TestHandlerServesJSON(t *testing.T) {
 	}
 	if _, ok := doc.Histograms["quality.ratio"]; !ok {
 		t.Fatal("response missing the quality.ratio histogram")
+	}
+}
+
+// TestSampledRecordValues: a sampled record's byte features and error
+// metrics are the values the byte-buffer and per-metric functions give on
+// the same data, bit for bit.
+func TestSampledRecordValues(t *testing.T) {
+	withQuality(t, 1)
+	orig := make([]float64, 1000)
+	recon := make([]float64, len(orig))
+	for i := range orig {
+		orig[i] = math.Sin(float64(i)*0.05) * 40
+		recon[i] = orig[i] + 1e-4*math.Cos(float64(i)*1.7)
+	}
+	ev := event(1e-3, 0)
+	ev.Original = orig
+	ev.Reconstruct = func() ([]float64, error) { return recon, nil }
+	quality.Observe(ev)
+
+	r := quality.Records()[0]
+	raw := make([]byte, 8*len(orig))
+	for i, v := range orig {
+		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+	}
+	ch := stats.Characterize(raw)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"byte entropy", r.ByteEntropy, ch.ByteEntropy},
+		{"serial correlation", r.SerialCorr, ch.SerialCorrelation},
+		{"max abs err", r.MaxAbsErr, stats.MaxAbsError(orig, recon)},
+		{"nrmse", r.NRMSE, stats.NRMSE(orig, recon)},
+		{"psnr", r.PSNRdB, stats.PSNR(orig, recon)},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }

@@ -103,8 +103,9 @@ func (t *Trace) IDString() string { return IDString(t.ID) }
 // traceData accumulates a trace's finished spans while it is in flight.
 // Children may End concurrently on pool workers, so appends are locked.
 type traceData struct {
-	id   uint64
-	done atomic.Bool // root ended; stragglers and new children are dropped
+	id    uint64
+	idStr string      // IDString(id), formatted once for every span's exemplar
+	done  atomic.Bool // root ended; stragglers and new children are dropped
 
 	mu      sync.Mutex
 	spans   []SpanRecord
@@ -168,7 +169,8 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 			sp.td = parent.td
 			sp.parentID = parent.spanID
 		} else {
-			sp.td = &traceData{id: traceIDs.Add(1)}
+			id := traceIDs.Add(1)
+			sp.td = &traceData{id: id, idStr: IDString(id)}
 		}
 		sp.spanID = spanIDs.Add(1)
 		ctx = context.WithValue(ctx, ctxKey{}, sp)
@@ -190,7 +192,7 @@ func (s *Span) TraceID() string {
 	if s == nil || s.td == nil {
 		return ""
 	}
-	return IDString(s.td.id)
+	return s.td.idStr
 }
 
 // SpanID returns the span's ID (0 when nil or metrics-only).
@@ -240,7 +242,7 @@ func (s *Span) End() {
 	if s.metrics {
 		exemplar := ""
 		if s.td != nil {
-			exemplar = IDString(s.td.id)
+			exemplar = s.td.idStr
 		}
 		obs.StageObserve(s.name, ns, s.bytesIn, s.bytesOut, s.items, exemplar)
 	}

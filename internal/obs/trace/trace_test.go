@@ -125,6 +125,35 @@ func TestMetricsOnlySpanRecordsStageBundle(t *testing.T) {
 	}
 }
 
+// TestMetricsOnlySpanEndAllocFree: with metrics on and tracing off, End
+// feeds the stage bundle without allocating, so a served request's dozens
+// of stage spans cost no garbage when they finish.
+func TestMetricsOnlySpanEndAllocFree(t *testing.T) {
+	pm := obs.SetEnabled(true)
+	pt := SetEnabled(false)
+	t.Cleanup(func() {
+		obs.Reset()
+		obs.SetEnabled(pm)
+		SetEnabled(pt)
+	})
+
+	const runs = 200
+	spans := make([]*Span, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range spans {
+		_, spans[i] = Start(context.Background(), "metrics.alloc_free")
+		spans[i].SetBytes(64, 8)
+		spans[i].AddItems(1)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		spans[next].End()
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("metrics-only Span.End allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestSpanTreeNesting(t *testing.T) {
 	withTracing(t)
 	ctx, root := Start(context.Background(), "t.root")

@@ -33,25 +33,47 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithCancel(r.Context())
 }
 
-// readBody drains the request body under the configured cap. The returned
-// httpError distinguishes the cap (413) from a mid-upload disconnect
-// (reported as canceled=true; there is nobody left to answer).
+// readBody drains the request body under the configured cap.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, ep *epMetrics) ([]byte, *httpError) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)}
-		}
-		if r.Context().Err() != nil {
-			ep.canceled.Inc()
-			return nil, &httpError{status: 499, msg: "client went away"}
-		}
-		return nil, badRequest("reading body: %v", err)
+		return nil, bodyError(r, ep, err)
 	}
 	ep.bytesIn.Add(int64(len(body)))
 	return body, nil
+}
+
+// bodyError maps a failed body read: the cap is 413, a mid-upload
+// disconnect is 499 (there is nobody left to answer), anything else 400.
+func bodyError(r *http.Request, ep *epMetrics, err error) *httpError {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)}
+	}
+	if r.Context().Err() != nil {
+		ep.canceled.Inc()
+		return &httpError{status: 499, msg: "client went away"}
+	}
+	return badRequest("reading body: %v", err)
+}
+
+// bodyReader counts the bytes read from a request body and keeps its
+// read error, so a streaming consumer's failure can be told apart from
+// the body's.
+type bodyReader struct {
+	r   io.Reader
+	n   int64
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.n += int64(n)
+	if err != nil && err != io.EOF {
+		b.err = err
+	}
+	return n, err
 }
 
 // fail writes an httpError. Status 499 (client disconnected, nginx's
@@ -137,11 +159,14 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) compress(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	codec compress.Codec, dims []int, chunks int) *httpError {
-	body, herr := s.readBody(w, r, s.epCompress)
-	if herr != nil {
-		return herr
+	// The body streams straight into the field: one pass, no copy of the
+	// raw bytes, and nothing allocated beyond what has arrived.
+	body := &bodyReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
+	f, err := grid.ReadField(body, dims...)
+	if body.err != nil {
+		return bodyError(r, s.epCompress, body.err)
 	}
-	f, err := grid.FromBytes(body, dims...)
+	s.epCompress.bytesIn.Add(body.n)
 	if err != nil {
 		return badRequest("%v", err)
 	}
@@ -170,7 +195,6 @@ func (s *Server) compress(ctx context.Context, w http.ResponseWriter, r *http.Re
 		OriginalBytes:   res.OriginalBytes,
 		CompressedBytes: len(res.Archive),
 		Bound:           absBound(codec, f),
-		Raw:             func() []byte { return body },
 		Original:        f.Data,
 		Reconstruct: func() ([]float64, error) {
 			g, err := core.Decompress(ctx, res.Archive,
@@ -262,7 +286,7 @@ func (s *Server) decompress(ctx context.Context, w http.ResponseWriter, r *http.
 		OriginalBytes:   len(payload),
 		CompressedBytes: len(archive),
 		Bound:           math.NaN(),
-		Raw:             func() []byte { return payload },
+		Original:        field.Data,
 	})
 	return nil
 }

@@ -154,8 +154,9 @@ func negotiateCodec(r *http.Request) (compress.Codec, *httpError) {
 }
 
 // negotiateDims parses the field shape from ?dims= or X-Lrm-Dims
-// ("64,64,64", outermost first). The body length is validated against the
-// product later by grid.FromBytes.
+// ("64,64,64", outermost first) and refuses more than compress.MaxElements
+// values before any body byte is read. The body length is validated
+// against the product as the body streams in, by grid.ReadField.
 func negotiateDims(r *http.Request) ([]int, *httpError) {
 	v := param(r, "dims")
 	if v == "" {
@@ -166,12 +167,17 @@ func negotiateDims(r *http.Request) ([]int, *httpError) {
 		return nil, badRequest("dims %q: rank must be 1..3", v)
 	}
 	dims := make([]int, len(parts))
+	total := 1
 	for i, p := range parts {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || n < 1 {
 			return nil, badRequest("dims %q: extent %q is not a positive integer", v, p)
 		}
+		if n > compress.MaxElements/total {
+			return nil, badRequest("dims %q: more than %d values", v, compress.MaxElements)
+		}
 		dims[i] = n
+		total *= n
 	}
 	return dims, nil
 }

@@ -207,6 +207,50 @@ func MaxAbsError(a, b []float64) float64 {
 	return m
 }
 
+// Comparison holds the error metrics of a reconstruction b against its
+// reference a, as MaxAbsError, NRMSE and PSNR compute them.
+type Comparison struct {
+	MaxAbsErr, NRMSE, PSNR float64
+}
+
+// Compare computes MaxAbsError, NRMSE and PSNR of b against a in one
+// pass. Each result is bit for bit the separate function's: the squared
+// errors are summed in the same order and the range uses the same
+// math.Min/math.Max scan. The slices must have equal length.
+func Compare(a, b []float64) Comparison {
+	if len(a) != len(b) {
+		panic("stats: Compare length mismatch")
+	}
+	b = b[:len(a)]
+	lo, hi := math.Inf(1), math.Inf(-1)
+	m, s := 0.0, 0.0
+	for i, x := range a {
+		d := x - b[i]
+		s += d * d
+		if ad := math.Abs(d); ad > m {
+			m = ad
+		}
+		lo = math.Min(lo, x)
+		hi = math.Max(hi, x)
+	}
+	rmse := 0.0
+	if len(a) > 0 {
+		rmse = math.Sqrt(s / float64(len(a)))
+	}
+	c := Comparison{MaxAbsErr: m, NRMSE: rmse, PSNR: math.Inf(1)}
+	if hi > lo {
+		c.NRMSE = rmse / (hi - lo)
+	}
+	if rmse != 0 {
+		peak := hi - lo
+		if peak <= 0 {
+			peak = 1
+		}
+		c.PSNR = 20 * math.Log10(peak/rmse)
+	}
+	return c
+}
+
 // Mean returns the arithmetic mean of vals (0 for empty input).
 func Mean(vals []float64) float64 {
 	if len(vals) == 0 {
@@ -246,5 +290,81 @@ func Characterize(b []byte) Characteristics {
 		ByteEntropy:       ByteEntropy(b),
 		ByteMean:          ByteMean(b),
 		SerialCorrelation: SerialCorrelation(b),
+	}
+}
+
+// CharacterizeFloats is Characterize over the little-endian float64 bytes
+// of vals, computed from the values without serialising them. The byte
+// histogram, byte sums and lag-1 products are exact integers; the
+// float64 sums of ByteMean and SerialCorrelation are exact too while they
+// stay below 2^53 (fewer than about 1.7·10^10 values), so below that size
+// every result is bit for bit Characterize's.
+func CharacterizeFloats(vals []float64) Characteristics {
+	if len(vals) == 0 {
+		return Characteristics{}
+	}
+	// One histogram per byte lane: a value's bytes land in different
+	// tables, so runs of equal exponent bytes do not serialise on one
+	// counter.
+	var lanes [8][256]uint64
+	var sxy, prev uint64 // sum of b[i]*b[i+1]; last byte of the previous value
+	for i, v := range vals {
+		u := math.Float64bits(v)
+		b0, b1, b2, b3 := u&0xff, u>>8&0xff, u>>16&0xff, u>>24&0xff
+		b4, b5, b6, b7 := u>>32&0xff, u>>40&0xff, u>>48&0xff, u>>56
+		lanes[0][b0]++
+		lanes[1][b1]++
+		lanes[2][b2]++
+		lanes[3][b3]++
+		lanes[4][b4]++
+		lanes[5][b5]++
+		lanes[6][b6]++
+		lanes[7][b7]++
+		sxy += b0*b1 + b1*b2 + b2*b3 + b3*b4 + b4*b5 + b5*b6 + b6*b7
+		if i > 0 {
+			sxy += prev * b0
+		}
+		prev = b7
+	}
+
+	var counts [256]int
+	var sum, sumSq uint64
+	for c := range counts {
+		n := uint64(0)
+		for l := range lanes {
+			n += lanes[l][c]
+		}
+		counts[c] = int(n)
+		sum += n * uint64(c)
+		sumSq += n * uint64(c*c)
+	}
+	nb := 8 * len(vals)
+	first, last := math.Float64bits(vals[0])&0xff, prev
+
+	// ByteEntropy over the merged histogram.
+	fn := float64(nb)
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / fn
+		h -= p * math.Log2(p)
+	}
+
+	// SerialCorrelation: x runs over bytes 0..nb-2, y over 1..nb-1.
+	sx, sy := float64(sum-last), float64(sum-first)
+	sxx, syy := float64(sumSq-last*last), float64(sumSq-first*first)
+	fp := float64(nb - 1)
+	num := float64(sxy) - sx*sy/fp
+	den := math.Sqrt((sxx - sx*sx/fp) * (syy - sy*sy/fp))
+	corr := 0.0
+	if den != 0 {
+		corr = num / den
+	}
+	return Characteristics{
+		ByteEntropy:       h,
+		ByteMean:          float64(sum) / fn,
+		SerialCorrelation: corr,
 	}
 }

@@ -96,10 +96,12 @@ if [ "${1:-}" != "quick" ]; then
 	step go test -fuzz=FuzzHistoryQuery -fuzztime=10s -run='^$' ./internal/obs/tsdb
 	step go test -fuzz=FuzzParsePprof -fuzztime=10s -run='^$' ./internal/obs/pprofparse
 	# Differential fuzz of the table-driven Huffman decoder against the
-	# per-bit reference decoder, and of the zfp block plane decoder against
-	# its pre-rewrite reference.
+	# per-bit reference decoder, of the zfp block plane decoder against its
+	# pre-rewrite reference, and of the float-direct byte features against
+	# the byte-buffer ones.
 	step go test -fuzz=FuzzDecode -fuzztime=10s -run='^$' ./internal/huffman
 	step go test -fuzz=FuzzDecodePlanes -fuzztime=10s -run='^$' ./internal/compress/zfp
+	step go test -fuzz=FuzzByteFeatures -fuzztime=10s -run='^$' ./internal/stats
 fi
 
 echo "==> verify OK"
