@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lint-json test invariants faultsweep race race-trace race-profile fuzz bench serve-smoke verify
+.PHONY: build vet fmt lint lint-json test invariants faultsweep race race-trace fuzz bench serve-smoke verify
 
 build:
 	$(GO) build ./...
@@ -42,11 +42,6 @@ race:
 race-trace:
 	$(GO) test -race -run TestConcurrentTraceStress -count=2 ./internal/obs/trace
 
-# Continuous-profiler race-stress: real windows rotating concurrently with
-# /debug/profile + /debug/flame scrapes and registry Reset.
-race-profile:
-	$(GO) test -race -run TestConcurrentWindowsAndScrapes -count=2 ./internal/obs/profile
-
 # The benchmark (lrm-bench/3, BENCHMARK.json): every workload, end to end.
 bench:
 	bash lrmbench3/run.sh -workload all -seed 1
@@ -65,7 +60,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecompressChunked -fuzztime=10s -run='^$$' ./internal/core
 	$(GO) test -fuzz=FuzzWriteChromeTrace -fuzztime=10s -run='^$$' ./internal/obs/trace
 	$(GO) test -fuzz=FuzzHistoryQuery -fuzztime=10s -run='^$$' ./internal/obs/tsdb
-	$(GO) test -fuzz=FuzzParsePprof -fuzztime=10s -run='^$$' ./internal/obs/pprofparse
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run='^$$' ./internal/huffman
 	$(GO) test -fuzz=FuzzDecodePlanes -fuzztime=10s -run='^$$' ./internal/compress/zfp
 	$(GO) test -fuzz=FuzzByteFeatures -fuzztime=10s -run='^$$' ./internal/stats

@@ -21,7 +21,6 @@ import (
 	"lrm/internal/dataset"
 	"lrm/internal/experiments"
 	"lrm/internal/obs"
-	"lrm/internal/obs/profile"
 	"lrm/internal/obs/trace"
 	"lrm/internal/obs/tsdb"
 )
@@ -42,36 +41,11 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	historyPath := flag.String("history", "", "sample the obs registry during the run and write the telemetry history JSON here")
 	dashPath := flag.String("dash", "", "write the rendered telemetry dashboard HTML here at exit")
-	profCont := flag.Bool("profile-continuous", false, "run the continuous in-process profiler (short CPU windows + heap deltas) during the run")
-	profileJSON := flag.String("profile-json", "", "write the continuous profiler's aggregated JSON here at exit (implies -profile-continuous)")
-	flamePath := flag.String("flame", "", "write the continuous profiler's flame graph SVG here at exit (implies -profile-continuous)")
 	flag.Usage = usage
 	flag.Parse()
 
-	// The continuous profiler and -cpuprofile both need the runtime's
-	// single CPU profiler; refuse the combination up front instead of
-	// letting whichever starts first win and the other write a silent
-	// empty profile.
-	continuous := *profCont || *profileJSON != "" || *flamePath != ""
-	if continuous && *cpuProfile != "" {
-		logger.Error("lrmexp: -profile-continuous (or -profile-json/-flame) and -cpuprofile are mutually exclusive: the runtime allows one CPU profile at a time")
-		os.Exit(2)
-	}
-
-	if *statsOut != "" || *debugAddr != "" || *traceOut != "" || *historyPath != "" || *dashPath != "" || continuous {
+	if *statsOut != "" || *debugAddr != "" || *traceOut != "" || *historyPath != "" || *dashPath != "" {
 		obs.SetEnabled(true)
-	}
-	if continuous {
-		prof := profile.New(profile.Config{Interval: 2 * time.Second, Window: 500 * time.Millisecond})
-		prof.Mount() // /debug/profile and /debug/flame join -debug-addr's mux
-		prof.Start()
-		jp, fp := *profileJSON, *flamePath
-		defer func() {
-			prof.Stop() // flushes the in-flight window before the dump
-			if err := prof.DumpFiles(jp, fp); err != nil {
-				logger.Error("lrmexp: profile", "err", err)
-			}
-		}()
 	}
 	if *historyPath != "" || *dashPath != "" {
 		hist := tsdb.New(tsdb.Config{Interval: 100 * time.Millisecond})
@@ -239,9 +213,9 @@ Flags:
   -cpuprofile file   write a CPU profile of the whole run
   -memprofile file   write a heap profile at exit
   -debug-addr addr   serve /metrics, /debug/vars and /debug/pprof while running
-  -profile-continuous  run the continuous profiler (excludes -cpuprofile)
-  -profile-json file   write the continuous profiler's aggregate JSON at exit
-  -flame file          write the continuous profiler's flame graph SVG at exit
+  -history file      sample the metrics during the run; write the history JSON at exit
+  -dash file         write the telemetry dashboard HTML at exit
+  -csv               emit CSV instead of the formatted table
 
 Examples:
   lrmexp list

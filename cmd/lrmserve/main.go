@@ -9,8 +9,6 @@
 //	         [-cache-bytes BYTES] [-chunks N] [-drain-timeout 30s]
 //	         [-history-interval 1s] [-history-samples 512]
 //	         [-slo-availability 0.999] [-slo-p99 500ms]
-//	         [-profile-interval 60s] [-profile-window 10s]
-//	         [-flame-baseline baseline.json]
 //
 // Endpoints:
 //
@@ -21,7 +19,11 @@
 //	GET  /metrics, /debug/vars, /debug/pprof/..., /debug/traces
 //	GET  /debug/history[?name=...&match=...&since=5m&rate=1&n=100]
 //	GET  /debug/dash, /debug/quality
-//	GET  /debug/profile[?n=25&since=15m&format=baseline], /debug/flame[?diff=1]
+//
+// CPU samples taken through /debug/pprof/profile carry the stage, codec
+// and chunk pprof labels of the pipeline work they hit, so
+// `go tool pprof -tagfocus stage=chunk_compress` narrows a capture to one
+// layer and `-diff_base` compares two captures.
 package main
 
 import (
@@ -37,7 +39,6 @@ import (
 	"time"
 
 	"lrm/internal/obs"
-	"lrm/internal/obs/profile"
 	"lrm/internal/obs/slo"
 	"lrm/internal/obs/trace"
 	"lrm/internal/obs/tsdb"
@@ -68,9 +69,6 @@ func run(args []string) int {
 	histSamples := fs.Int("history-samples", 0, "samples retained per history series (0 = 512)")
 	sloAvail := fs.Float64("slo-availability", 0, "availability objective in (0,1) (0 = 0.999)")
 	sloP99 := fs.Duration("slo-p99", 0, "p99 latency objective (0 = 500ms)")
-	profInterval := fs.Duration("profile-interval", 0, "continuous-profiler window cadence (0 = 60s)")
-	profWindow := fs.Duration("profile-window", 0, "continuous-profiler CPU window length (0 = 10s)")
-	flameBaseline := fs.String("flame-baseline", "", "baseline profile JSON for /debug/flame?diff=1")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -85,20 +83,6 @@ func run(args []string) int {
 	// stops after the drain so the final samples cover shutdown.
 	hist := tsdb.New(tsdb.Config{Interval: *histInterval, Capacity: *histSamples})
 	hist.Mount()
-
-	// The continuous profiler follows the same lifecycle: handlers mounted
-	// before the mux snapshot, windows start with the listener, the
-	// in-flight window is flushed during drain. Its per-stage CPU-fraction
-	// gauges land in the obs registry, so the history sampler above turns
-	// them into /debug/history series with no further wiring.
-	prof := profile.New(profile.Config{Interval: *profInterval, Window: *profWindow})
-	if *flameBaseline != "" {
-		if err := prof.LoadBaseline(*flameBaseline); err != nil {
-			logger.Error("lrmserve: flame baseline", "path", *flameBaseline, "err", err)
-			return 2
-		}
-	}
-	prof.Mount()
 
 	srv := serve.New(serve.Config{
 		Workers:        *workers,
@@ -119,7 +103,6 @@ func run(args []string) int {
 	}
 	logger.Info("lrmserve: serving", "addr", ln.Addr().String())
 	hist.Start()
-	prof.Start()
 
 	// Drain on SIGTERM (orchestrator stop) and SIGINT (operator ^C): stop
 	// the signal context, flip into draining, and give in-flight requests
@@ -151,10 +134,6 @@ func run(args []string) int {
 		logger.Error("lrmserve: serve", "err", err)
 		code = 1
 	}
-	// Stop the profiler before the history sampler: its cut-short final
-	// window flushes the drain's stage gauges into the registry, and the
-	// sampler's last pass below then records them.
-	prof.Stop()
 	// Stop the sampler after the drain completes: its final pass records
 	// the post-drain registry state, so the history ends with the truth
 	// about how shutdown went.

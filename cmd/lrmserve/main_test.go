@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"net"
@@ -77,15 +77,18 @@ func TestRunServesAndDrainsOnSigterm(t *testing.T) {
 	}
 }
 
-// TestRunContinuousProfilerEndToEnd boots the full service with a fast
-// profiler cadence, drives real compress traffic, and checks the three
-// acceptance surfaces over TCP: /debug/profile carries stage-attributed
-// samples, /debug/flame is an SVG whose frames include a stage.* label,
-// and /debug/history serves profile.stage.* CPU-fraction series.
-func TestRunContinuousProfilerEndToEnd(t *testing.T) {
+// TestRunPprofProfileCarriesStageLabels boots the full service, drives sz
+// compress load, and takes a CPU profile from /debug/pprof/profile within
+// the first second. Nothing else in the process holds the runtime's CPU
+// profiler, so the capture answers 200, and its samples carry the stage
+// pprof labels that `go tool pprof -tagfocus stage=chunk_compress` filters
+// on: the profile's string table holds the key "stage" and the value
+// "chunk_compress".
+func TestRunPprofProfileCarriesStageLabels(t *testing.T) {
 	if testing.Short() {
-		t.Skip("boots the full service and profiles real CPU windows")
+		t.Skip("boots the full service and profiles one second of load")
 	}
+	body := heat3d.Solve(heat3d.Default(32)).Bytes()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("probe listen: %v", err)
@@ -94,13 +97,7 @@ func TestRunContinuousProfilerEndToEnd(t *testing.T) {
 	ln.Close()
 
 	codec := make(chan int, 1)
-	go func() {
-		codec <- run([]string{
-			"-addr", addr, "-drain-timeout", "5s",
-			"-history-interval", "100ms",
-			"-profile-interval", "800ms", "-profile-window", "400ms",
-		})
-	}()
+	go func() { codec <- run([]string{"-addr", addr, "-drain-timeout", "5s"}) }()
 	defer func() {
 		_ = syscall.Kill(os.Getpid(), syscall.SIGTERM)
 		select {
@@ -128,19 +125,19 @@ func TestRunContinuousProfilerEndToEnd(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	up := time.Now()
 
-	// Drive compress load so the profiler's windows catch labeled codec
-	// work. The generator runs until the poll below succeeds.
-	body := heat3d.Solve(heat3d.Default(32)).Bytes()
+	// Compress load for the profile to sample; it runs until the capture
+	// is in.
 	loadStop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
-		go func(stop chan struct{}) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
-				case <-stop:
+				case <-loadStop:
 					return
 				default:
 				}
@@ -151,83 +148,44 @@ func TestRunContinuousProfilerEndToEnd(t *testing.T) {
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
-		}(loadStop)
+		}()
 	}
 	defer func() {
 		close(loadStop)
 		wg.Wait()
 	}()
 
-	get := func(path string) (int, []byte) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: read: %v", path, err)
-		}
-		return resp.StatusCode, raw
+	if since := time.Since(up); since > time.Second {
+		t.Fatalf("profile request not issued within the first second (%v after startup)", since)
 	}
-
-	// Poll until a window attributes CPU to a chunk_compress stage.
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		code, raw := get("/debug/profile")
-		if code != http.StatusOK {
-			t.Fatalf("/debug/profile: status %d: %s", code, raw)
-		}
-		var doc struct {
-			Schema string `json:"schema"`
-			Stages []struct {
-				Value string `json:"value"`
-				Ns    int64  `json:"ns"`
-			} `json:"stages"`
-		}
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatalf("/debug/profile: bad JSON: %v\n%s", err, raw)
-		}
-		if doc.Schema != "lrm-profile/1" {
-			t.Fatalf("/debug/profile schema %q", doc.Schema)
-		}
-		attributed := false
-		for _, s := range doc.Stages {
-			if s.Value == "chunk_compress" && s.Ns > 0 {
-				attributed = true
-			}
-		}
-		if attributed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no chunk_compress attribution after 30s: %s", raw)
-		}
-		time.Sleep(100 * time.Millisecond)
+	resp, err := http.Get(base + "/debug/pprof/profile?seconds=1")
+	if err != nil {
+		t.Fatalf("GET /debug/pprof/profile: %v", err)
 	}
-
-	// Flame graph: well-formed SVG with a stage-labeled frame on top.
-	code, svg := get("/debug/flame")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/flame: status %d", code)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET /debug/pprof/profile: read: %v", err)
 	}
-	if !bytes.HasPrefix(svg, []byte("<svg")) || !bytes.Contains(svg, []byte("stage.chunk_compress")) {
-		t.Fatalf("/debug/flame missing stage frame: %.200s", svg)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/pprof/profile: status %d: %s", resp.StatusCode, raw)
 	}
-
-	// History: the stage CPU-fraction gauges became TSDB series.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		code, raw := get("/debug/history?match=profile.stage.")
-		if code != http.StatusOK {
-			t.Fatalf("/debug/history: status %d", code)
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("profile is not gzip: %v", err)
+	}
+	pb, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("gunzip profile: %v", err)
+	}
+	// A profile.proto string_table entry is field 6, wire type 2: the tag
+	// byte 0x32, a one-byte length for short strings, then the bytes.
+	// Matching that framing finds whole entries, not substrings of
+	// function or file names.
+	for _, want := range []string{"stage", "chunk_compress"} {
+		entry := append([]byte{0x32, byte(len(want))}, want...)
+		if !bytes.Contains(pb, entry) {
+			t.Errorf("profile string table has no %q entry (%d bytes decoded)", want, len(pb))
 		}
-		if bytes.Contains(raw, []byte("profile.stage.chunk_compress.cpu_fraction")) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no profile.stage.* history series after 10s: %.400s", raw)
-		}
-		time.Sleep(100 * time.Millisecond)
 	}
 }

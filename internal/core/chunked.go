@@ -86,9 +86,9 @@ func CompressChunked(ctx context.Context, f *grid.Field, opts Options, chunks in
 	}
 	outs := make([]chunkOut, chunks)
 	// The codec family label ("sz", not "sz(abs=1e-3)") joins stage/chunk
-	// on the workers' pprof labels, so the continuous profiler can split
-	// CPU by codec as request-level codec choice becomes dynamic; parameters
-	// would explode label cardinality.
+	// on the workers' pprof labels, so a CPU profile can split CPU by codec
+	// as request-level codec choice becomes dynamic; parameters would
+	// explode label cardinality.
 	codecFam := compress.CodecFamily(opts.DataCodec.Name())
 	parallel.For(workers, chunks, func(c int) {
 		// Cancellation is checked once per chunk, here at the boundary: a

@@ -112,30 +112,24 @@ func StartDebug(addr string) (boundAddr string, stop func(ctx context.Context) e
 }
 
 // StartCPUProfile begins a CPU profile into path. It returns a stop
-// function to defer; a creation failure is reported via the returned error
-// with a no-op stop. The process-wide profiler is claimed via
-// AcquireCPUProfiler first, so starting while the continuous profiler (or
-// another -cpuprofile) holds it fails with an error naming the holder
-// instead of producing a silent empty profile.
+// function to defer; a failure is reported via the returned error with a
+// no-op stop. The runtime allows one CPU profile per process, so a start
+// while another is running (another StartCPUProfile, or a
+// /debug/pprof/profile capture) fails with the runtime's error, and the
+// file just created for it is removed again.
 func StartCPUProfile(path string) (stop func(), err error) {
-	release, err := AcquireCPUProfiler("-cpuprofile " + path)
-	if err != nil {
-		return func() {}, err
-	}
 	f, err := os.Create(path)
 	if err != nil {
-		release()
 		return func() {}, err
 	}
 	if err := runtimepprof.StartCPUProfile(f); err != nil {
 		f.Close()
-		release()
+		os.Remove(path)
 		return func() {}, err
 	}
 	return func() {
 		runtimepprof.StopCPUProfile()
 		f.Close()
-		release()
 	}, nil
 }
 

@@ -5,6 +5,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	runtimepprof "runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -69,5 +72,33 @@ func TestStartDebugServesAndStops(t *testing.T) {
 func TestStartDebugBadAddrFailsFast(t *testing.T) {
 	if _, _, err := StartDebug("256.256.256.256:99999"); err == nil {
 		t.Fatal("StartDebug on a bogus address returned no error")
+	}
+}
+
+// TestStartCPUProfileArbitrated: the runtime allows one CPU profile per
+// process, so StartCPUProfile returns its refusal while another profile
+// runs, leaves no file behind, and starts once that profile stops.
+func TestStartCPUProfileArbitrated(t *testing.T) {
+	if err := runtimepprof.StartCPUProfile(io.Discard); err != nil {
+		t.Fatalf("holding the runtime profiler: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if _, err := StartCPUProfile(path); err == nil {
+		runtimepprof.StopCPUProfile()
+		t.Fatal("StartCPUProfile succeeded while another CPU profile ran")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		runtimepprof.StopCPUProfile()
+		t.Fatalf("refused profile left a file: %v", err)
+	}
+	runtimepprof.StopCPUProfile()
+
+	stop, err := StartCPUProfile(path)
+	if err != nil {
+		t.Fatalf("StartCPUProfile after the other profile stopped: %v", err)
+	}
+	stop()
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile file missing or empty: %v %v", fi, err)
 	}
 }

@@ -48,7 +48,7 @@ type dashDoc struct {
 // the SLO work targets. Everything else (per-stage kernels, internals)
 // stays one click away.
 var openGroups = map[string]bool{
-	"serve": true, "slo": true, "quality": true, "runtime": true, "profile": true,
+	"serve": true, "slo": true, "quality": true, "runtime": true,
 }
 
 const sparkW, sparkH = 240, 28

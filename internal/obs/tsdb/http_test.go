@@ -61,6 +61,17 @@ func TestHandlersUnderConcurrentSampling(t *testing.T) {
 		}
 	}()
 
+	// The dash draws sparklines only for recorded series: wait for the
+	// sampler's first passes so a loaded machine cannot reach the first
+	// GET before there is anything to draw.
+	ready := time.Now().Add(10 * time.Second)
+	for s.Samples() < 2 {
+		if time.Now().After(ready) {
+			t.Fatalf("sampler completed %d passes in 10s, want 2", s.Samples())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		for _, path := range []string{

@@ -60,9 +60,6 @@ if [ "${1:-}" != "quick" ]; then
 	# Trace race-stress: concurrent Start/End/Snapshot/export/Reset on the
 	# trace recorder specifically, repeated so interleavings vary.
 	step go test -race -run TestConcurrentTraceStress -count=2 ./internal/obs/trace
-	# Profiler race-stress: real profiling windows rotating concurrently
-	# with /debug/profile + /debug/flame scrapes and registry Reset.
-	step go test -race -run TestConcurrentWindowsAndScrapes -count=2 ./internal/obs/profile
 	# One iteration of the kernel micro-benchmarks (exact SVD, Jacobi
 	# EigenSym, covariance, 2-D Haar, the SZ Huffman coder) keeps them
 	# compiling and running.
@@ -94,7 +91,6 @@ if [ "${1:-}" != "quick" ]; then
 	step go test -fuzz=FuzzDecompressChunked -fuzztime=10s -run='^$' ./internal/core
 	step go test -fuzz=FuzzWriteChromeTrace -fuzztime=10s -run='^$' ./internal/obs/trace
 	step go test -fuzz=FuzzHistoryQuery -fuzztime=10s -run='^$' ./internal/obs/tsdb
-	step go test -fuzz=FuzzParsePprof -fuzztime=10s -run='^$' ./internal/obs/pprofparse
 	# Differential fuzz of the table-driven Huffman decoder against the
 	# per-bit reference decoder, of the zfp block plane decoder against its
 	# pre-rewrite reference, and of the float-direct byte features against
