@@ -4,7 +4,7 @@
 // Usage:
 //
 //	lrmexp [-size small|medium|large] [-snapshots N] [-history hist.json]
-//	       [-dash dash.html] <experiment-id>|all|list
+//	       <experiment-id>|all|list
 //
 // Experiment ids match the paper's artifacts: table2, fig1, fig3, fig4,
 // fig6, fig7, fig8, fig9, fig10, fig11, fig12, table4.
@@ -12,8 +12,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"time"
@@ -31,30 +33,44 @@ import (
 var logger = slog.New(trace.NewLogHandler(slog.NewTextHandler(os.Stderr, nil)))
 
 func main() {
-	size := flag.String("size", "small", "dataset scale: small, medium, or large")
-	snapshots := flag.Int("snapshots", 0, "snapshot count per application (0 = default; the paper uses 20)")
-	csvOut := flag.Bool("csv", false, "emit machine-readable CSV instead of the formatted table")
-	statsOut := flag.String("stats", "", "enable the obs registry and write its Prometheus snapshot here at exit")
-	traceOut := flag.String("trace", "", "enable tracing and write retained traces as Chrome trace JSON here at exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run here")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit here")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	historyPath := flag.String("history", "", "sample the obs registry during the run and write the telemetry history JSON here")
-	dashPath := flag.String("dash", "", "write the rendered telemetry dashboard HTML here at exit")
-	flag.Usage = usage
-	flag.Parse()
+	os.Exit(run(os.Args[1:]))
+}
 
-	if *statsOut != "" || *debugAddr != "" || *traceOut != "" || *historyPath != "" || *dashPath != "" {
+// run is main's testable body: it returns the exit code instead of calling
+// os.Exit, so the outputs deferred here (-stats, -history, -trace,
+// -cpuprofile, -memprofile) are written on every exit path, a failed
+// experiment included.
+func run(args []string) int {
+	fs := flag.NewFlagSet("lrmexp", flag.ContinueOnError)
+	size := fs.String("size", "small", "dataset scale: small, medium, or large")
+	snapshots := fs.Int("snapshots", 0, "snapshot count per application (0 = default; the paper uses 20)")
+	csvOut := fs.Bool("csv", false, "emit machine-readable CSV instead of the formatted table")
+	statsOut := fs.String("stats", "", "enable the obs registry and write its Prometheus snapshot here at exit")
+	traceOut := fs.String("trace", "", "enable tracing and write retained traces as Chrome trace JSON here at exit")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run here")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit here")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/traces and /debug/pprof (and /debug/history under -history) on this address")
+	historyPath := fs.String("history", "", "sample the obs registry during the run and write the telemetry history JSON here")
+	fs.Usage = usage
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	if *statsOut != "" || *debugAddr != "" || *traceOut != "" || *historyPath != "" {
 		obs.SetEnabled(true)
 	}
-	if *historyPath != "" || *dashPath != "" {
+	if *historyPath != "" {
 		hist := tsdb.New(tsdb.Config{Interval: 100 * time.Millisecond})
-		hist.Mount() // /debug/history and /debug/dash join -debug-addr's mux
+		hist.Mount() // /debug/history joins -debug-addr's mux
 		hist.Start()
-		hp, dp := *historyPath, *dashPath
+		path := *historyPath
 		defer func() {
 			hist.Stop()
-			if err := hist.DumpFiles(hp, dp); err != nil {
+			err := writeFile(path, func(w io.Writer) error { return hist.WriteJSON(w, tsdb.Query{}) })
+			if err != nil {
 				logger.Error("lrmexp: history", "err", err)
 			}
 		}()
@@ -72,7 +88,7 @@ func main() {
 		_, stopDebug, err := obs.StartDebug(*debugAddr)
 		if err != nil {
 			logger.Error("lrmexp: debug server", "err", err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -86,7 +102,7 @@ func main() {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			logger.Error("lrmexp: cpuprofile", "err", err)
-			os.Exit(1)
+			return 1
 		}
 		defer stop()
 	}
@@ -101,17 +117,17 @@ func main() {
 	if *statsOut != "" {
 		path := *statsOut
 		defer func() {
-			if err := writeStats(path); err != nil {
+			if err := writeFile(path, obs.WriteProm); err != nil {
 				logger.Error("lrmexp: stats", "err", err)
 			}
 		}()
 	}
 
-	if flag.NArg() != 1 {
+	if fs.NArg() != 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	id := flag.Arg(0)
+	id := fs.Arg(0)
 
 	cfg := experiments.Config{Snapshots: *snapshots}
 	switch *size {
@@ -123,56 +139,46 @@ func main() {
 		cfg.Size = dataset.Large
 	default:
 		logger.Error("lrmexp: unknown size", "size", *size)
-		os.Exit(2)
+		return 2
 	}
 
+	ids := []string{id}
 	switch id {
 	case "list":
 		for _, eid := range experiments.IDs() {
 			fmt.Printf("%-8s %s\n", eid, experiments.Describe(eid))
 		}
-		return
+		return 0
 	case "all":
-		for _, eid := range experiments.IDs() {
-			if err := runOne(eid, cfg, *csvOut); err != nil {
-				logger.Error("lrmexp: experiment failed", "id", eid, "err", err)
-				os.Exit(1)
-			}
-		}
-		return
-	default:
-		if err := runOne(id, cfg, *csvOut); err != nil {
-			logger.Error("lrmexp: experiment failed", "id", id, "err", err)
-			os.Exit(1)
+		ids = experiments.IDs()
+	}
+	for _, eid := range ids {
+		if err := runOne(eid, cfg, *csvOut); err != nil {
+			logger.Error("lrmexp: experiment failed", "id", eid, "err", err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // writeTraces dumps the trace ring as Chrome trace_event JSON.
 func writeTraces(path string) error {
 	traces := trace.Snapshot()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChromeTrace(f, traces); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(path, func(w io.Writer) error { return trace.WriteChromeTrace(w, traces) }); err != nil {
 		return err
 	}
 	logger.Info("lrmexp: wrote Chrome trace", "path", path, "traces", len(traces))
 	return nil
 }
 
-// writeStats dumps the obs registry as Prometheus text exposition.
-func writeStats(path string) error {
+// writeFile creates path, fills it with write and closes it, reporting the
+// first error.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteProm(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -212,9 +218,9 @@ Flags:
   -trace file        enable tracing; write retained traces as Chrome trace JSON at exit
   -cpuprofile file   write a CPU profile of the whole run
   -memprofile file   write a heap profile at exit
-  -debug-addr addr   serve /metrics, /debug/vars and /debug/pprof while running
+  -debug-addr addr   serve /metrics, /debug/traces and /debug/pprof while running
+                     (and /debug/history under -history)
   -history file      sample the metrics during the run; write the history JSON at exit
-  -dash file         write the telemetry dashboard HTML at exit
   -csv               emit CSV instead of the formatted table
 
 Examples:

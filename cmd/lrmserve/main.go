@@ -16,9 +16,8 @@
 //	POST /v1/decompress[?partial=1]
 //	GET  /v1/codecs
 //	GET  /healthz[?verbose=1]
-//	GET  /metrics, /debug/vars, /debug/pprof/..., /debug/traces
+//	GET  /metrics, /debug/pprof/..., /debug/traces, /debug/quality
 //	GET  /debug/history[?name=...&match=...&since=5m&rate=1&n=100]
-//	GET  /debug/dash, /debug/quality
 //
 // CPU samples taken through /debug/pprof/profile carry the stage, codec
 // and chunk pprof labels of the pipeline work they hit, so
@@ -78,7 +77,7 @@ func run(args []string) int {
 	obs.SetEnabled(true)
 	trace.SetEnabled(true)
 
-	// The history store must mount its /debug handlers before serve.New
+	// The history store must mount /debug/history before serve.New
 	// snapshots the debug mux; sampling starts alongside the listener and
 	// stops after the drain so the final samples cover shutdown.
 	hist := tsdb.New(tsdb.Config{Interval: *histInterval, Capacity: *histSamples})

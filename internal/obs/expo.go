@@ -1,22 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
 )
-
-// WriteJSON writes the full registry snapshot as a single JSON object —
-// the document shape expvar consumers see under the "lrm" variable.
-func WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Snapshot())
-}
 
 // promName maps a registry metric name to a legal Prometheus metric name:
 // an "lrm_" prefix plus the name with every character outside
@@ -174,15 +164,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-var publishOnce sync.Once
-
-// PublishExpvar exposes the registry snapshot as the expvar variable "lrm",
-// making it part of the standard /debug/vars JSON document. Safe to call
-// more than once; only the first call publishes.
-func PublishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("lrm", expvar.Func(func() any { return Snapshot() }))
-	})
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -32,21 +31,20 @@ func RegisterDebugHandler(pattern string, h http.Handler) {
 // Handler returns the debug endpoint mux the commands mount behind their
 // -debug-addr flag:
 //
-//	/metrics       Prometheus text exposition (WriteProm)
-//	/debug/vars    expvar JSON (includes the "lrm" registry snapshot)
-//	/debug/pprof   net/http/pprof profile index (cpu, heap, goroutine, ...)
-//	/debug/traces  retained trace ring (when the obs/trace package is linked)
+//	/metrics        Prometheus text exposition (WriteProm)
+//	/debug/pprof    net/http/pprof profile index (cpu, heap, goroutine, ...)
+//	/debug/traces   retained trace ring (when the obs/trace package is linked)
+//	/debug/quality  sampled quality-check log (when obs/quality is linked)
+//	/debug/history  telemetry history (when a tsdb.Store is mounted)
 //
 // The pprof handlers are mounted explicitly rather than via the package's
 // DefaultServeMux side effect, so embedders control exactly what is served.
 func Handler() http.Handler {
-	PublishExpvar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WriteProm(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -14,7 +14,7 @@ import (
 )
 
 // TestStartDebugServesAndStops covers the lifecycle seam end to end: the
-// server binds synchronously, serves /metrics and /debug/vars, and the stop
+// server binds synchronously, serves /metrics and /debug/pprof, and the stop
 // function drains it so the port is immediately reusable — the leak the old
 // bare http.ListenAndServe made impossible to avoid.
 func TestStartDebugServesAndStops(t *testing.T) {
@@ -47,8 +47,8 @@ func TestStartDebugServesAndStops(t *testing.T) {
 	if body := get("/metrics"); body == "" {
 		t.Error("/metrics returned an empty exposition")
 	}
-	if body := get("/debug/vars"); !strings.Contains(body, "{") {
-		t.Errorf("/debug/vars is not JSON: %q", body)
+	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
+		t.Errorf("/debug/pprof/ index lists no goroutine profile: %q", body)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -1,8 +1,8 @@
 // Package obs is the repository's zero-dependency observability core: a
 // metrics registry (atomic counters, gauges, and fixed-bucket histograms
 // with Snapshot/Reset), the per-stage metric bundles that pipeline spans
-// feed (stage.go), and text exposition in Prometheus and expvar-compatible
-// JSON formats (expo.go, http.go). Only the standard library is used.
+// feed (stage.go), and Prometheus text exposition (expo.go, http.go). Only
+// the standard library is used.
 // Stages are recorded through the trace subpackage: trace.Start is the one
 // span constructor, and with tracing off it records only the stage bundle.
 //

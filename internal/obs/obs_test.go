@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -157,22 +156,6 @@ func TestWritePromParses(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrips(t *testing.T) {
-	withObs(t)
-	GetCounter("test.json.counter").Add(9)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snap
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("WriteJSON output is not valid JSON: %v", err)
-	}
-	if snap.Counters["test.json.counter"] != 9 {
-		t.Fatalf("round-tripped counter = %d, want 9", snap.Counters["test.json.counter"])
-	}
-}
-
 func TestHandlerEndpoints(t *testing.T) {
 	withObs(t)
 	GetCounter("test.http.counter").Inc()
@@ -182,19 +165,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "lrm_test_http_counter 1") {
 		t.Fatalf("/metrics: code %d body %q", rec.Code, rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/vars: code %d", rec.Code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["lrm"]; !ok {
-		t.Fatal("/debug/vars does not publish the lrm registry snapshot")
 	}
 
 	rec = httptest.NewRecorder()

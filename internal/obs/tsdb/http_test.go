@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +13,10 @@ import (
 	"lrm/internal/obs/tsdb"
 )
 
-// TestHandlersUnderConcurrentSampling hammers /debug/history and
-// /debug/dash while the background sampler runs and other goroutines
-// mutate and Reset the registry — the race-detector proof that queries,
-// sampling passes, and obs.Reset can overlap freely.
+// TestHandlersUnderConcurrentSampling hammers /debug/history while the
+// background sampler runs and other goroutines mutate and Reset the
+// registry — the race-detector proof that queries, sampling passes, and
+// obs.Reset can overlap freely.
 func TestHandlersUnderConcurrentSampling(t *testing.T) {
 	c := obs.GetCounter("tsdbtest.race.ctr")
 	h := obs.GetHistogram("tsdbtest.race.hist", nil)
@@ -29,7 +28,6 @@ func TestHandlersUnderConcurrentSampling(t *testing.T) {
 
 	mux := http.NewServeMux()
 	mux.Handle("/debug/history", s.HistoryHandler())
-	mux.Handle("/debug/dash", s.DashHandler())
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -61,9 +59,8 @@ func TestHandlersUnderConcurrentSampling(t *testing.T) {
 		}
 	}()
 
-	// The dash draws sparklines only for recorded series: wait for the
-	// sampler's first passes so a loaded machine cannot reach the first
-	// GET before there is anything to draw.
+	// Wait for the sampler's first passes so a loaded machine cannot reach
+	// the first GET before there is any history to query.
 	ready := time.Now().Add(10 * time.Second)
 	for s.Samples() < 2 {
 		if time.Now().After(ready) {
@@ -77,7 +74,6 @@ func TestHandlersUnderConcurrentSampling(t *testing.T) {
 		for _, path := range []string{
 			"/debug/history",
 			"/debug/history?match=tsdbtest.race.&rate=1&n=10",
-			"/debug/dash",
 		} {
 			resp, err := http.Get(ts.URL + path)
 			if err != nil {
@@ -91,13 +87,9 @@ func TestHandlersUnderConcurrentSampling(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
 			}
-			if strings.HasPrefix(path, "/debug/history") {
-				var doc map[string]any
-				if err := json.Unmarshal(body, &doc); err != nil {
-					t.Fatalf("GET %s: invalid JSON under concurrent sampling: %v", path, err)
-				}
-			} else if !strings.Contains(string(body), "<svg") {
-				t.Fatalf("GET %s: dash lost its sparklines under load", path)
+			var doc map[string]any
+			if err := json.Unmarshal(body, &doc); err != nil {
+				t.Fatalf("GET %s: invalid JSON under concurrent sampling: %v", path, err)
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func newRuntimeSampler() *runtimeSampler {
 //
 // The two p99 series are windowed: they reflect only the pauses/latencies
 // recorded since the previous sampling pass, so a startup spike ages out
-// of the dashboard instead of pinning the percentile forever.
+// of the history instead of pinning the percentile forever.
 func (rs *runtimeSampler) sample() []runtimeSeries {
 	metrics.Read(rs.samples)
 	out := make([]runtimeSeries, 0, 6)

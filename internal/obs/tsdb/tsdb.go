@@ -2,8 +2,8 @@
 // fixed-memory ring-buffer time-series store that samples the obs registry
 // (plus a runtime/metrics bridge — heap, GC pauses, scheduler latency,
 // goroutine count) at a configurable interval and serves the history back
-// as JSON range queries (/debug/history, query.go) and a self-contained
-// HTML dashboard with inline sparklines (/debug/dash, dash.go).
+// as JSON range queries (/debug/history, query.go). Plotting is left to an
+// external tool reading that JSON.
 //
 // # Memory model
 //
@@ -33,7 +33,6 @@
 package tsdb
 
 import (
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -115,8 +114,8 @@ func (s *series) points(dst [][2]float64) [][2]float64 {
 
 // Store is the fixed-memory time-series store. Build with New, feed with
 // Start (background sampler) or SampleOnce (manual, for tests and
-// deterministic dumps), query with WriteJSON/WriteDash or the HTTP
-// handlers, and stop with Stop.
+// deterministic dumps), query with Eval, WriteJSON or HistoryHandler, and
+// stop with Stop.
 type Store struct {
 	cfg Config
 
@@ -294,45 +293,11 @@ type SeriesSnap struct {
 	Points [][2]float64 `json:"points"`
 }
 
-// Mount registers the store's HTTP handlers on the obs debug mux:
-// /debug/history (JSON range queries) and /debug/dash (HTML dashboard).
-// Call before building muxes via obs.Handler (e.g. before serve.New).
+// Mount registers the store's /debug/history handler (JSON range queries)
+// on the obs debug mux. Call before building muxes via obs.Handler (e.g.
+// before serve.New).
 func (s *Store) Mount() {
 	obs.RegisterDebugHandler("/debug/history", s.HistoryHandler())
-	obs.RegisterDebugHandler("/debug/dash", s.DashHandler())
-}
-
-// DumpFiles writes the retained history as JSON to historyPath and the
-// rendered dashboard as HTML to dashPath — lrmexp's -history/-dash file
-// dumps. Empty paths are skipped.
-func (s *Store) DumpFiles(historyPath, dashPath string) error {
-	if historyPath != "" {
-		f, err := os.Create(historyPath)
-		if err != nil {
-			return err
-		}
-		err = s.WriteJSON(f, Query{})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if dashPath != "" {
-		f, err := os.Create(dashPath)
-		if err != nil {
-			return err
-		}
-		err = s.WriteDash(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func sortedNames[V any](m map[string]V) []string {

@@ -1,12 +1,10 @@
 package tsdb_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -258,22 +256,27 @@ func TestStartStopLifecycle(t *testing.T) {
 	}
 }
 
-func TestDumpFiles(t *testing.T) {
+// TestWriteJSONHistoryFile: the retained history written through
+// WriteJSON (lrmexp's -history file) is the /debug/history document, and
+// one sampling pass is enough to carry a counter's value.
+func TestWriteJSONHistoryFile(t *testing.T) {
 	c := obs.GetCounter("tsdbtest.dump.ctr")
 	t.Cleanup(obs.Reset)
 	c.Add(3)
 
 	s := tsdb.New(tsdb.Config{})
-	// Two passes: the dash renders counters as rates, which need a
-	// predecessor sample to exist.
-	s.SampleOnce(time.Now().Add(-time.Second))
-	c.Add(2)
 	s.SampleOnce(time.Now())
 
-	dir := t.TempDir()
-	hp, dp := filepath.Join(dir, "hist.json"), filepath.Join(dir, "dash.html")
-	if err := s.DumpFiles(hp, dp); err != nil {
-		t.Fatalf("DumpFiles: %v", err)
+	hp := filepath.Join(t.TempDir(), "hist.json")
+	f, err := os.Create(hp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteJSON(f, tsdb.Query{}); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 	hist, err := os.ReadFile(hp)
 	if err != nil {
@@ -281,27 +284,21 @@ func TestDumpFiles(t *testing.T) {
 	}
 	var doc struct {
 		Samples int64             `json:"samples"`
-		Series  []json.RawMessage `json:"series"`
+		Series  []tsdb.SeriesSnap `json:"series"`
 	}
 	if err := json.Unmarshal(hist, &doc); err != nil {
-		t.Fatalf("history dump is not valid JSON: %v", err)
+		t.Fatalf("history file is not valid JSON: %v", err)
 	}
-	if doc.Samples != 2 || len(doc.Series) == 0 {
-		t.Fatalf("history dump: samples=%d series=%d, want 2 and >0", doc.Samples, len(doc.Series))
+	if doc.Samples != 1 {
+		t.Fatalf("history file: samples=%d, want 1", doc.Samples)
 	}
-	dash, err := os.ReadFile(dp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"<!DOCTYPE html>", "<svg", "tsdbtest.dump.ctr"} {
-		if !bytes.Contains(dash, []byte(want)) {
-			t.Errorf("dash dump missing %q", want)
+	for _, sn := range doc.Series {
+		if sn.Name == "tsdbtest.dump.ctr" {
+			if sn.Kind != "counter" || len(sn.Points) != 1 || sn.Points[0][1] != 3 {
+				t.Fatalf("history file: %s = %+v, want one counter point of 3", sn.Name, sn)
+			}
+			return
 		}
 	}
-	if bytes.Contains(dash, []byte("<script")) {
-		t.Error("dash must be self-contained: no scripts")
-	}
-	if i := strings.Index(string(dash), "src="); i >= 0 {
-		t.Error("dash must be self-contained: no external assets")
-	}
+	t.Fatalf("history file has no tsdbtest.dump.ctr among %d series", len(doc.Series))
 }

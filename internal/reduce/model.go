@@ -22,7 +22,8 @@
 // every cfg), and ctx parents their spans. Model.Reduce and the package
 // Reconstruct are the same calls on a background ctx and the zero cfg,
 // kept only for lrmbench3/layers.go, which changes only with the
-// benchmark; ROADMAP item 6 deletes them once it moves to Fit.
+// benchmark; the ROADMAP item "one benchmark PR, then delete the wrappers"
+// deletes them once it moves to Fit.
 package reduce
 
 import (

@@ -19,11 +19,11 @@
 //     deadline stops chunk processing at the next chunk boundary instead
 //     of burning CPU on an abandoned request.
 //
-// The obs debug mux (/metrics, /debug/vars, /debug/pprof, /debug/traces)
-// is mounted on the same server, and every endpoint carries request
-// counters, in-flight gauges, and latency histograms in the obs registry,
-// so the service is observable from its first request. Only the standard
-// library is used.
+// The obs debug mux (/metrics, /debug/pprof, /debug/traces, and the
+// handlers registered with obs.RegisterDebugHandler) is mounted on the
+// same server, and every endpoint carries request counters, in-flight
+// gauges, and latency histograms in the obs registry, so the service is
+// observable from its first request. Only the standard library is used.
 package serve
 
 import (
@@ -182,9 +182,10 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/codecs", handleCodecs)
 	s.mux.Handle("/v1/compress", s.guard(s.epCompress, s.handleCompress))
 	s.mux.Handle("/v1/decompress", s.guard(s.epDecompress, s.handleDecompress))
-	// Everything else — /metrics, /debug/vars, /debug/pprof, /debug/traces,
-	// and the 404 for unknown paths — is the obs debug mux, mounted on the
-	// same server so the service is observable on day one.
+	// Everything else — /metrics, /debug/pprof, /debug/traces, the
+	// registered /debug handlers, and the 404 for unknown paths — is the
+	// obs debug mux, mounted on the same server so the service is
+	// observable on day one.
 	s.mux.Handle("/", obs.Handler())
 	s.http = &http.Server{
 		Handler: s.mux,

@@ -598,7 +598,7 @@ func TestMalformedArchivesNever5xx(t *testing.T) {
 
 func TestCodecsAndDebugEndpoints(t *testing.T) {
 	_, ts := newServer(t, serve.Config{})
-	for _, path := range []string{"/v1/codecs", "/healthz", "/metrics", "/debug/vars"} {
+	for _, path := range []string{"/v1/codecs", "/healthz", "/metrics", "/debug/traces"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -610,6 +610,19 @@ func TestCodecsAndDebugEndpoints(t *testing.T) {
 		}
 		if len(body) == 0 {
 			t.Errorf("GET %s: empty body", path)
+		}
+	}
+	// /metrics and /debug/history are the one snapshot and the one
+	// history; their JSON and HTML second renderings stay gone.
+	for _, path := range []string{"/debug/vars", "/debug/dash"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // compress/decompress round-trip against lrmserve, /debug/history must
 // return non-empty series for serve.requests and the quality.ratio
 // histogram, the SLO burn rates must be visible in /healthz?verbose=1, and
-// /debug/dash and /debug/quality must render.
+// /debug/quality must render.
 func TestTelemetryHistoryAndSLO(t *testing.T) {
 	prevEnabled := obs.SetEnabled(true)
 	prevSample := quality.SetSampleEvery(1)
@@ -133,12 +133,6 @@ func TestTelemetryHistoryAndSLO(t *testing.T) {
 		if w.AvailabilityBurn != 0 {
 			t.Errorf("%s availability burn = %v, want 0 (no 5xx)", w.Window, w.AvailabilityBurn)
 		}
-	}
-
-	// /debug/dash renders the self-contained dashboard.
-	resp, body = get(t, ts.URL+"/debug/dash")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "<svg") {
-		t.Errorf("/debug/dash: status %d, svg present %v", resp.StatusCode, strings.Contains(string(body), "<svg"))
 	}
 
 	// /debug/quality has the decision log for the round-trip.
