@@ -123,7 +123,7 @@ func benchModel(b *testing.B, m reduce.Model) {
 	b.Run("reconstruct", func(b *testing.B) {
 		b.SetBytes(int64(8 * f.Len()))
 		for i := 0; i < b.N; i++ {
-			if _, err := rep.Reconstruct(context.Background(), parallel.Config{}); err != nil {
+			if _, err := rep.Reconstruct(context.Background(), nil, parallel.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"time"
 
 	"lrm/internal/bitstream"
@@ -1351,17 +1350,6 @@ const emptyEmax = math.MinInt32
 // stay in cache.
 const decodeGroup = 64
 
-// groupScratch is one group of parsed blocks for the one-worker decoder.
-// It has a pool of its own, because in the shared uint64 arena its size
-// would compete with the parallel decoder's field-sized buffer, whose
-// misses cost a fresh allocation of the whole buffer.
-type groupScratch struct {
-	nb    [decodeGroup * 64]uint64
-	emaxs [decodeGroup]int
-}
-
-var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
-
 // Decompress implements compress.Codec. Failures wrap the
 // compress.ErrTruncated / compress.ErrCorrupt taxonomy.
 func (c *Codec) Decompress(ctx context.Context, data []byte, cfg parallel.Config) (*grid.Field, error) {
@@ -1534,9 +1522,9 @@ func (c *Codec) decodeSerial(ctx context.Context, f *grid.Field, bs []blockShape
 
 	s := newBlockScratch(size)
 	defer s.release()
-	gs := groupPool.Get().(*groupScratch)
-	defer groupPool.Put(gs)
-	nb, emaxs := gs.nb[:decodeGroup*size], gs.emaxs[:]
+	nb, emaxs := parallel.Uint64s(decodeGroup*size), parallel.Ints(decodeGroup)
+	defer parallel.PutUint64s(nb)
+	defer parallel.PutInts(emaxs)
 	rec := obs.Enabled()
 	var planeNs, invNs, nBlocks int64
 	var t0 time.Time

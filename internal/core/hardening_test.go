@@ -499,3 +499,57 @@ func TestChunkedEveryPrefixTruncation(t *testing.T) {
 		}
 	}
 }
+
+// claimedDimsArchive is a one-base LRM1 archive whose header claims dims
+// {claim, 1} while its zfp streams carry a 1-value rep and a {4, 1} delta.
+func claimedDimsArchive(t *testing.T, claim int) []byte {
+	t.Helper()
+	codec := zfp.MustNewAccuracy(1e-3)
+	stream := func(dims ...int) []byte {
+		s, err := codec.Compress(context.Background(), grid.New(dims...), parallel.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	meta, err := compress.FlateBytes(nil, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	family := compress.CodecFamily(codec.Name())
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	buf.WriteByte(modePreconditoned)
+	writeString(&buf, family)
+	writeString(&buf, "one-base")
+	buf.Write(compress.EncodeDimsHeader([]int{claim, 1}))
+	writeUvarint(&buf, 0)
+	writeBytes(&buf, meta)
+	writeBytes(&buf, stream(1))
+	writeString(&buf, family)
+	writeBytes(&buf, stream(4, 1))
+	return buf.Bytes()
+}
+
+// TestPreconditionedDimsClaimBounded: the header's dims are checked
+// against the decoded delta before the reconstruction allocates for them.
+// A 62-byte archive claiming {2^24, 1} used to allocate 134 MB in the
+// one-base reconstructor before failing on the dims mismatch.
+func TestPreconditionedDimsClaimBounded(t *testing.T) {
+	archive := claimedDimsArchive(t, 1<<24)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, err := Decompress(context.Background(), archive, DecompressOpts{Parallel: parallel.Config{Workers: 1}})
+	runtime.ReadMemStats(&ms)
+	if alloc := ms.TotalAlloc - before; alloc >= 1<<20 {
+		t.Errorf("%d-byte archive: decode allocated %d bytes, want < 1 MiB", len(archive), alloc)
+	}
+	if !errors.Is(err, compress.ErrCorrupt) {
+		t.Errorf("%d-byte archive: error %v, want ErrCorrupt", len(archive), err)
+	}
+	// The same construction with honest dims decodes.
+	if _, err := Decompress(context.Background(), claimedDimsArchive(t, 4), DecompressOpts{}); err != nil {
+		t.Errorf("honest archive: %v", err)
+	}
+}

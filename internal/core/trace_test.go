@@ -310,7 +310,7 @@ func TestParallelConfigReachesCodecs(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			recon, err := rep.Reconstruct(ctx, p)
+			recon, err := rep.Reconstruct(ctx, nil, p)
 			if err != nil {
 				return nil, err
 			}

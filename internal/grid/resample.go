@@ -67,40 +67,40 @@ func (f *Field) Downsample(factor int) (*Field, error) {
 	return nil, ErrRank
 }
 
-// Upsample interpolates f onto a grid with the given extents using separable
-// linear (bi-/tri-linear) interpolation with cell-centered sample alignment.
-// It is the reconstruction step of DuoModel: a coarse reduced-model output is
-// linearly re-inflated to the full-model resolution before the delta is
-// applied.
-func (f *Field) Upsample(dims ...int) (*Field, error) {
+// Upsample interpolates f onto dst's grid using separable linear (bi-/
+// tri-linear) interpolation with cell-centered sample alignment, writing
+// every element of dst. It is the reconstruction step of DuoModel: a
+// coarse reduced-model output is linearly re-inflated to the full-model
+// resolution before the delta is applied.
+func (f *Field) Upsample(dst *Field) error {
+	dims := dst.Dims
 	if len(dims) != f.Rank() {
-		return nil, fmt.Errorf("grid: upsample rank %d != field rank %d", len(dims), f.Rank())
+		return fmt.Errorf("grid: upsample rank %d != field rank %d", len(dims), f.Rank())
 	}
-	if _, err := checkDims(dims); err != nil {
-		return nil, err
+	if n, err := checkDims(dims); err != nil {
+		return err
+	} else if n != len(dst.Data) {
+		return fmt.Errorf("grid: upsample destination holds %d values, dims %v need %d", len(dst.Data), dims, n)
 	}
 	switch f.Rank() {
 	case 1:
-		out := New(dims[0])
 		for i := 0; i < dims[0]; i++ {
 			_, x0, x1, tx := lerpCoord(i, dims[0], f.Dims[0])
-			out.Data[i] = (1-tx)*f.Data[x0] + tx*f.Data[x1]
+			dst.Data[i] = (1-tx)*f.Data[x0] + tx*f.Data[x1]
 		}
-		return out, nil
+		return nil
 	case 2:
-		out := New(dims[0], dims[1])
 		for j := 0; j < dims[0]; j++ {
 			_, y0, y1, ty := lerpCoord(j, dims[0], f.Dims[0])
 			for i := 0; i < dims[1]; i++ {
 				_, x0, x1, tx := lerpCoord(i, dims[1], f.Dims[1])
 				v := (1-ty)*((1-tx)*f.At2(y0, x0)+tx*f.At2(y0, x1)) +
 					ty*((1-tx)*f.At2(y1, x0)+tx*f.At2(y1, x1))
-				out.Set2(v, j, i)
+				dst.Set2(v, j, i)
 			}
 		}
-		return out, nil
+		return nil
 	case 3:
-		out := New(dims[0], dims[1], dims[2])
 		for k := 0; k < dims[0]; k++ {
 			_, z0, z1, tz := lerpCoord(k, dims[0], f.Dims[0])
 			for j := 0; j < dims[1]; j++ {
@@ -112,13 +112,13 @@ func (f *Field) Upsample(dims ...int) (*Field, error) {
 					c10 := (1-tx)*f.At3(z1, y0, x0) + tx*f.At3(z1, y0, x1)
 					c11 := (1-tx)*f.At3(z1, y1, x0) + tx*f.At3(z1, y1, x1)
 					v := (1-tz)*((1-ty)*c00+ty*c01) + tz*((1-ty)*c10+ty*c11)
-					out.Set3(v, k, j, i)
+					dst.Set3(v, k, j, i)
 				}
 			}
 		}
-		return out, nil
+		return nil
 	}
-	return nil, ErrRank
+	return ErrRank
 }
 
 // lerpCoord maps destination index i on a grid of n cell-centered samples to

@@ -188,10 +188,12 @@ func Covariance(m *Matrix, cfg parallel.Config) *Matrix {
 		denom = 1
 	}
 	workers := cfg.WorkersFor(8 * (int64(m.Rows) * int64(n) * int64(n) / 2))
-	// Center once (elementwise, order-free), then accumulate each
-	// upper-triangle row a on its own: the inner i-ascending sum per
-	// (a, b) is the same sequence of additions at any worker count.
-	centered := make([]float64, m.Rows*n)
+	// Center once (elementwise, order-free) into arena scratch, every
+	// element of which is written, then accumulate each upper-triangle row
+	// a on its own: the inner i-ascending sum per (a, b) is the same
+	// sequence of additions at any worker count.
+	centered := parallel.Floats(m.Rows * n)
+	defer parallel.PutFloats(centered)
 	parallel.ForShard(workers, m.Rows, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			src := m.Data[i*n : (i+1)*n]

@@ -23,9 +23,11 @@ import (
 //              value, or a relational comparison (< <= > >=) mentioning it
 //              in an if/for/switch condition — the shapes a bounds guard
 //              takes in this codebase;
-//   sinks      make() lengths and capacities, index/slice bounds, and
-//              arguments flowing into a callee parameter that the callee's
-//              summary marks size-sensitive.
+//   sinks      make() lengths and capacities, the length passed to a
+//              parallel arena getter (Floats, Uint64s, ...: a make behind
+//              a pool, in a package with no decode scope of its own),
+//              index/slice bounds, and arguments flowing into a callee
+//              parameter that the callee's summary marks size-sensitive.
 //
 // Taint is tracked per identifier object. Writes through an index
 // expression taint the container (contents-taint); range statements
@@ -334,6 +336,11 @@ func (st *taintState) visitCall(call *ast.CallExpr) {
 		}
 		return
 	}
+	if callee := st.pass.calleeFunc(call); callee != nil && callee.Pkg() != nil &&
+		callee.Pkg().Name() == "parallel" && arenaGetters[name] && len(call.Args) == 1 {
+		st.checkSize(call.Args[0], "parallel."+name)
+		return
+	}
 	// Size-sensitive parameters of module callees (and local closures).
 	sum := st.calleeSummary(call)
 	if sum == nil || len(sum.sizeParams) == 0 {
@@ -359,6 +366,10 @@ func (st *taintState) visitCall(call *ast.CallExpr) {
 		}
 	}
 }
+
+// arenaGetters are the parallel package's scratch getters: each returns a
+// slice of the requested length, allocating it on a pool miss.
+var arenaGetters = map[string]bool{"Floats": true, "Int64s": true, "Uint64s": true, "Ints": true, "Bytes": true}
 
 // checkSize reports an allocation sized by an untrusted value and records
 // parameter-derived sizes in the summary.

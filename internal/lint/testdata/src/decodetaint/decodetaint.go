@@ -1,13 +1,16 @@
 // Fixture for the decodetaint analyzer: allocation sizes and index bounds
 // derived from decoded input must pass CheckedAlloc/NewCheckedField or a
-// relational bounds guard. Self-contained: the sanitizers are recognized by
-// name, so local stand-ins exercise the same paths as the real compress
-// package.
+// relational bounds guard. The sanitizers are recognized by name, so local
+// stand-ins exercise the same paths as the real compress package; the
+// arena getters are the real parallel package's, whose pooled make the
+// analyzer cannot see into.
 package decodetaint
 
 import (
 	"encoding/binary"
 	"errors"
+
+	"lrm/internal/parallel"
 )
 
 var errBad = errors.New("bad stream")
@@ -108,4 +111,23 @@ func DecodeSuppressed(b []byte) []byte {
 	n, _ := binary.Uvarint(b)
 	//lrmlint:ignore decodetaint n is bounded by protocol framing upstream
 	return make([]byte, n)
+}
+
+// DecompressArena sizes arena scratch from header claims: a pool miss
+// allocates the claimed length, so each getter is the same sink as a make.
+func DecompressArena(b []byte) ([]float64, []uint64) {
+	n, k := binary.Uvarint(b)
+	m, _ := binary.Uvarint(b[k:])
+	vals := parallel.Floats(int(n))   // want "parallel.Floats sized by untrusted decoded value"
+	words := parallel.Uint64s(int(m)) // want "parallel.Uint64s sized by untrusted decoded value"
+	return vals, words
+}
+
+// DecompressArenaChecked bounds the claim first: clean.
+func DecompressArenaChecked(b []byte) []float64 {
+	n, _ := binary.Uvarint(b)
+	if err := CheckedAlloc("fixture: scratch", n, uint64(len(b)), 8); err != nil {
+		return nil
+	}
+	return parallel.Floats(int(n))
 }

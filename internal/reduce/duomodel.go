@@ -73,11 +73,11 @@ func (d DuoModel) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Rep
 	}, nil
 }
 
-func reconstructDuoModel(rep *Rep, _ parallel.Config) (*grid.Field, error) {
+func reconstructDuoModel(rep *Rep, dst *grid.Field, _ parallel.Config) error {
 	pos := 0
 	rank64, n := binary.Uvarint(rep.Meta)
 	if n <= 0 || rank64 == 0 || rank64 > 3 {
-		return nil, fmt.Errorf("duomodel: corrupt meta")
+		return fmt.Errorf("duomodel: corrupt meta")
 	}
 	pos += n
 	dims := make([]int, rank64)
@@ -85,18 +85,18 @@ func reconstructDuoModel(rep *Rep, _ parallel.Config) (*grid.Field, error) {
 	for i := range dims {
 		v, n := binary.Uvarint(rep.Meta[pos:])
 		if n <= 0 || v == 0 {
-			return nil, fmt.Errorf("duomodel: corrupt coarse dims")
+			return fmt.Errorf("duomodel: corrupt coarse dims")
 		}
 		pos += n
 		dims[i] = int(v)
 		total *= dims[i]
 	}
 	if total != len(rep.Values) {
-		return nil, fmt.Errorf("duomodel: payload %d != coarse size %d", len(rep.Values), total)
+		return fmt.Errorf("duomodel: payload %d != coarse size %d", len(rep.Values), total)
 	}
 	coarse, err := grid.FromData(rep.Values, dims...)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return coarse.Upsample(rep.Dims...)
+	return coarse.Upsample(dst)
 }

@@ -16,11 +16,12 @@
 // reconstruction captures the data's latent structure, the delta is far
 // smoother than the original and compresses much better.
 //
-// Model.Fit(ctx, f, cfg) builds a Rep and Rep.Reconstruct(ctx, cfg)
-// inverts it, the codec stage's shape: cfg is the caller's worker budget
-// for the PCA/SVD and linear algebra kernels (reps are byte-identical at
-// every cfg), and ctx parents their spans. Model.Reduce and the package
-// Reconstruct are the same calls on a background ctx and the zero cfg,
+// Model.Fit(ctx, f, cfg) builds a Rep and Rep.Reconstruct(ctx, dst, cfg)
+// inverts it into the caller's dst, the codec stage's shape: cfg is the
+// caller's worker budget for the PCA/SVD and linear algebra kernels (reps
+// are byte-identical at every cfg), and ctx parents their spans.
+// Model.Reduce and the package Reconstruct are the same calls on a
+// background ctx, the zero cfg and (for Reconstruct) a nil dst,
 // kept only for lrmbench3/layers.go, which changes only with the
 // benchmark; the ROADMAP item "one benchmark PR, then delete the wrappers"
 // deletes them once it moves to Fit.
@@ -30,9 +31,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"lrm/internal/grid"
-	"lrm/internal/invariant"
 	"lrm/internal/obs/trace"
 	"lrm/internal/parallel"
 )
@@ -80,14 +81,16 @@ func fitDefault(m Model, f *grid.Field) (*Rep, error) {
 	return m.Fit(context.Background(), f, parallel.Config{})
 }
 
-// Reconstruct is rep.Reconstruct on a background ctx and the zero cfg.
+// Reconstruct is rep.Reconstruct on a background ctx, a nil dst and the
+// zero cfg.
 func Reconstruct(rep *Rep) (*grid.Field, error) {
-	return rep.Reconstruct(context.Background(), parallel.Config{})
+	return rep.Reconstruct(context.Background(), nil, parallel.Config{})
 }
 
 // reconstructor rebuilds an approximation of the original field from a Rep
-// on cfg's budget.
-type reconstructor func(rep *Rep, cfg parallel.Config) (*grid.Field, error)
+// into dst (dims rep.Dims) on cfg's budget. dst's prior contents are
+// unspecified, so it must write every element.
+type reconstructor func(rep *Rep, dst *grid.Field, cfg parallel.Config) error
 
 // reconstructors dispatches by the model base name (the part of Rep.Model
 // before any '(').
@@ -110,11 +113,15 @@ func baseName(name string) string {
 	return name
 }
 
-// Reconstruct rebuilds the approximation rep describes, on cfg's budget,
-// under a reduce.reconstruct span parented by ctx. It is the inverse
-// transformation box of Fig. 5 and is used both when computing the delta at
-// compression time and when rebuilding the original at decompression time.
-func (rep *Rep) Reconstruct(ctx context.Context, cfg parallel.Config) (f *grid.Field, err error) {
+// Reconstruct rebuilds the approximation rep describes into dst, on cfg's
+// budget, under a reduce.reconstruct span parented by ctx, and returns dst.
+// dst must have dims rep.Dims; its prior contents are ignored, because
+// every reconstructor writes every element, so arena scratch serves. A nil
+// dst allocates a zeroed field of rep.Dims. Reconstruct is the inverse
+// transformation box of Fig. 5 and is used both when computing the delta
+// at compression time and when rebuilding the original at decompression
+// time.
+func (rep *Rep) Reconstruct(ctx context.Context, dst *grid.Field, cfg parallel.Config) (f *grid.Field, err error) {
 	_, sp := trace.Start(ctx, "reduce.reconstruct")
 	defer sp.End()
 	defer func() { sp.SetError(err) }()
@@ -125,20 +132,28 @@ func (rep *Rep) Reconstruct(ctx context.Context, cfg parallel.Config) (f *grid.F
 	if len(rep.Dims) == 0 {
 		return nil, fmt.Errorf("reduce: rep has no dims")
 	}
-	f, err = fn(rep, cfg)
-	if invariant.Enabled && err == nil {
-		// Shape invariant at the inverse-transform boundary: every model's
-		// reconstruction must land exactly on the original grid, or the
-		// delta in the next stage silently misaligns.
-		invariant.SameLen(f.Dims, rep.Dims, "reduce: reconstruct rank")
-		for i := range f.Dims {
-			invariant.Assert(f.Dims[i] == rep.Dims[i],
-				"reduce: %s reconstruction dim %d is %d, rep says %d", rep.Model, i, f.Dims[i], rep.Dims[i])
+	if dst == nil {
+		if dst, err = grid.NewChecked(rep.Dims...); err != nil {
+			return nil, err
 		}
-		invariant.Assert(f.Len() == len(f.Data),
-			"reduce: %s reconstruction length %d != dims product %d", rep.Model, len(f.Data), f.Len())
+	} else if !slices.Equal(dst.Dims, rep.Dims) || len(dst.Data) != elems(rep.Dims) {
+		// Every model's reconstruction must land exactly on the original
+		// grid, or the delta in the next stage silently misaligns.
+		return nil, fmt.Errorf("reduce: destination dims %v (%d values) for rep dims %v", dst.Dims, len(dst.Data), rep.Dims)
 	}
-	return f, err
+	if err := fn(rep, dst, cfg); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// elems returns the element count of dims.
+func elems(dims []int) int {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	return n
 }
 
 // matShape chooses the canonical 2-D matricization of a field for the

@@ -48,26 +48,26 @@ func (m MultiBase) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Re
 	return &Rep{Model: m.Name(), Dims: append([]int(nil), f.Dims...), Meta: meta, Values: vals}, nil
 }
 
-func reconstructMultiBase(rep *Rep, _ parallel.Config) (*grid.Field, error) {
+func reconstructMultiBase(rep *Rep, dst *grid.Field, _ parallel.Config) error {
 	b64, n := binary.Uvarint(rep.Meta)
 	if n <= 0 || b64 == 0 {
-		return nil, fmt.Errorf("reduce: multi-base meta corrupt")
+		return fmt.Errorf("reduce: multi-base meta corrupt")
 	}
 	b := int(b64)
 	sl := slabLen(rep.Dims)
 	if len(rep.Values) != b*sl {
-		return nil, fmt.Errorf("reduce: multi-base payload %d != %d blocks x slab %d", len(rep.Values), b, sl)
+		return fmt.Errorf("reduce: multi-base payload %d != %d blocks x slab %d", len(rep.Values), b, sl)
 	}
 	if b > rep.Dims[0] {
-		return nil, fmt.Errorf("reduce: multi-base has more blocks (%d) than slabs (%d)", b, rep.Dims[0])
+		return fmt.Errorf("reduce: multi-base has more blocks (%d) than slabs (%d)", b, rep.Dims[0])
 	}
-	f := grid.New(rep.Dims...)
+	// The blocks partition [0, Dims[0]), so every slab is written.
 	for blk := 0; blk < b; blk++ {
 		lo, hi := mpi.Slab1D(rep.Dims[0], b, blk)
 		base := rep.Values[blk*sl : (blk+1)*sl]
 		for k := lo; k < hi; k++ {
-			copy(f.Data[k*sl:(k+1)*sl], base)
+			copy(dst.Data[k*sl:(k+1)*sl], base)
 		}
 	}
-	return f, nil
+	return nil
 }

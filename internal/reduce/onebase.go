@@ -50,14 +50,13 @@ func (OneBase) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Rep, e
 	return &Rep{Model: "one-base", Dims: append([]int(nil), f.Dims...), Values: vals}, nil
 }
 
-func reconstructOneBase(rep *Rep, _ parallel.Config) (*grid.Field, error) {
+func reconstructOneBase(rep *Rep, dst *grid.Field, _ parallel.Config) error {
 	sl := slabLen(rep.Dims)
 	if len(rep.Values) != sl {
-		return nil, fmt.Errorf("reduce: one-base payload %d != slab %d", len(rep.Values), sl)
+		return fmt.Errorf("reduce: one-base payload %d != slab %d", len(rep.Values), sl)
 	}
-	f := grid.New(rep.Dims...)
 	for k := 0; k < rep.Dims[0]; k++ {
-		copy(f.Data[k*sl:(k+1)*sl], rep.Values)
+		copy(dst.Data[k*sl:(k+1)*sl], rep.Values)
 	}
-	return f, nil
+	return nil
 }

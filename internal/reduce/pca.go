@@ -73,11 +73,15 @@ func (p PCA) Fit(ctx context.Context, f *grid.Field, cfg parallel.Config) (*Rep,
 	for lo := 0; lo < n; lo += bc {
 		hi := min(lo+bc, n)
 		w := hi - lo
-		block := linalg.NewMatrix(m, w)
+		// pcaFactor centers the block in place, so it works on a copy:
+		// arena scratch, fully written by the row copies below and
+		// released once the scores are out.
+		block := &linalg.Matrix{Rows: m, Cols: w, Data: parallel.Floats(m * w)}
 		for r := 0; r < m; r++ {
 			copy(block.Data[r*w:(r+1)*w], f.Data[r*n+lo:r*n+hi])
 		}
 		means, vecs, k, scores, err := pcaFactor(ctx, block, p.energy(), p.MaxK, cfg)
+		parallel.PutFloats(block.Data)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +152,7 @@ func pcaFactor(ctx context.Context, mat *linalg.Matrix, energy float64, maxK int
 	return means, vecs, k, scores, nil
 }
 
-func reconstructPCA(rep *Rep, cfg parallel.Config) (*grid.Field, error) {
+func reconstructPCA(rep *Rep, dst *grid.Field, cfg parallel.Config) error {
 	pos := 0
 	next := func() (int, error) {
 		v, n := binary.Uvarint(rep.Meta[pos:])
@@ -160,42 +164,37 @@ func reconstructPCA(rep *Rep, cfg parallel.Config) (*grid.Field, error) {
 	}
 	m, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nBlocks, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	total := 1
-	for _, d := range rep.Dims {
-		total *= d
-	}
-	if m <= 0 || n <= 0 || m*n != total || nBlocks <= 0 || nBlocks > n {
-		return nil, fmt.Errorf("pca: implausible shape m=%d n=%d blocks=%d for dims %v", m, n, nBlocks, rep.Dims)
+	if m <= 0 || n <= 0 || m*n != len(dst.Data) || nBlocks <= 0 || nBlocks > n {
+		return fmt.Errorf("pca: implausible shape m=%d n=%d blocks=%d for dims %v", m, n, nBlocks, rep.Dims)
 	}
 
-	out := make([]float64, m*n)
 	vpos := 0
 	col := 0
 	for b := 0; b < nBlocks; b++ {
 		w, err := next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		k, err := next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if w <= 0 || k <= 0 || k > w || col+w > n {
-			return nil, fmt.Errorf("pca: implausible block w=%d k=%d", w, k)
+			return fmt.Errorf("pca: implausible block w=%d k=%d", w, k)
 		}
 		need := w + w*k + m*k
 		if vpos+need > len(rep.Values) {
-			return nil, fmt.Errorf("pca: payload exhausted")
+			return fmt.Errorf("pca: payload exhausted")
 		}
 		means := rep.Values[vpos : vpos+w]
 		vecs := rep.Values[vpos+w : vpos+w+w*k]
@@ -204,17 +203,17 @@ func reconstructPCA(rep *Rep, cfg parallel.Config) (*grid.Field, error) {
 
 		// Rows reconstruct independently; shards write disjoint output rows.
 		parallel.ForShard(cfg.WorkersFor(8*int64(m)*int64(w)*int64(k)), m, func(_, lo, hi int) {
-			pcaRows(out, n, col, means, vecs, scores, k, lo, hi)
+			pcaRows(dst.Data, n, col, means, vecs, scores, k, lo, hi)
 		})
 		col += w
 	}
 	if col != n {
-		return nil, fmt.Errorf("pca: blocks cover %d of %d columns", col, n)
+		return fmt.Errorf("pca: blocks cover %d of %d columns", col, n)
 	}
 	if vpos != len(rep.Values) {
-		return nil, fmt.Errorf("pca: %d unread payload values", len(rep.Values)-vpos)
+		return fmt.Errorf("pca: %d unread payload values", len(rep.Values)-vpos)
 	}
-	return grid.FromData(out, rep.Dims...)
+	return nil
 }
 
 // pcaRows writes rows [lo, hi) of X_hat = scores * vecs^T + means into

@@ -21,7 +21,7 @@ var (
 // deltaOf returns f minus rep's reconstruction, the field the pipeline
 // compresses.
 func deltaOf(f *grid.Field, rep *Rep) (*grid.Field, error) {
-	recon, err := rep.Reconstruct(bg, budget)
+	recon, err := rep.Reconstruct(bg, nil, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +93,7 @@ func TestRoundTripDeltaIsExactForAllModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", m.Name(), fname, err)
 			}
-			recon, err := rep.Reconstruct(bg, budget)
+			recon, err := rep.Reconstruct(bg, nil, budget)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", m.Name(), fname, err)
 			}
@@ -105,6 +105,54 @@ func TestRoundTripDeltaIsExactForAllModels(t *testing.T) {
 					t.Fatalf("%s/%s: recon+delta != f at %d: %v vs %v",
 						m.Name(), fname, i, recon.Data[i], f.Data[i])
 				}
+			}
+		}
+	}
+}
+
+// TestReconstructIntoDirtyDestination: every reconstructor writes every
+// element of its destination, so reconstructing into a NaN-filled buffer
+// (arena scratch has unspecified contents) gives the bits of a fresh one,
+// and a destination of the wrong shape is refused.
+func TestReconstructIntoDirtyDestination(t *testing.T) {
+	models := append(allModels(),
+		PCA{BlockCols: 5},
+		SVD{Randomized: true, MaxK: 4, Seed: 1},
+		Wavelet{Nonstandard: true})
+	fields := map[string]*grid.Field{
+		"3d": zSymmetric3D(16),
+		"2d": lowRank2D(32, 24, 3, 1),
+	}
+	for fname, f := range fields {
+		for _, m := range models {
+			rep, err := m.Fit(bg, f, budget)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m.Name(), fname, err)
+			}
+			want, err := rep.Reconstruct(bg, nil, budget)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m.Name(), fname, err)
+			}
+			dst := grid.New(f.Dims...)
+			for i := range dst.Data {
+				dst.Data[i] = math.NaN()
+			}
+			got, err := rep.Reconstruct(bg, dst, budget)
+			if err != nil {
+				t.Fatalf("%s/%s: into dst: %v", m.Name(), fname, err)
+			}
+			if got != dst {
+				t.Fatalf("%s/%s: Reconstruct did not return its dst", m.Name(), fname)
+			}
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s/%s: element %d is %v into a dirty dst, %v into a fresh one",
+						m.Name(), fname, i, got.Data[i], want.Data[i])
+				}
+			}
+			wrong := grid.New(f.Len())
+			if _, err := rep.Reconstruct(bg, wrong, budget); err == nil {
+				t.Fatalf("%s/%s: dst of dims %v accepted for rep dims %v", m.Name(), fname, wrong.Dims, rep.Dims)
 			}
 		}
 	}
@@ -183,7 +231,7 @@ func TestMultiBaseBlockClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rep.Reconstruct(bg, budget); err != nil {
+	if _, err := rep.Reconstruct(bg, nil, budget); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -201,7 +249,7 @@ func TestDuoModelCoarseFactorFallback(t *testing.T) {
 	if len(rep.Values) >= f.Len() {
 		t.Fatal("duomodel rep not smaller than data")
 	}
-	if _, err := rep.Reconstruct(bg, budget); err != nil {
+	if _, err := rep.Reconstruct(bg, nil, budget); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -221,7 +269,7 @@ func TestPCALowRankRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := rep.Reconstruct(bg, budget)
+	recon, err := rep.Reconstruct(bg, nil, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +300,7 @@ func TestPCABlockedMatchesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := rep.Reconstruct(bg, budget)
+	recon, err := rep.Reconstruct(bg, nil, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +319,7 @@ func TestSVDLowRankRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := rep.Reconstruct(bg, budget)
+	recon, err := rep.Reconstruct(bg, nil, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +334,7 @@ func TestSVDRank1Data(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _ := rep.Reconstruct(bg, budget)
+	recon, _ := rep.Reconstruct(bg, nil, budget)
 	if stats.NRMSE(f.Data, recon.Data) > 1e-6 {
 		t.Fatalf("rank-1 SVD should be near exact, NRMSE %v", stats.NRMSE(f.Data, recon.Data))
 	}
@@ -312,7 +360,7 @@ func TestWaveletSmoothDataSparseRep(t *testing.T) {
 		t.Fatalf("wavelet rep %d B not sparse for smooth data (%d B raw)",
 			rep.SizeBytes(), 8*f.Len())
 	}
-	recon, err := rep.Reconstruct(bg, budget)
+	recon, err := rep.Reconstruct(bg, nil, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +377,8 @@ func TestWaveletThetaTradeoff(t *testing.T) {
 		t.Fatalf("larger theta should shrink rep: %d vs %d",
 			loose.SizeBytes(), tight.SizeBytes())
 	}
-	rt, _ := tight.Reconstruct(bg, budget)
-	rl, _ := loose.Reconstruct(bg, budget)
+	rt, _ := tight.Reconstruct(bg, nil, budget)
+	rl, _ := loose.Reconstruct(bg, nil, budget)
 	if stats.RMSE(f.Data, rt.Data) > stats.RMSE(f.Data, rl.Data) {
 		t.Fatal("smaller theta should reconstruct better")
 	}
@@ -347,7 +395,7 @@ func TestRank1FieldsSupported(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		recon, err := rep.Reconstruct(bg, budget)
+		recon, err := rep.Reconstruct(bg, nil, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -386,10 +434,10 @@ func TestRejectNaN(t *testing.T) {
 }
 
 func TestReconstructUnknownModel(t *testing.T) {
-	if _, err := (&Rep{Model: "martian", Dims: []int{4}}).Reconstruct(bg, budget); err == nil {
+	if _, err := (&Rep{Model: "martian", Dims: []int{4}}).Reconstruct(bg, nil, budget); err == nil {
 		t.Fatal("expected unknown-model error")
 	}
-	if _, err := (&Rep{Model: "pca(e=0.95)"}).Reconstruct(bg, budget); err == nil {
+	if _, err := (&Rep{Model: "pca(e=0.95)"}).Reconstruct(bg, nil, budget); err == nil {
 		t.Fatal("expected no-dims error")
 	}
 }
@@ -405,14 +453,14 @@ func TestReconstructCorruptMeta(t *testing.T) {
 		bad := *rep
 		if len(rep.Meta) > 0 {
 			bad.Meta = rep.Meta[:len(rep.Meta)/2]
-			if _, err := bad.Reconstruct(bg, budget); err == nil {
+			if _, err := bad.Reconstruct(bg, nil, budget); err == nil {
 				t.Fatalf("%s: accepted truncated meta", m.Name())
 			}
 		}
 		// Truncate values: must error, not panic.
 		bad2 := *rep
 		bad2.Values = rep.Values[:len(rep.Values)/2]
-		if _, err := bad2.Reconstruct(bg, budget); err == nil {
+		if _, err := bad2.Reconstruct(bg, nil, budget); err == nil {
 			t.Fatalf("%s: accepted truncated values", m.Name())
 		}
 	}
@@ -480,11 +528,11 @@ func TestSVDRandomizedVariant(t *testing.T) {
 	if baseName(rnd.Model) != "svd" {
 		t.Fatalf("base name = %q", baseName(rnd.Model))
 	}
-	re, err := exact.Reconstruct(bg, budget)
+	re, err := exact.Reconstruct(bg, nil, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := rnd.Reconstruct(bg, budget)
+	rr, err := rnd.Reconstruct(bg, nil, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +578,7 @@ func TestWaveletNonstandardVariant(t *testing.T) {
 	}
 	// Both variants must reconstruct through the shared dispatcher.
 	for _, rep := range []*Rep{std, ns} {
-		recon, err := rep.Reconstruct(bg, budget)
+		recon, err := rep.Reconstruct(bg, nil, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -541,7 +589,7 @@ func TestWaveletNonstandardVariant(t *testing.T) {
 	// Corrupting the transform-kind field must be rejected, not crash.
 	bad := *ns
 	bad.Meta = append([]byte{9}, ns.Meta[1:]...)
-	if _, err := bad.Reconstruct(bg, budget); err == nil {
+	if _, err := bad.Reconstruct(bg, nil, budget); err == nil {
 		t.Fatal("expected unknown-kind rejection")
 	}
 }

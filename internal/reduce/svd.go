@@ -98,7 +98,7 @@ func (s SVD) Fit(ctx context.Context, f *grid.Field, cfg parallel.Config) (*Rep,
 	return &Rep{Model: s.Name(), Dims: append([]int(nil), f.Dims...), Meta: meta, Values: vals}, nil
 }
 
-func reconstructSVD(rep *Rep, cfg parallel.Config) (*grid.Field, error) {
+func reconstructSVD(rep *Rep, dst *grid.Field, cfg parallel.Config) error {
 	pos := 0
 	next := func() (int, error) {
 		v, n := binary.Uvarint(rep.Meta[pos:])
@@ -110,33 +110,26 @@ func reconstructSVD(rep *Rep, cfg parallel.Config) (*grid.Field, error) {
 	}
 	m, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	k, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	total := 1
-	for _, d := range rep.Dims {
-		total *= d
-	}
-	if m <= 0 || n <= 0 || k <= 0 || m*n != total || k > n || k > m {
-		return nil, fmt.Errorf("svd: implausible shape m=%d n=%d k=%d for dims %v", m, n, k, rep.Dims)
+	if m <= 0 || n <= 0 || k <= 0 || m*n != len(dst.Data) || k > n || k > m {
+		return fmt.Errorf("svd: implausible shape m=%d n=%d k=%d for dims %v", m, n, k, rep.Dims)
 	}
 	if len(rep.Values) != k+m*k+n*k {
-		return nil, fmt.Errorf("svd: payload %d != %d", len(rep.Values), k+m*k+n*k)
+		return fmt.Errorf("svd: payload %d != %d", len(rep.Values), k+m*k+n*k)
 	}
 	u := &linalg.Matrix{Rows: m, Cols: k, Data: rep.Values[k : k+m*k]}
 	v := &linalg.Matrix{Rows: n, Cols: k, Data: rep.Values[k+m*k:]}
-	out, err := linalg.Reconstruct(u, rep.Values[:k], v, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return grid.FromData(out.Data, rep.Dims...)
+	_, err = linalg.Reconstruct(&linalg.Matrix{Rows: m, Cols: n, Data: dst.Data}, u, rep.Values[:k], v, cfg)
+	return err
 }
 
 // SVDSpectrum returns the proportion series of the leading singular values

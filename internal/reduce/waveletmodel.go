@@ -49,7 +49,11 @@ func (w Wavelet) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Rep,
 		return nil, err
 	}
 	m, n := matShape(f)
-	coeff := append([]float64(nil), f.Data...)
+	// The transform runs in place on a copy in arena scratch, released
+	// once ToSparse has copied out the surviving coefficients.
+	coeff := parallel.Floats(len(f.Data))
+	defer parallel.PutFloats(coeff)
+	copy(coeff, f.Data)
 	var err error
 	if w.Nonstandard {
 		err = wavelet.Forward2DNonstandard(coeff, m, n)
@@ -95,7 +99,7 @@ func (w Wavelet) Fit(_ context.Context, f *grid.Field, _ parallel.Config) (*Rep,
 	}, nil
 }
 
-func reconstructWavelet(rep *Rep, _ parallel.Config) (*grid.Field, error) {
+func reconstructWavelet(rep *Rep, dst *grid.Field, _ parallel.Config) error {
 	pos := 0
 	next := func() (int, error) {
 		v, n := binary.Uvarint(rep.Meta[pos:])
@@ -107,43 +111,43 @@ func reconstructWavelet(rep *Rep, _ parallel.Config) (*grid.Field, error) {
 	}
 	kind, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if kind > 1 {
-		return nil, fmt.Errorf("wavelet: unknown transform kind %d", kind)
+		return fmt.Errorf("wavelet: unknown transform kind %d", kind)
 	}
 	m, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nnz, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	total := 1
-	for _, d := range rep.Dims {
-		total *= d
-	}
+	total := len(dst.Data)
 	if m <= 0 || n <= 0 || m*n != total || nnz < 0 || nnz > total {
-		return nil, fmt.Errorf("wavelet: implausible shape m=%d n=%d nnz=%d", m, n, nnz)
+		return fmt.Errorf("wavelet: implausible shape m=%d n=%d nnz=%d", m, n, nnz)
 	}
 	if len(rep.Values) != nnz {
-		return nil, fmt.Errorf("wavelet: payload %d != nnz %d", len(rep.Values), nnz)
+		return fmt.Errorf("wavelet: payload %d != nnz %d", len(rep.Values), nnz)
 	}
-	coeff := make([]float64, total)
+	// Scatter the surviving coefficients into a cleared dst and invert in
+	// place.
+	coeff := dst.Data
+	clear(coeff)
 	idx := 0
 	for i := 0; i < nnz; i++ {
 		d, err := next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		idx += d
 		if idx >= total || (i > 0 && d == 0) {
-			return nil, fmt.Errorf("wavelet: index stream corrupt")
+			return fmt.Errorf("wavelet: index stream corrupt")
 		}
 		coeff[idx] = rep.Values[i]
 	}
@@ -152,8 +156,5 @@ func reconstructWavelet(rep *Rep, _ parallel.Config) (*grid.Field, error) {
 	} else {
 		err = wavelet.Inverse2D(coeff, m, n)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return grid.FromData(coeff, rep.Dims...)
+	return err
 }

@@ -13,6 +13,7 @@ import (
 	"lrm/internal/compress"
 	"lrm/internal/compress/zfp"
 	"lrm/internal/core"
+	"lrm/internal/grid"
 	"lrm/internal/obs"
 	"lrm/internal/obs/trace"
 	"lrm/internal/parallel"
@@ -190,5 +191,50 @@ func BenchmarkServeCompress(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecompressClaimedDimsRefused: a one-base LRM1 archive whose header
+// claims dims {2^24, 1} over a 1-value rep and a {4, 1} zfp delta answers
+// 422 without allocating for the claim (it used to cost 134 MB before the
+// dims mismatch was found).
+func TestDecompressClaimedDimsRefused(t *testing.T) {
+	quietObs(t)
+	codec := zfp.MustNewAccuracy(1e-3)
+	stream := func(n int) []byte {
+		f, err := grid.NewChecked(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := codec.Compress(context.Background(), f, parallel.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	meta, err := compress.FlateBytes(nil, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(b, s []byte) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	family := []byte(compress.CodecFamily(codec.Name()))
+	body := append([]byte("LRM1"), 1) // preconditioned mode
+	body = str(body, family)
+	body = str(body, []byte("one-base"))
+	body = append(body, compress.EncodeDimsHeader([]int{1 << 24, 1})...)
+	body = binary.AppendUvarint(body, 0) // meta length
+	body = str(body, meta)
+	body = str(body, stream(1))
+	body = str(body, family)
+	body = str(body, stream(4))
+
+	h := serve.New(serve.Config{CacheBytes: -1}).Handler()
+	got := bytesPerCall(func() {
+		if rec := serveOnce(h, "/v1/decompress", body, int64(len(body))); rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("status %d, want 422 (%s)", rec.Code, rec.Body.String())
+		}
+	})
+	if got >= 1<<20 {
+		t.Errorf("request allocated %d B, want < 1 MiB", got)
 	}
 }
